@@ -313,7 +313,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_score_explain": docsearch.docs_score_explain,
         # funnel latency: first-view -> first-purchase lag quantiles
         "events_conversion_lag": relational.events_conversion_lag,
-        # churn screen: users inactive for the trailing 14 days
+        # churn screen: users inactive for the trailing relational._CHURN_DAYS (1 day)
         "events_churned_users": relational.events_churned_users,
         # AR-style aging report over open orders (bucketed date-diff)
         "orders_open_aging": relational.orders_open_aging,

@@ -24,8 +24,9 @@ re-expressed per SURVEY.md §7.2:
                   independent task per term-bucket group reads ONLY its own
                   row groups from each partials file, computes exact df
                   locally, salts hot terms, delta+varint compresses with
-                  block-max metadata, and writes its (bucket, salt) segment
-                  files directly.  No all-to-all operator.
+                  block-max metadata, and writes its segment file
+                  (segments/bg-XXX.parquet) and term lexicon
+                  (dfs/bg-XXX.parquet) directly.  No all-to-all operator.
 
 Every phase is checkpointed in the lineage manifest (engine/checkpoint.py);
 re-running skips partitions/phases whose input fingerprints are unchanged —
@@ -45,7 +46,7 @@ import pyarrow.parquet  # noqa: F401  (enables pa.parquet.*)
 import ray
 import ray.data as rd
 
-from . import codec
+from . import segments
 from .analyze import DEFAULT_ANALYZER, AnalyzerConfig, Tokenizer
 from .checkpoint import BuildManifest, atomic_dir, fingerprint_files
 from .extract import dedup_latest_in_batch, extract_batch
@@ -57,25 +58,17 @@ from .schema import (
     HOT_TERM_DF_FRACTION,
     K1,
     DOC_RANGE_SHIFT,
+    FORMAT_VERSION,
+    LEXICON_SCHEMA,
     NUM_BUCKET_GROUPS,
     NUM_DOC_RANGES,
     NUM_SALTS,
     NUM_TERM_BUCKETS,
     PARTIAL_POSTINGS_POS_SCHEMA,
     PARTIAL_POSTINGS_SCHEMA,
-    SEGMENT_POS_SCHEMA,
-    SEGMENT_SCHEMA,
     term_bucket,
 )
 
-
-# bump when the on-disk layout or scoring-relevant semantics change
-# v8: segments store varint doclens instead of raw-float64 impacts
-# v9: postings delta-encode dense docnos (rank in the doc_id-sorted docmeta
-#     table) instead of raw 64-bit url-hash doc_ids, and docmeta ranges are
-#     doc_id INTERVALS (>> DOC_RANGE_SHIFT) instead of hash-modulo classes
-#     so the docno assignment stays decomposable per range (schema.py notes)
-FORMAT_VERSION = 9
 
 # merge-phase doclen exchange: broadcast the (doc_id, doclen) table while it
 # fits this budget; above it, reduce tasks read doc_id-range row groups from
@@ -608,7 +601,10 @@ def build_index(
 
     stats_path = os.path.join(index_dir, "stats.json")
     dfs_root = os.path.join(index_dir, "dfs")
-    partials_fp = man.partials_fingerprint() + tomb_tag
+    # the format version is part of the stats+segments lineage: partitions
+    # grafted into a dir (merge_indexes) keep valid checkpoints across a
+    # format bump, but the layout these phases write does not
+    partials_fp = man.partials_fingerprint() + tomb_tag + f"+F{FORMAT_VERSION}"
     if avgdl_override is not None:
         # a different global avgdl bakes different impacts: stats and
         # segments must re-run even over identical partials
@@ -640,6 +636,7 @@ def build_index(
             "b": B,
             "num_salts": NUM_SALTS,
             "num_buckets": NUM_TERM_BUCKETS,
+            "format_version": FORMAT_VERSION,
             "analyzer": analyzer.to_json(),
             "positions": bool(store_positions),
         }
@@ -656,7 +653,7 @@ def build_index(
     # (column-pruned), assign (bucket, salt) per term — hot terms (Zipf head,
     # SURVEY.md §4 "Skew") split by doc_id % NUM_SALTS so no single chunk
     # owns a head term's full list — then delta+varint compress and write
-    # each (bucket, salt) segment file directly.  No all-to-all operator:
+    # the group's segment file and its lexicon directly.  No all-to-all:
     # reduce parallelism = n_bg tasks sized to the cluster (round 1 used a
     # sort-based groupby whose reduce was pinned to ~32 fat blocks and
     # scaled 1.5x from 8->32 cpus; partitioned reads scale with the cores).
@@ -748,25 +745,15 @@ def build_index(
                 n_chunks = int(summary["n_chunks"].sum())
                 n_terms = int(summary["n_terms"].sum())
                 n_hot = int(summary["n_hot"].sum())
-            if not os.listdir(dfs_tmp):
+            if not os.listdir(dfs_tmp):  # empty corpus: an empty lexicon
                 pa.parquet.write_table(
-                    pa.table({"term": pa.array([], pa.string()),
-                              "df": pa.array([], pa.int64())}),
+                    LEXICON_SCHEMA.empty_table(),
                     os.path.join(dfs_tmp, "empty.parquet"),
                 )
-            # promote the per-bucket-group df table alongside the segments
+            # promote the per-bucket-group lexicon alongside the segments
             if os.path.isdir(dfs_root):
                 shutil.rmtree(dfs_root)
             os.replace(dfs_tmp, dfs_root)
-            if not os.listdir(tmp):  # empty corpus: keep a readable layout
-                os.makedirs(os.path.join(tmp, "bucket=0"), exist_ok=True)
-                empty_seg = (
-                    SEGMENT_POS_SCHEMA if store_positions else SEGMENT_SCHEMA
-                )
-                pa.parquet.write_table(
-                    empty_seg.empty_table().drop_columns(["bucket"]),
-                    os.path.join(tmp, "bucket=0", "empty.parquet"),
-                )
         # n_terms/n_hot_terms are informational; fill them into stats.json
         # now that the merge has counted the vocabulary exactly
         stats["n_terms"] = n_terms
@@ -975,7 +962,7 @@ class _LoserFilter:
     last-writer-wins order over file-rank-ordered rows.  (Equal-ts duplicates
     within ONE file are resolved last-row-wins by dedup_latest_in_batch; an
     exact-duplicate row split across blocks of the same file additionally
-    hits the duplicate-(term,doc) guard in _compress_bucket.)
+    hits the duplicate-(term,doc) guard in _MergeBucketGroup._merge_one.)
     """
 
     def __init__(self, loser_ref):
@@ -1262,8 +1249,9 @@ def _run_shard_wave(
 
 class _MergeBucketGroup:
     """Reduce task of the filesystem exchange: one bucket group's row groups
-    -> compressed (bucket, salt) segment files + this group's slice of the
-    partitioned dfs/ table.
+    -> its compressed segment file (segments/bg-XXX.parquet) + its slice of
+    the partitioned term lexicon (dfs/bg-XXX.parquet: df and chunk
+    addresses).
 
     ALL postings of a term live in exactly one bucket group, so per-term df
     is computed exactly here — no global stats pass, no hot-set broadcast:
@@ -1272,10 +1260,9 @@ class _MergeBucketGroup:
     so no single chunk owns a head term's full posting list; cold terms use
     salt 0.  Per-posting doclen comes from the broadcast docmeta lookup
     (ray.put once, zero-copy per task) instead of being duplicated on every
-    partials row.  Writes each segment file directly with a deterministic
-    name — Ray's generic parquet sink re-buffers the large binary chunk
-    rows and is ~3x slower, and deterministic names keep task retries
-    idempotent.
+    partials row.  Writes both files directly with deterministic names —
+    Ray's generic parquet sink re-buffers the large binary chunk rows and is
+    ~3x slower, and deterministic names keep task retries idempotent.
     """
 
     def __init__(self, avgdl: float, hot_threshold: float, out_root: str,
@@ -1407,8 +1394,8 @@ class _MergeBucketGroup:
         # input row split across Ray blocks of one file emits the same
         # (term, doc) twice; counting it in df (or letting it reach the
         # compressor) would drift idf from the oracle (ADVICE round 2).
-        # Keep-first in original row order, mirroring _compress_bucket's old
-        # in-place guard (now redundant there but kept as a safety net).
+        # Keep-first in original row order, mirroring the in-place guard of
+        # segments.compress_group (redundant there, kept as a safety net).
         doc_ids_all = t.column("doc_id").to_numpy(zero_copy_only=False)
         if len(codes) > 1:
             order0 = np.lexsort((doc_ids_all, codes))
@@ -1423,11 +1410,6 @@ class _MergeBucketGroup:
         # exact global df per term (this group owns every posting of its
         # terms); rows are (term, doc) pre-aggregated, so df = row count
         dfs = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        pa.parquet.write_table(
-            pa.table({"term": de.dictionary, "df": pa.array(dfs, pa.int64())}),
-            os.path.join(self.dfs_root, f"bg-{bg:03d}.parquet"),
-            compression="zstd", compression_level=1,
-        )
         uniq_hot = dfs > self.hot_threshold
         uniq_bucket = np.array([term_bucket(tm) for tm in uniq], dtype=np.int64)
         doc_ids = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1462,121 +1444,19 @@ class _MergeBucketGroup:
         bounds = np.nonzero(np.diff(key))[0] + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [len(key)]))
-        n_chunks = 0
-        for s0, e0 in zip(starts, ends):
-            group = t2.slice(s0, e0 - s0)
-            bucket = int(key[s0] // (NUM_SALTS + 1))
-            saltv = int(key[s0] % (NUM_SALTS + 1))
-            n_chunks += _compress_and_write_group(
-                group, impacts[s0:e0], dls[s0:e0], bucket, saltv, self.out_root
-            )
+        n_chunks = segments.write_bucket_group(
+            os.path.join(self.out_root, f"bg-{bg:03d}.parquet"),
+            os.path.join(self.dfs_root, f"bg-{bg:03d}.parquet"),
+            de.dictionary, dfs,
+            (
+                segments.compress_group(
+                    t2.slice(s0, e0 - s0), impacts[s0:e0], dls[s0:e0],
+                    int(key[s0] % (NUM_SALTS + 1)),
+                )
+                for s0, e0 in zip(starts, ends)
+            ),
+        )
         return len(uniq), n_chunks, int(uniq_hot.sum())
-
-
-def _compress_and_write_group(
-    group: pa.Table, impacts: np.ndarray, dls: np.ndarray,
-    bucket: int, salt: int, out_root: str
-) -> int:
-    """One (bucket, salt) group -> compressed chunk rows written straight to
-    the segment file; returns the number of term-chunk rows written."""
-    t = _compress_bucket(group, impacts, dls, bucket, salt)
-    d = os.path.join(out_root, f"bucket={bucket}")
-    os.makedirs(d, exist_ok=True)
-    pa.parquet.write_table(
-        t.drop_columns(["bucket"]),
-        os.path.join(d, f"part-{salt:02d}.parquet"),
-        use_dictionary=False,
-        compression="zstd",
-        compression_level=1,
-    )
-    return t.num_rows
-
-
-def _compress_bucket(
-    group: pa.Table, impacts: np.ndarray, dls: np.ndarray,
-    bucket: int, salt: int
-) -> pa.Table:
-    """Exchange reducer: one (bucket, salt) group (+ its precomputed
-    per-posting impacts and doc lengths) -> one compressed chunk row per
-    term in the group (SURVEY.md §7.2 step 5).  Impacts drive the exact
-    block-max metadata but are NOT stored — the segment carries varint
-    doclens and the reader recomputes the identical float64 impacts
-    (schema.py SEGMENT_SCHEMA note)."""
-    if group.num_rows == 0:
-        if "positions" in group.column_names:
-            return SEGMENT_POS_SCHEMA.empty_table()
-        return SEGMENT_SCHEMA.empty_table()
-    terms = group.column("term")
-    de = terms.combine_chunks() if isinstance(terms, pa.ChunkedArray) else terms
-    de = de.dictionary_encode()
-    if isinstance(de, pa.ChunkedArray):
-        de = de.combine_chunks()
-    codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    vocab = de.dictionary.to_pylist()
-    doc_ids = group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-    tfs = group.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
-    order = np.lexsort((doc_ids, codes))
-    codes, doc_ids = codes[order], doc_ids[order]
-    tfs, impacts, dls = tfs[order], impacts[order], dls[order]
-    row_sel = order  # original row index per output row (positions gather)
-    # guard: an exact-duplicate input row split across blocks of one file can
-    # emit the same (term, doc) twice; a doc lives in exactly one salt group
-    # per term, so the duplicates are adjacent here — keep the first
-    if len(codes) > 1:
-        uniq = np.ones(len(codes), dtype=bool)
-        uniq[1:] = (codes[1:] != codes[:-1]) | (doc_ids[1:] != doc_ids[:-1])
-        if not uniq.all():
-            codes, doc_ids = codes[uniq], doc_ids[uniq]
-            tfs, impacts, dls = tfs[uniq], impacts[uniq], dls[uniq]
-            row_sel = row_sel[uniq]
-    with_pos = "positions" in group.column_names
-    if with_pos:
-        pos_col = group.column("positions")
-        if isinstance(pos_col, pa.ChunkedArray):
-            pos_col = pos_col.combine_chunks()
-        pos_col = pos_col.take(pa.array(row_sel, pa.int64()))
-        pos_offsets = pos_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        pos_offsets = pos_offsets - pos_offsets[0]  # flatten() trims any slice
-        pos_flat = pos_col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    bounds = np.nonzero(np.diff(codes))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(codes)]))
-    rows = {k: [] for k in (
-        "term", "df_chunk", "doc_ids", "tfs", "doclens",
-        "block_last_doc", "block_max_impact", "positions",
-    )}
-    for s0, e0 in zip(starts, ends):
-        ids_t = doc_ids[s0:e0]
-        imp_t = impacts[s0:e0]
-        block_last, block_max = codec.block_metadata(ids_t, imp_t)
-        rows["term"].append(vocab[codes[s0]])
-        rows["df_chunk"].append(e0 - s0)
-        rows["doc_ids"].append(codec.delta_encode(ids_t))
-        rows["tfs"].append(codec.ints_encode(tfs[s0:e0].astype(np.uint64)))
-        rows["doclens"].append(codec.ints_encode(dls[s0:e0].astype(np.uint64)))
-        rows["block_last_doc"].append(block_last.tolist())
-        rows["block_max_impact"].append(block_max.tolist())
-        if with_pos:
-            flat = pos_flat[pos_offsets[s0] : pos_offsets[e0]]
-            lens = np.diff(pos_offsets[s0 : e0 + 1])
-            rows["positions"].append(
-                codec.poslist_encode(flat.astype(np.uint64), lens)
-            )
-    n = len(rows["term"])
-    cols = {
-        "term": pa.array(rows["term"], pa.string()),
-        "salt": pa.array([salt] * n, pa.int32()),
-        "bucket": pa.array([bucket] * n, pa.int32()),
-        "df_chunk": pa.array(rows["df_chunk"], pa.int64()),
-        "doc_ids": pa.array(rows["doc_ids"], pa.binary()),
-        "tfs": pa.array(rows["tfs"], pa.binary()),
-        "doclens": pa.array(rows["doclens"], pa.binary()),
-        "block_last_doc": pa.array(rows["block_last_doc"], pa.list_(pa.uint64())),
-        "block_max_impact": pa.array(rows["block_max_impact"], pa.list_(pa.float64())),
-    }
-    if with_pos:
-        cols["positions"] = pa.array(rows["positions"], pa.binary())
-    return pa.table(cols)
 
 
 _EMPTY_LOSERS = pa.table(

@@ -4244,11 +4244,14 @@ def q16_supplier_counts(sf_dir: str):
         else:
             pos = np.minimum(np.searchsorted(keys, lp), keys.size - 1)
             hit = keys[pos] == lp
+        # mask before the gather: with no surviving part, pos indexes empty
+        # attribute arrays
+        pos = pos[hit]
         tt = pa.table(
             {
-                "b": pa.array(bc[pos][hit], pa.int64()),
-                "t": pa.array(tc[pos][hit], pa.int64()),
-                "s": pa.array(sz[pos][hit], pa.int64()),
+                "b": pa.array(bc[pos], pa.int64()),
+                "t": pa.array(tc[pos], pa.int64()),
+                "s": pa.array(sz[pos], pa.int64()),
                 "sk": t["l_suppkey"].filter(pa.array(hit)),
             }
         )

@@ -38,7 +38,8 @@ import pyarrow.parquet  # noqa: F401  (enables pa.parquet.*)
 
 from . import codec
 from .analyze import DEFAULT_ANALYZER, AnalyzerConfig, tokenize
-from .schema import term_bucket, ts_to_us
+from .schema import FORMAT_VERSION, NUM_BUCKET_GROUPS, term_bucket, ts_to_us
+from .segments import Lexicon, RowGroup, SortedTermMap
 
 
 # ----------------------------------------------------------------------
@@ -264,91 +265,55 @@ class _Cursor:
         return int(self.block_last[b])
 
 
-class SortedTermMap:
-    """Dict-protocol (term -> df) view over term-sorted parallel arrays.
+class IndexReader:
+    """Query-side state of one index directory.
 
-    The sharded serving pool broadcasts the corpus-global df table as ONE
-    term-sorted Arrow (term, df) table; each shard actor wraps it in this
-    map and resolves lookups with np.searchsorted — the round-2 design
-    built a vocab-sized Python dict single-threaded on the DRIVER (tens of
-    GB at web vocabulary).  Same structure as the reader's own sorted-vocab
-    lookup (_vocab below), so wildcard/autocomplete reuse the arrays as-is.
+    On-disk layout read here (FORMAT_VERSION 10): ``stats.json``;
+    ``dfs/bg-XXX.parquet``, the term lexicon of each of the
+    NUM_BUCKET_GROUPS bucket groups (term, df and each chunk's (row group,
+    row) address); ``segments/bg-XXX.parquet``, that group's compressed
+    posting chunks; ``docmeta/`` and ``extracted/`` (doc metadata and the
+    doc store).  The lexicon loads term-sorted at open; a term's postings
+    are then one binary search plus one row-group read per chunk, from a
+    ParquetFile whose footer is read once per reader.
     """
 
-    __slots__ = ("terms", "dfs")
-
-    def __init__(self, terms: np.ndarray, dfs: np.ndarray):
-        self.terms = terms  # sorted, dtype=object (str)
-        self.dfs = dfs  # aligned int64
-
-    @classmethod
-    def from_arrow(cls, tbl) -> "SortedTermMap":
-        terms = tbl["term"].combine_chunks().to_numpy(zero_copy_only=False)
-        dfs = (
-            tbl["df"].combine_chunks().to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        return cls(terms, dfs)
-
-    def get(self, term: str, default: int = 0) -> int:
-        i = int(np.searchsorted(self.terms, term))
-        if i < self.terms.size and self.terms[i] == term:
-            return int(self.dfs[i])
-        return default
-
-    def __getitem__(self, term: str) -> int:
-        i = int(np.searchsorted(self.terms, term))
-        if i < self.terms.size and self.terms[i] == term:
-            return int(self.dfs[i])
-        raise KeyError(term)
-
-    def __contains__(self, term) -> bool:
-        i = int(np.searchsorted(self.terms, term))
-        return bool(i < self.terms.size and self.terms[i] == term)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return int(self.terms.size)
-
-
-class IndexReader:
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
+        if self.stats.get("format_version") != FORMAT_VERSION:
+            raise ValueError(
+                f"{index_dir}: stats.json predates FORMAT_VERSION "
+                f"{FORMAT_VERSION} (bucket-group segment files + term "
+                "lexicon); rebuild the index"
+            )
         self.n_docs = self.stats["n_docs"]
         self.avgdl = self.stats["avgdl"]
         self.has_positions = bool(self.stats.get("positions", False))
         self.analyzer = AnalyzerConfig.from_json(self.stats.get("analyzer"))
         # term-sorted arrays + searchsorted (SortedTermMap), not a Python
         # dict: ~40% less memory at vocab scale, a C-speed load, and the
-        # same structure the sharded serving pool broadcasts
-        df_tbl = pads.dataset(os.path.join(index_dir, "dfs")).to_table()
-        self._df = SortedTermMap.from_arrow(df_tbl.sort_by("term"))
-        self._segments = pads.dataset(
-            os.path.join(index_dir, "segments"), partitioning="hive"
-        )
+        # same structure the sharded serving pool broadcasts.  _df is what
+        # scoring uses (a sharded pool swaps in the corpus-global table);
+        # _lex always addresses this index's own segment files.
+        lex_tbl = pads.dataset(os.path.join(index_dir, "dfs")).to_table()
+        self._lex = Lexicon.from_arrow(lex_tbl.sort_by("term"))
+        self._df: SortedTermMap = self._lex
+        self._seg_files: dict[int, pa.parquet.ParquetFile] = {}
         self._extracted = pads.dataset(os.path.join(index_dir, "extracted"))
         self._docmeta = None  # (sorted doc_ids, lang codes, ts, doclens, langs)
         self._docmeta_order = None
         self._urls = None  # docmeta urls, loaded lazily for url filters
         self._chunk_cache: _LRU = _LRU(cap=4096)  # term -> decoded chunks
-        self._bucket_tables: _LRU = _LRU(cap=8)  # bucket -> (table, term index)
+        # (bucket group, row group) -> RowGroup
+        self._bucket_tables: _LRU = _LRU(cap=64)
         self._tpos_cache: _LRU = _LRU(cap=512)  # term -> decoded token positions
         # dense-docno space size = total distinct docmeta rows INCLUDING
         # tombstoned docs (stats phase prefix sums; == len(docmeta) once
         # loaded).  Sizes the dense score/presence arrays without forcing a
         # docmeta load on filterless queries.
-        if "doc_range_bases" not in self.stats:
-            raise ValueError(
-                f"{index_dir}: stats.json predates FORMAT_VERSION 9 "
-                "(dense-docno postings); rebuild the index"
-            )
         self._docno_count = int(self.stats["doc_range_bases"][-1])
-        self._vocab_sorted = None  # lazy sorted vocab (wildcard expansion)
-        self._vocab_df = None
         self._del_idx = None  # lazy SymSpell delete index (suggest())
         self._ds_rg = None  # doc-store row-group interval index (fetch_docs)
         self._url_mask_cache: _LRU = _LRU(cap=64)  # url pattern -> doc mask
@@ -360,6 +325,13 @@ class IndexReader:
         self._cand_mask_buf: np.ndarray | None = None
         self._cand_rank_buf: np.ndarray | None = None
 
+    def close(self) -> None:
+        """Close the segment files this reader holds open (one per bucket
+        group it has read); a later read reopens them."""
+        for pf in self._seg_files.values():
+            pf.close()
+        self._seg_files.clear()
+
     # ------------------------------------------------------------------
     def idf(self, term: str) -> float:
         df = self._df.get(term, 0)
@@ -369,19 +341,9 @@ class IndexReader:
         return int(self._df.get(term, 0))
 
     def _vocab(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazy (sorted term array, aligned df array) — shared by wildcard
+        """(sorted term array, aligned df array) — shared by wildcard
         expansion and autocomplete."""
-        if self._vocab_sorted is None:
-            if isinstance(self._df, SortedTermMap):  # already sorted arrays
-                self._vocab_sorted = self._df.terms
-                self._vocab_df = self._df.dfs
-            else:
-                terms = np.array(sorted(self._df), dtype=object)
-                self._vocab_sorted = terms
-                self._vocab_df = np.array(
-                    [self._df[t] for t in terms], dtype=np.int64
-                )
-        return self._vocab_sorted, self._vocab_df
+        return self._df.terms, self._df.dfs
 
     def complete(self, prefix: str, k: int = 8) -> list[str]:
         """Autocomplete: the top-k indexed terms starting with `prefix`,
@@ -568,17 +530,12 @@ class IndexReader:
         its (salted) chunks, UNDECORATED — the raw columns the impact
         formula consumes, for scorers whose saturation must run on a
         COMBINED tf (SynonymQuery) rather than per-term impacts."""
-        tbl, index = self._bucket_rows(term_bucket(term))
         ids_l, tf_l, dl_l = [], [], []
-        for row in index.get(term, ()):
-            n = tbl["df_chunk"][row].as_py()
-            ids_l.append(
-                codec.delta_decode(tbl["doc_ids"][row].as_py(), n).astype(np.int64)
-            )
-            tf_l.append(codec.ints_decode(tbl["tfs"][row].as_py(), n).astype(np.float64))
-            dl_l.append(
-                codec.ints_decode(tbl["doclens"][row].as_py(), n).astype(np.float64)
-            )
+        for g, row in self._chunk_rows(term):
+            ids, tfs, dls = g.raw(row)
+            ids_l.append(ids.astype(np.int64))
+            tf_l.append(tfs.astype(np.float64))
+            dl_l.append(dls.astype(np.float64))
         if not ids_l:
             e = np.empty(0, np.int64)
             return e, np.empty(0, np.float64), np.empty(0, np.float64)
@@ -670,32 +627,39 @@ class IndexReader:
             return tuple(out)
         return tuple(np.concatenate(parts) for parts in zip(*rows))
 
-    def _bucket_rows(self, bucket: int) -> dict[str, list[int]]:
-        """term -> row indices of the (cached) bucket segment table.
-
-        Reads the term's hash bucket once (partition pruning: a T-term query
-        touches <= T buckets); subsequent terms in the same bucket are free.
-        """
-        cached = self._bucket_tables.get(bucket)
-        if cached is None:
-            cols = None
-            if self.has_positions:
-                # scoring never touches positions; don't drag the heaviest
-                # column of a positional index through every query's read
-                cols = [
-                    "term", "salt", "df_chunk", "doc_ids", "tfs",
-                    "doclens", "block_last_doc", "block_max_impact",
-                ]
-            tbl = self._segments.to_table(
-                filter=pc.field("bucket") == bucket, columns=cols
+    def _segment_file(self, bg: int) -> pa.parquet.ParquetFile:
+        """The bucket group's segment file, opened once per reader (its
+        footer is parsed once; later row-group reads go straight to the
+        column chunks)."""
+        pf = self._seg_files.get(bg)
+        if pf is None:
+            pf = self._seg_files[bg] = pa.parquet.ParquetFile(
+                os.path.join(self.index_dir, "segments", f"bg-{bg:03d}.parquet")
             )
-            terms = tbl["term"].to_pylist()
-            index: dict[str, list[int]] = {}
-            for i, t in enumerate(terms):
-                index.setdefault(t, []).append(i)
-            cached = (tbl, index)
-            self._bucket_tables[bucket] = cached
+        return pf
+
+    def _bucket_rows(self, key: tuple[int, int]) -> RowGroup:
+        """The scoring columns of one segment row group, key = (bucket
+        group, row group); LRU-cached.  The single segment-read entry point
+        of scoring: positions (phrase queries) are never read here."""
+        cached = self._bucket_tables.get(key)
+        if cached is None:
+            bg, rg = key
+            cached = RowGroup(
+                self._segment_file(bg).read_row_group(
+                    rg, columns=RowGroup.COLUMNS, use_threads=False
+                )
+            )
+            self._bucket_tables[key] = cached
         return cached
+
+    def _chunk_rows(self, term: str) -> list[tuple[RowGroup, int]]:
+        """(row group, row) of each of the term's chunks, salt order, read
+        through this index's own lexicon."""
+        bg = term_bucket(term) % NUM_BUCKET_GROUPS
+        return [
+            (self._bucket_rows((bg, rg)), row) for rg, row in self._lex.chunks(term)
+        ]
 
     def _load_chunks(self, term: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """All compressed chunks (salted) for a term, decoded; cached.
@@ -711,17 +675,13 @@ class IndexReader:
         k1 = float(self.stats["k1"])
         b = float(self.stats["b"])
         avgdl = self.avgdl
-        tbl, index = self._bucket_rows(term_bucket(term))
         chunks = []
-        for row in index.get(term, ()):
-            n = tbl["df_chunk"][row].as_py()
-            ids = codec.delta_decode(tbl["doc_ids"][row].as_py(), n)
-            tfs = codec.ints_decode(tbl["tfs"][row].as_py(), n).astype(np.float64)
-            dls = codec.ints_decode(tbl["doclens"][row].as_py(), n).astype(np.float64)
+        for g, row in self._chunk_rows(term):
+            ids, tfs, dls = g.raw(row)
+            tfs = tfs.astype(np.float64)
+            dls = dls.astype(np.float64)
             impacts = tfs * (k1 + 1.0) / (tfs + k1 * ((1.0 - b) + (b * dls) / avgdl))
-            block_last = np.asarray(tbl["block_last_doc"][row].as_py(), dtype=np.uint64)
-            block_max = np.asarray(tbl["block_max_impact"][row].as_py(), dtype=np.float64)
-            chunks.append((ids, impacts, block_last, block_max))
+            chunks.append((ids, impacts, *g.blocks(row)))
         self._chunk_cache[term] = chunks
         return chunks
 
@@ -815,6 +775,7 @@ class IndexReader:
         probing stays identical either way.
         """
         alive = self._tombstone_mask()
+        ts_min, ts_max = ts_to_us(ts_min), ts_to_us(ts_max)
         if (
             lang_filter is None and ts_min is None and ts_max is None
             and url_contains is None and doc_ids_filter is None
@@ -1156,18 +1117,20 @@ class IndexReader:
         (scoring reads never load it), LRU-cached per term."""
         data = self._tpos_cache.get(term)
         if data is None:
-            tbl = self._segments.to_table(
-                filter=(pc.field("bucket") == term_bucket(term))
-                & (pc.field("term") == term),
-                columns=["term", "df_chunk", "doc_ids", "tfs", "positions"],
-            )
+            bg = term_bucket(term) % NUM_BUCKET_GROUPS
             data = []
-            for row in range(tbl.num_rows):
-                n = tbl["df_chunk"][row].as_py()
-                ids = codec.delta_decode(tbl["doc_ids"][row].as_py(), n)
-                lens = codec.ints_decode(tbl["tfs"][row].as_py(), n).astype(np.int64)
+            for rg, row in self._lex.chunks(term):
+                # a bucket group with no terms has no segment file: open it
+                # only for a term the lexicon holds
+                tbl = self._segment_file(bg).read_row_group(
+                    rg, columns=["df_chunk", "doc_ids", "tfs", "positions"],
+                    use_threads=False,
+                ).slice(row, 1)
+                n = tbl["df_chunk"][0].as_py()
+                ids = codec.delta_decode(tbl["doc_ids"][0].as_py(), n)
+                lens = codec.ints_decode(tbl["tfs"][0].as_py(), n).astype(np.int64)
                 offs = np.concatenate(([0], np.cumsum(lens)))
-                flat = codec.poslist_decode(tbl["positions"][row].as_py(), lens)
+                flat = codec.poslist_decode(tbl["positions"][0].as_py(), lens)
                 data.append((ids, offs, flat))
             if len(data) > 1:
                 # merge a hot term's salted chunks into ONE sorted run once

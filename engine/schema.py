@@ -22,8 +22,8 @@ B = 0.75
 # postings are cut into blocks of this many entries for block-max metadata
 BLOCK_SIZE = 128
 
-# term-hash buckets used to partition the segment files (query-side pruning:
-# a query for T terms touches at most T buckets).  Also the unit of reduce
+# term-hash buckets: a bucket's chunks sit together in its bucket group's
+# segment file (row groups never span two buckets).  Also the unit of reduce
 # granularity in the merge shuffle: more buckets = smaller, better-balanced
 # reduce groups (round 1 used 32 and the segments phase bottlenecked on ~32
 # fat cold-term groups — one task per core, stragglers, no scaling headroom)
@@ -111,12 +111,26 @@ PARTIAL_POSTINGS_POS_SCHEMA = PARTIAL_POSTINGS_SCHEMA.append(
     pa.field("positions", pa.list_(pa.int32()))
 )
 
-# merged, compressed posting chunks — one row per (term, salt) group
+# bump when the on-disk layout or scoring-relevant semantics change
+# v8: segments store varint doclens instead of raw-float64 impacts
+# v9: postings delta-encode dense docnos (rank in the doc_id-sorted docmeta
+#     table) instead of raw 64-bit url-hash doc_ids, and docmeta ranges are
+#     doc_id INTERVALS (>> DOC_RANGE_SHIFT) instead of hash-modulo classes
+#     so the docno assignment stays decomposable per range (notes below)
+# v10: one segment file per bucket group (segments/bg-XXX.parquet) instead
+#     of one per (bucket, salt), addressed through the term lexicon that
+#     dfs/bg-XXX.parquet carries (LEXICON_SCHEMA)
+FORMAT_VERSION = 10
+
+# merged, compressed posting chunks — one row per (term, salt) group.  A
+# bucket group's chunks share one file, written in (bucket, salt) order; a
+# new row group starts at every (bucket, salt) boundary and, inside a
+# group, every SEGMENT_ROW_GROUP_BYTES of encoded postings, so a point read
+# of one term's chunk stays bounded however large the corpus grows.
 SEGMENT_SCHEMA = pa.schema(
     [
         pa.field("term", pa.string()),
         pa.field("salt", pa.int32()),
-        pa.field("bucket", pa.int32()),
         pa.field("df_chunk", pa.int64()),
         # delta-varint, sorted.  v9 stores dense DOCNOS — each doc's rank in
         # the doc_id-sorted docmeta table — not raw 64-bit url-hash doc_ids:
@@ -144,6 +158,25 @@ SEGMENT_SCHEMA = pa.schema(
 # positional segments: per-posting position lists packed into one buffer per
 # chunk (codec.poslist_encode; the tfs column carries the split lengths)
 SEGMENT_POS_SCHEMA = SEGMENT_SCHEMA.append(pa.field("positions", pa.binary()))
+
+# fixed (not a knob): it is part of the on-disk layout.  Small enough that a
+# cold term's read is one short row group; large enough that a row group's
+# footer entry (~1 KB) stays well under 1% of its bytes.
+SEGMENT_ROW_GROUP_BYTES = 256 << 10
+
+# the term lexicon, one file per bucket group (dfs/bg-XXX.parquet): each
+# term's exact df plus the address of each of its chunks in that group's
+# segment file — (row group, row within it), in salt order.  The reader
+# loads it term-sorted once, so a term's postings are one binary search
+# plus one row-group read per chunk, with no scan of the term's bucket.
+LEXICON_SCHEMA = pa.schema(
+    [
+        pa.field("term", pa.string()),
+        pa.field("df", pa.int64()),
+        pa.field("rg", pa.list_(pa.int32())),
+        pa.field("row", pa.list_(pa.int32())),
+    ]
+)
 
 
 def ts_to_us(v) -> int | None:
@@ -187,6 +220,7 @@ def doc_ids_of_urls(urls) -> np.ndarray:
 
 
 def term_bucket(term: str, num_buckets: int = NUM_TERM_BUCKETS) -> int:
-    """Deterministic term -> segment-file bucket (query-side pruning key)."""
+    """Deterministic term -> hash bucket; its bucket group (bucket %
+    NUM_BUCKET_GROUPS) names the term's segment and lexicon files."""
     h = hashlib.blake2b(term.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(h, "big") % num_buckets

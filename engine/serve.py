@@ -173,6 +173,34 @@ def _assemble_global_dfs(shard_dirs: list[str], out_root: str) -> str:
     return out_root
 
 
+def shard_reader(
+    index_dir: str, global_dfs_path: str, global_n_docs: int
+) -> IndexReader:
+    """A reader over ONE doc shard that scores with corpus-global stats.
+
+    global_dfs_path points at the DISTRIBUTED reduce's output
+    (_assemble_global_dfs): per-bucket-group term-sorted parquet.  It is
+    read straight from the shared store and wrapped in a searchsorted-backed
+    map — the driver never holds a vocab-sized object (round-4 verdict
+    fix), and no Python dict is built anywhere.  Only the df used for
+    scoring is swapped: postings are still addressed through the shard's
+    own lexicon (IndexReader._lex)."""
+    import pyarrow.dataset as pads
+
+    from .segments import SortedTermMap
+
+    files = sorted(
+        os.path.join(global_dfs_path, f)
+        for f in os.listdir(global_dfs_path)
+        if f.endswith(".parquet")
+    )
+    tbl = pads.dataset(files).to_table().sort_by("term")
+    reader = IndexReader(index_dir)
+    reader._df = SortedTermMap.from_arrow(tbl)
+    reader.n_docs = global_n_docs
+    return reader
+
+
 @ray.remote
 class ShardQueryActor:
     """Owns ONE doc-shard index; scores with corpus-GLOBAL statistics.
@@ -185,24 +213,7 @@ class ShardQueryActor:
     """
 
     def __init__(self, index_dir: str, global_dfs_path: str, global_n_docs: int):
-        # global_dfs_path points at the DISTRIBUTED reduce's output
-        # (_assemble_global_dfs): per-bucket-group term-sorted parquet.  The
-        # actor reads it straight from the shared store and wraps it in a
-        # searchsorted-backed map — the driver never holds a vocab-sized
-        # object (round-4 verdict fix), and no Python dict is built anywhere.
-        import pyarrow.dataset as pads
-
-        from .query import SortedTermMap
-
-        files = sorted(
-            os.path.join(global_dfs_path, f)
-            for f in os.listdir(global_dfs_path)
-            if f.endswith(".parquet")
-        )
-        tbl = pads.dataset(files).to_table().sort_by("term")
-        self.reader = IndexReader(index_dir)
-        self.reader._df = SortedTermMap.from_arrow(tbl)
-        self.reader.n_docs = global_n_docs
+        self.reader = shard_reader(index_dir, global_dfs_path, global_n_docs)
         self.reader._load_docmeta()
 
     def search(self, query_text: str, **kw) -> list[tuple[int, float]]:

@@ -10,10 +10,10 @@
 import os
 
 import pyarrow as pa
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from engine import synth
+from engine._testing import segment_rows
 from engine.build import build_index
 from engine.oracle import OracleIndex
 from engine.query import IndexReader
@@ -156,7 +156,7 @@ def test_repartition_rebuild_prunes_stale_pids(tmp_path):
     build_index(pages_dir, idx_fresh, num_partitions=2)
 
     def seg_rows(d):
-        t = pads.dataset(os.path.join(d, "segments"), partitioning="hive").to_table()
+        t = segment_rows(d)
         return sorted(
             zip(t["term"].to_pylist(), t["salt"].to_pylist(), t["doc_ids"].to_pylist())
         )
@@ -184,7 +184,7 @@ def test_doclen_range_exchange_matches_broadcast(tmp_path, monkeypatch):
     assert m2["doclen_exchange"] == "range"
 
     def seg_rows(d):
-        t = pads.dataset(os.path.join(d, "segments"), partitioning="hive").to_table()
+        t = segment_rows(d)
         return sorted(
             zip(
                 t["term"].to_pylist(), t["salt"].to_pylist(),

@@ -6,10 +6,12 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pytest
 
-from engine import synth
+from engine import codec, synth
+from engine._testing import segment_rows
 from engine.build import build_index
 from engine.oracle import OracleIndex, expected_topk_table
 from engine.query import IndexReader
@@ -159,8 +161,13 @@ def test_segments_store_dense_docnos(built_index):
     meta_ids = r._docmeta[0]
     oracle = OracleIndex(synth.gen_pages_table(N_DOCS))
     terms = [synth.HEAD_TERMS[0], synth.VOCAB[300], synth.VOCAB[800]]
+    segs = segment_rows(index_dir)
     for t in terms:
-        chunks = r._load_chunks(t)
+        rows = segs.filter(pc.equal(segs["term"], t))
+        chunks = [
+            (codec.delta_decode(buf, n),)
+            for buf, n in zip(rows["doc_ids"].to_pylist(), rows["df_chunk"].to_pylist())
+        ]
         docnos = np.sort(np.concatenate([c[0] for c in chunks]))
         assert docnos.size == r.df(t)
         assert docnos.max() < meta_ids.size  # dense, not hash-valued
@@ -169,3 +176,107 @@ def test_segments_store_dense_docnos(built_index):
             np.array(sorted(oracle.postings[t]), dtype=np.uint64)
         )
         assert np.array_equal(got_ids, want), t
+
+
+def test_datetime_ts_filters(built_index):
+    """ts_min/ts_max accept datetime as well as int64 microseconds, in
+    search and search_boolean (the window used to raise TypeError on a
+    datetime, because only topk_table converted it)."""
+    import datetime
+
+    _, index_dir, _ = built_index
+    r = IndexReader(index_dir)
+    r._load_docmeta()
+    ts = np.sort(r._docmeta[2])
+    lo, hi = int(ts[ts.size // 4]), int(ts[3 * ts.size // 4])
+    epoch = datetime.datetime(1970, 1, 1)
+    dlo = epoch + datetime.timedelta(microseconds=lo)
+    dhi = epoch + datetime.timedelta(microseconds=hi)
+    q = synth.HEAD_TERMS[0]
+    want = OracleIndex(synth.gen_pages_table(N_DOCS)).search(
+        q, k=10, ts_min=lo, ts_max=hi
+    )
+    assert want
+    assert r.search(q, k=10, ts_min=lo, ts_max=hi) == want
+    assert r.search(q, k=10, ts_min=dlo, ts_max=dhi) == want
+    bq = f"{q} +{synth.HEAD_TERMS[1]}"
+    assert r.search_boolean(bq, k=10, ts_min=dlo, ts_max=dhi) == r.search_boolean(
+        bq, k=10, ts_min=lo, ts_max=hi
+    )
+
+
+def _cold_terms(index_dir, n):
+    """The n most frequent terms that are not hot (one unsalted chunk)."""
+    r = IndexReader(index_dir)
+    thr = r.stats["hot_df_threshold"]
+    cold = [t for t, d in zip(r._lex.terms, r._lex.dfs) if 1 < d <= thr]
+    return sorted(cold, key=r.df, reverse=True)[:n]
+
+
+def test_lexicon_fresh_reader_rank_identical(built_index):
+    """Each query on a FRESH reader (nothing cached: every term is looked
+    up in the lexicon and read from its row groups) is rank- and
+    float64-identical to the oracle, for single-term, multi-term and salted
+    hot-term queries on every scoring path."""
+    _, index_dir, _ = built_index
+    oracle = OracleIndex(synth.gen_pages_table(N_DOCS))
+    r = IndexReader(index_dir)
+    thr = r.stats["hot_df_threshold"]
+    hot = [t for t in synth.HEAD_TERMS[:3] if r.df(t) > thr]
+    cold = _cold_terms(index_dir, 2)
+    assert len(hot) == 3 and len(cold) == 2
+    queries = [
+        cold[0], hot[0], f"{cold[0]} {cold[1]}",
+        f"{hot[0]} {cold[0]}", " ".join(hot), f"{hot[1]} zzqqoovnothing",
+    ]
+    for q in queries:
+        want = oracle.search(q, k=10)
+        assert want, q
+        for method in ("auto", "bmw", "maxscore", "vectorized"):
+            assert IndexReader(index_dir).search(q, k=10, method=method) == want, (
+                q, method,
+            )
+
+
+def test_lexicon_point_reads(built_index, monkeypatch):
+    """A cold term's first _load_chunks is exactly one row-group read; a
+    salted hot term reads only its own row groups, each once, all from its
+    bucket group's one segment file; a second load reads nothing."""
+    import pyarrow.parquet as pq
+
+    from engine.schema import NUM_BUCKET_GROUPS, term_bucket
+
+    _, index_dir, _ = built_index
+    calls = []
+    for name in ("read_row_group", "read_row_groups"):
+        real = getattr(pq.ParquetFile, name)
+
+        def counted(self, i, *a, _real=real, **kw):
+            calls.append((self, i))
+            return _real(self, i, *a, **kw)
+
+        monkeypatch.setattr(pq.ParquetFile, name, counted)
+    thr = IndexReader(index_dir).stats["hot_df_threshold"]
+    cold = _cold_terms(index_dir, 1)[0]
+    for term, hot in ((cold, False), (synth.HEAD_TERMS[0], True)):
+        r = IndexReader(index_dir)
+        assert (r.df(term) > thr) == hot
+        addr = r._lex.chunks(term)
+        calls.clear()
+        chunks = r._load_chunks(term)
+        assert sum(c[0].size for c in chunks) == r.df(term)
+        bg = term_bucket(term) % NUM_BUCKET_GROUPS
+        assert {pf for pf, _ in calls} == {r._seg_files[bg]}
+        assert sorted(i for _, i in calls) == sorted({rg for rg, _ in addr})
+        if hot:
+            assert len(addr) > 1
+        else:
+            assert len(calls) == 1
+        calls.clear()
+        r._load_chunks(term)
+        assert calls == []
+        r.close()  # drops the open segment files; reads reopen them
+        assert not r._seg_files
+        r._chunk_cache.clear()
+        r._bucket_tables.clear()
+        assert sum(c[0].size for c in r._load_chunks(term)) == r.df(term)

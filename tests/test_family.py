@@ -4,12 +4,12 @@ analog of the reference's per-model embedding tables
 (/root/reference/rds_schema.sql:45-58, EMBED_TABLE selection at
 /root/reference/streamlit_app.py:49)."""
 
-import glob
 import os
 
 import pytest
 
 from engine import synth
+from engine._testing import segment_rows
 from engine.analyze import AnalyzerConfig
 from engine.build import build_index
 from engine.family import FamilyReader, build_family
@@ -77,8 +77,7 @@ def test_family_rerun_is_noop_and_single_member_rebuilds(family):
     def seg_mtimes(d):
         return {
             p: os.path.getmtime(p)
-            for p in glob.glob(os.path.join(d, "segments", "**", "*.parquet"),
-                               recursive=True)
+            for p in set(segment_rows(d)["file"].to_pylist())
         }
 
     before = {n: seg_mtimes(d) for n, d in dirs.items()}

@@ -76,6 +76,40 @@ def test_merge_rerun_is_noop(corpus):
     _assert_identical(out, os.path.join(root, "f1"))
 
 
+def test_merge_over_an_older_format_dir_rebuilds(corpus):
+    """Re-merging into a merged dir written by an older format must rewrite
+    stats and segments: the grafted partitions' checkpoints stay valid
+    across a format bump, the stats+segments layout does not.  The older
+    dir is simulated by dropping what this format adds to the manifest's
+    phase lineage and to stats.json."""
+    import json
+
+    from engine.schema import FORMAT_VERSION
+
+    root, _files = corpus
+    out = os.path.join(root, "m1")  # built by test_merge_disjoint_*
+    man_path = os.path.join(out, "manifest.json")
+    with open(man_path) as f:
+        man = json.load(f)
+    tag = f"+F{FORMAT_VERSION}"
+    for phase in ("stats", "segments"):
+        rec = man["phases"][phase]
+        assert rec["fingerprint"].endswith(tag)
+        rec["fingerprint"] = rec["fingerprint"][: -len(tag)]
+    with open(man_path, "w") as f:
+        json.dump(man, f)
+    stats_path = os.path.join(out, "stats.json")
+    with open(stats_path) as f:
+        stats = json.load(f)
+    del stats["format_version"]
+    with open(stats_path, "w") as f:
+        json.dump(stats, f)
+    with pytest.raises(ValueError, match="rebuild the index"):
+        IndexReader(out)
+    merge_indexes([os.path.join(root, "A"), os.path.join(root, "B")], out)
+    _assert_identical(out, os.path.join(root, "f1"))
+
+
 def test_merge_cross_recrawl_reextracts_only_affected(corpus, tmp_path):
     root, files = corpus
     # B additionally carries: a NEWER recrawl of an A doc (A's partition

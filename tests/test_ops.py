@@ -1684,3 +1684,27 @@ def test_final_wave_ops_empty_and_tiny_inputs(tmp_path):
     assert len(aging) == 0 and list(aging.columns) == [
         "age_bucket", "n_orders", "value_cents",
     ]
+
+
+def test_q16_no_part_survives_the_filter(tmp_path):
+    """Every part fails q16's part filter (all Brand#17) while lineitem is
+    non-empty: the lineitem batches must probe an empty part table and the
+    result is the typed empty frame (the gather on empty arrays used to
+    raise IndexError)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from engine.ops.relational import q16_supplier_counts
+
+    part = pq.read_table(f"{SF}/part.parquet")
+    part = part.set_column(
+        part.schema.get_field_index("p_brand"), "p_brand",
+        pa.array(["Brand#17"] * part.num_rows, pa.string()),
+    )
+    pq.write_table(part, str(tmp_path / "part.parquet"))
+    pq.write_table(
+        pq.read_table(f"{SF}/lineitem.parquet"), str(tmp_path / "lineitem.parquet")
+    )
+    got = _to_pandas(q16_supplier_counts(str(tmp_path)))
+    assert got.empty
+    assert list(got.columns) == ["p_brand", "p_type", "p_size", "supplier_cnt"]

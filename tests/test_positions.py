@@ -142,3 +142,58 @@ def test_positions_resume_toggle(tmp_path):
     assert [d for d, _ in r.search_boolean(q, k=5)] == [
         d for d, _ in oracle.search_boolean(q, k=5)
     ]
+
+
+def _synonyms_oracle(oracle, groups, k):
+    """search_synonyms' semantics straight off the oracle's postings: per
+    group, tf summed over members and df = |union of member postings|."""
+    from engine.schema import B, K1
+
+    scores: dict[int, float] = {}
+    for group in groups:
+        tf: dict[int, float] = {}
+        for t in sorted(set(group)):
+            for did, n in oracle.postings.get(t, {}).items():
+                tf[did] = tf.get(did, 0.0) + float(n)
+        df = len(tf)
+        idf = float(np.log((oracle.n_docs - df + 0.5) / (df + 0.5) + 1.0))
+        for did, g in tf.items():
+            dl = float(oracle.docs[did].doclen)
+            norm = (1.0 - B) + (B * dl) / oracle.avgdl
+            imp = idf * (g * (K1 + 1.0) / (g + K1 * norm))
+            scores[did] = scores.get(did, 0.0) + imp
+    ranked = sorted(scores.items(), key=lambda kv: (-float(np.round(kv[1], 6)), kv[0]))
+    return ranked[:k]
+
+
+def test_fresh_reader_positions_and_synonyms(pos_index):
+    """On the bucket-group layout, a fresh reader per query reads positions
+    (_token_positions: a salted hot term's chunks merge into one sorted
+    run) and raw postings for synonym groups (_term_postings_raw) through
+    the lexicon, and both agree with the oracle."""
+    pos_reader, _, oracle = pos_index
+    d = pos_reader.index_dir
+    hot = synth.HEAD_TERMS[0]
+    r = IndexReader(d)
+    assert len(r._lex.chunks(hot)) > 1  # salted
+    assert r._token_positions("zzqqoovnothing") == []
+    ((ids, offs, flat),) = r._token_positions(hot)
+    assert ids.size == r.df(hot)
+    assert np.all(np.diff(ids.astype(np.int64)) > 0)
+    r._load_docmeta()
+    meta_ids = r._docmeta[0]
+    for j in range(0, ids.size, max(1, ids.size // 25)):
+        did = int(meta_ids[int(ids[j])])
+        toks = tokenize(oracle.docs[did].text, oracle.analyzer)
+        want = [i for i, t in enumerate(toks) if t == hot]
+        assert flat[offs[j] : offs[j + 1]].tolist() == want, did
+    for q in _phrase_queries(oracle):
+        want = oracle.search_boolean(q, k=10)
+        assert IndexReader(d).search_boolean(q, k=10) == want, q
+    for groups in (
+        [[hot, synth.VOCAB[200]], [synth.VOCAB[300]]],
+        [[synth.HEAD_TERMS[1], synth.HEAD_TERMS[2]]],
+    ):
+        want = _synonyms_oracle(oracle, groups, 10)
+        assert want
+        assert IndexReader(d).search_synonyms(groups, k=10) == want, groups

@@ -7,10 +7,10 @@ import json
 import os
 import shutil
 
-import pyarrow.dataset as pads
 import pytest
 
 from engine import synth
+from engine._testing import segment_rows
 from engine.build import build_index
 from engine.query import IndexReader
 
@@ -24,7 +24,7 @@ def env(tmp_path_factory):
 
 
 def _segment_fingerprint(index_dir):
-    tbl = pads.dataset(os.path.join(index_dir, "segments"), partitioning="hive").to_table()
+    tbl = segment_rows(index_dir)
     rows = sorted(
         zip(
             tbl["term"].to_pylist(),

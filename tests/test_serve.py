@@ -160,3 +160,56 @@ def test_build_sharded_resumes_and_skips(served_index, tmp_path):
         )
     finally:
         pool.shutdown()
+
+
+def test_shard_reader_addresses_its_own_lexicon(served_index, tmp_path):
+    """A shard reader scores with the corpus-global df table but reads
+    postings through its OWN lexicon: a term stored only in another shard
+    has a global df here yet loads no chunks, a local term loads exactly
+    the shard's stored chunks, and fresh shard readers per query merge to
+    the one-big-index answers."""
+    import json
+    import os
+
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from engine import codec
+    from engine._testing import segment_rows
+    from engine.query import Lexicon, SortedTermMap
+    from engine.serve import _assemble_global_dfs, shard_reader
+
+    pages_dir = os.path.join(os.path.dirname(served_index), "pages")
+    root = str(tmp_path / "shards")
+    shard_dirs = build_sharded(pages_dir, root, 2, num_partitions=2)
+    gdir = _assemble_global_dfs(shard_dirs, os.path.join(root, "global_dfs"))
+    n_docs = 0
+    for d in shard_dirs:
+        with open(os.path.join(d, "stats.json")) as f:
+            n_docs += json.load(f)["n_docs"]
+    for d in shard_dirs:
+        r = shard_reader(d, gdir, n_docs)
+        assert type(r._df) is SortedTermMap and isinstance(r._lex, Lexicon)
+        segs = segment_rows(d)
+        stored = set(segs["term"].to_pylist())
+        elsewhere = [t for t in r._df if t not in stored][:5]
+        assert elsewhere
+        for t in elsewhere:
+            assert r.df(t) > 0 and r._load_chunks(t) == []
+        for t in (synth.HEAD_TERMS[0], *sorted(stored)[:3]):
+            rows = segs.filter(pc.equal(segs["term"], t))
+            want = np.sort(np.concatenate([
+                codec.delta_decode(buf, n) for buf, n in
+                zip(rows["doc_ids"].to_pylist(), rows["df_chunk"].to_pylist())
+            ]))
+            got = np.sort(np.concatenate([c[0] for c in r._load_chunks(t)]))
+            assert np.array_equal(got, want), t
+            assert r.df(t) >= got.size
+    local = IndexReader(served_index)
+    for q in synth.gen_queries_table(10).to_pylist():
+        merged = [
+            hit for d in shard_dirs
+            for hit in shard_reader(d, gdir, n_docs).search(q["query_text"], k=q["k"])
+        ]
+        merged.sort(key=lambda t: (-t[1], t[0]))
+        assert merged[: q["k"]] == local.search(q["query_text"], k=q["k"]), q
