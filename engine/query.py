@@ -325,13 +325,6 @@ class IndexReader:
         self._cand_mask_buf: np.ndarray | None = None
         self._cand_rank_buf: np.ndarray | None = None
 
-    def close(self) -> None:
-        """Close the segment files this reader holds open (one per bucket
-        group it has read); a later read reopens them."""
-        for pf in self._seg_files.values():
-            pf.close()
-        self._seg_files.clear()
-
     # ------------------------------------------------------------------
     def idf(self, term: str) -> float:
         df = self._df.get(term, 0)
@@ -638,28 +631,43 @@ class IndexReader:
             )
         return pf
 
+    def _read_row_group(self, bg: int, rg: int, columns: list[str]) -> pa.Table:
+        pf = self._segment_file(bg)
+        if rg >= pf.num_row_groups:
+            self._changed()
+        return pf.read_row_group(rg, columns=columns, use_threads=False)
+
     def _bucket_rows(self, key: tuple[int, int]) -> RowGroup:
         """The scoring columns of one segment row group, key = (bucket
         group, row group); LRU-cached.  The single segment-read entry point
         of scoring: positions (phrase queries) are never read here."""
         cached = self._bucket_tables.get(key)
         if cached is None:
-            bg, rg = key
-            cached = RowGroup(
-                self._segment_file(bg).read_row_group(
-                    rg, columns=RowGroup.COLUMNS, use_threads=False
-                )
-            )
+            cached = RowGroup(self._read_row_group(*key, RowGroup.COLUMNS))
             self._bucket_tables[key] = cached
         return cached
 
     def _chunk_rows(self, term: str) -> list[tuple[RowGroup, int]]:
         """(row group, row) of each of the term's chunks, salt order, read
-        through this index's own lexicon."""
+        through this index's own lexicon.  Each address is checked against
+        the term stored at it: a rebuild of the directory after this reader
+        loaded its lexicon moves chunks, and decoding another term's chunk
+        would return wrong answers without an error."""
         bg = term_bucket(term) % NUM_BUCKET_GROUPS
-        return [
-            (self._bucket_rows((bg, rg)), row) for rg, row in self._lex.chunks(term)
-        ]
+        out = []
+        for rg, row in self._lex.chunks(term):
+            g = self._bucket_rows((bg, rg))
+            if g.term(row) != term:
+                self._changed()
+            out.append((g, row))
+        return out
+
+    def _changed(self):
+        raise RuntimeError(
+            f"{self.index_dir}: index changed under this reader (its lexicon "
+            "no longer matches the segment files); reopen it, or rerun the "
+            "build if one was interrupted"
+        )
 
     def _load_chunks(self, term: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """All compressed chunks (salted) for a term, decoded; cached.
@@ -1122,10 +1130,11 @@ class IndexReader:
             for rg, row in self._lex.chunks(term):
                 # a bucket group with no terms has no segment file: open it
                 # only for a term the lexicon holds
-                tbl = self._segment_file(bg).read_row_group(
-                    rg, columns=["df_chunk", "doc_ids", "tfs", "positions"],
-                    use_threads=False,
+                tbl = self._read_row_group(
+                    bg, rg, ["term", "df_chunk", "doc_ids", "tfs", "positions"]
                 ).slice(row, 1)
+                if tbl.num_rows != 1 or tbl["term"][0].as_py() != term:
+                    self._changed()
                 n = tbl["df_chunk"][0].as_py()
                 ids = codec.delta_decode(tbl["doc_ids"][0].as_py(), n)
                 lens = codec.ints_decode(tbl["tfs"][0].as_py(), n).astype(np.int64)

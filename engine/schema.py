@@ -123,10 +123,9 @@ PARTIAL_POSTINGS_POS_SCHEMA = PARTIAL_POSTINGS_SCHEMA.append(
 FORMAT_VERSION = 10
 
 # merged, compressed posting chunks — one row per (term, salt) group.  A
-# bucket group's chunks share one file, written in (bucket, salt) order; a
-# new row group starts at every (bucket, salt) boundary and, inside a
-# group, every SEGMENT_ROW_GROUP_BYTES of encoded postings, so a point read
-# of one term's chunk stays bounded however large the corpus grows.
+# bucket group's chunks share one file, written in (bucket, salt) order,
+# one row group per (bucket, salt) group: a point read of one term's chunk
+# reads its (bucket, salt) group's row group.
 SEGMENT_SCHEMA = pa.schema(
     [
         pa.field("term", pa.string()),
@@ -158,11 +157,6 @@ SEGMENT_SCHEMA = pa.schema(
 # positional segments: per-posting position lists packed into one buffer per
 # chunk (codec.poslist_encode; the tfs column carries the split lengths)
 SEGMENT_POS_SCHEMA = SEGMENT_SCHEMA.append(pa.field("positions", pa.binary()))
-
-# fixed (not a knob): it is part of the on-disk layout.  Small enough that a
-# cold term's read is one short row group; large enough that a row group's
-# footer entry (~1 KB) stays well under 1% of its bytes.
-SEGMENT_ROW_GROUP_BYTES = 256 << 10
 
 # the term lexicon, one file per bucket group (dfs/bg-XXX.parquet): each
 # term's exact df plus the address of each of its chunks in that group's

@@ -5,8 +5,7 @@ Two files per bucket group:
 
 - ``segments/bg-XXX.parquet``: the group's compressed posting chunks, one
   row per (term, salt) chunk (schema.py SEGMENT_SCHEMA), in (bucket, salt)
-  order.  Every (bucket, salt) group starts a new row group, cut further
-  every SEGMENT_ROW_GROUP_BYTES of encoded postings.
+  order, one row group per (bucket, salt) group.
 - ``dfs/bg-XXX.parquet``: the group's term lexicon (LEXICON_SCHEMA), each
   term's exact df and the (row group, row) address of each of its chunks,
   in salt order.
@@ -27,7 +26,6 @@ from . import codec
 from .schema import (
     LEXICON_SCHEMA,
     SEGMENT_POS_SCHEMA,
-    SEGMENT_ROW_GROUP_BYTES,
     SEGMENT_SCHEMA,
 )
 
@@ -130,16 +128,18 @@ def _binary_cells(col) -> tuple[np.ndarray, memoryview]:
 class RowGroup:
     """One segment row group's scoring columns, each converted once (one
     buffer view per column) so a chunk decodes from slices instead of a
-    per-row ``.as_py()`` of every column."""
+    per-row ``.as_py()`` of every column.  The term column is read too, so
+    a reader can check that a lexicon address still names its term."""
 
-    __slots__ = ("n", "ids", "tfs", "dls", "bl_offs", "bl", "bm")
+    __slots__ = ("terms", "n", "ids", "tfs", "dls", "bl_offs", "bl", "bm")
 
     COLUMNS = [
-        "df_chunk", "doc_ids", "tfs", "doclens",
+        "term", "df_chunk", "doc_ids", "tfs", "doclens",
         "block_last_doc", "block_max_impact",
     ]
 
     def __init__(self, tbl: pa.Table):
+        self.terms = tbl["term"].combine_chunks()
         self.n = tbl["df_chunk"].to_numpy()
         self.ids = _binary_cells(tbl["doc_ids"])
         self.tfs = _binary_cells(tbl["tfs"])
@@ -149,6 +149,10 @@ class RowGroup:
         self.bl = bl.values.to_numpy()
         # both block lists have one entry per block, so they share offsets
         self.bm = tbl["block_max_impact"].combine_chunks().values.to_numpy()
+
+    def term(self, row: int) -> str | None:
+        """The term of chunk ``row``; None past the row group's end."""
+        return self.terms[row].as_py() if row < len(self.terms) else None
 
     def raw(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(docnos, tfs, doclens) of one chunk, decoded."""
@@ -177,9 +181,9 @@ def write_bucket_group(
     seg_path: str, lex_path: str, vocab: pa.Array, dfs: np.ndarray, groups
 ) -> int:
     """Compressed chunk tables (compress_group), one per (bucket, salt)
-    group in (bucket, salt) order -> the group's segment file, then its
-    lexicon over ``vocab`` (every term of the group, with its exact df).
-    Returns the number of chunks written."""
+    group in (bucket, salt) order -> the group's segment file, one row
+    group each, then its lexicon over ``vocab`` (every term of the group,
+    with its exact df).  Returns the number of chunks written."""
     writer = None
     terms, rgs, rows = [], [], []
     for t in groups:
@@ -188,21 +192,9 @@ def write_bucket_group(
                 seg_path, t.schema, use_dictionary=False,
                 compression="zstd", compression_level=1,
             )
-        # encoded bytes per chunk; a row group passes the budget by at most
-        # its last chunk
-        size = sum(
-            pc.binary_length(t[c]).to_numpy(zero_copy_only=False)
-            for c in ("doc_ids", "tfs", "doclens", "positions")
-            if c in t.column_names
-        ) + 16 * pc.list_value_length(t["block_max_impact"]).to_numpy(
-            zero_copy_only=False
-        )
-        part = (np.cumsum(size) - size) // SEGMENT_ROW_GROUP_BYTES
-        cuts = np.concatenate(([0], np.nonzero(np.diff(part))[0] + 1, [t.num_rows]))
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            writer.write_table(t.slice(a, b - a), row_group_size=b - a)
-            rgs.append(np.full(b - a, len(rgs), np.int32))
-            rows.append(np.arange(b - a, dtype=np.int32))
+        writer.write_table(t, row_group_size=max(t.num_rows, 1))
+        rgs.append(np.full(t.num_rows, len(rgs), np.int32))
+        rows.append(np.arange(t.num_rows, dtype=np.int32))
         terms.extend(t["term"].chunks)
     writer.close()
     # each term's chunk addresses, in write (= salt) order

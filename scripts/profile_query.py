@@ -55,7 +55,6 @@ def cold(index_dir: str, qtbl: list[dict]) -> None:
             )
         rgs.append(len(reads))
         nbytes.append(size)
-        reader.close()
     lat = np.array(lat)
     print(f"cold n={lat.size} p50={np.percentile(lat, 50):.2f}ms "
           f"p95={np.percentile(lat, 95):.2f}ms "

@@ -275,8 +275,3 @@ def test_lexicon_point_reads(built_index, monkeypatch):
         calls.clear()
         r._load_chunks(term)
         assert calls == []
-        r.close()  # drops the open segment files; reads reopen them
-        assert not r._seg_files
-        r._chunk_cache.clear()
-        r._bucket_tables.clear()
-        assert sum(c[0].size for c in r._load_chunks(term)) == r.df(term)

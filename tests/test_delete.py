@@ -14,6 +14,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 from engine import synth
 from engine.build import build_index, delete_docs
@@ -62,6 +63,7 @@ def test_delete_then_compact(tmp_path):
     )
     assert partial_files
     mtimes = {p: os.path.getmtime(p) for p in partial_files}
+    stale = IndexReader(index_dir)  # holds the pre-compaction lexicon
     m1 = build_index(pages_dir, index_dir, num_partitions=2)
     assert m1["n_docs"] == m0["n_docs"] - 2
     for p, t in mtimes.items():
@@ -77,6 +79,21 @@ def test_delete_then_compact(tmp_path):
     for term in [synth.HEAD_TERMS[0], synth.HEAD_TERMS[1],
                  f"{synth.HEAD_TERMS[0]} {synth.HEAD_TERMS[2]}"]:
         assert r3.search(term, k=10) == oracle.search(term, k=10)
+
+    # the compaction moved chunks within their segment files (the deleted
+    # docs' terms are gone); a reader opened before it refuses to decode
+    # the chunk its old lexicon points at instead of answering from
+    # another term's postings
+    moved = [
+        t for t in stale._lex.terms.tolist()
+        if stale._lex.chunks(t) != r3._lex.chunks(t)
+    ]
+    assert moved
+    for t in moved:
+        with pytest.raises(RuntimeError, match="reopen"):
+            stale._load_chunks(t)
+    with pytest.raises(RuntimeError, match="reopen"):
+        stale.search(" ".join(moved[:3]), k=10)
 
     # tombstones persist: a later rebuild cannot resurrect deleted docs
     assert os.path.exists(os.path.join(index_dir, "tombstones.parquet"))

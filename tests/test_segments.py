@@ -1,7 +1,6 @@
 """The bucket-group segment format in process (no Ray): chunks written by
 write_bucket_group are found again through the lexicon and decode to the
-postings that went in, with row groups cut per (bucket, salt) group and by
-the byte budget."""
+postings that went in, with one row group per (bucket, salt) group."""
 
 import numpy as np
 import pyarrow as pa
@@ -27,7 +26,7 @@ def _group(postings: dict[str, np.ndarray], salt: int) -> pa.Table:
     return compress_group(t, impacts, dls, salt)
 
 
-def test_bucket_group_roundtrip_under_a_small_byte_budget(tmp_path, monkeypatch):
+def test_bucket_group_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
 
     def docs(n):
@@ -44,8 +43,6 @@ def test_bucket_group_roundtrip_under_a_small_byte_budget(tmp_path, monkeypatch)
             truth.setdefault(t, []).append(ids)
     vocab = pa.array(sorted(truth), pa.string())
     dfs = np.array([sum(a.size for a in truth[t]) for t in vocab.to_pylist()])
-    budget = 512
-    monkeypatch.setattr(segments, "SEGMENT_ROW_GROUP_BYTES", budget)
     seg, lex = str(tmp_path / "bg-000.parquet"), str(tmp_path / "lex.parquet")
     n = segments.write_bucket_group(
         seg, lex, vocab, dfs, (_group(p, s) for p, s in groups)
@@ -53,16 +50,11 @@ def test_bucket_group_roundtrip_under_a_small_byte_budget(tmp_path, monkeypatch)
     assert n == sum(len(p) for p, _ in groups)
 
     pf = pq.ParquetFile(seg)
-    assert pf.num_row_groups > 3  # the budget split the salt-0 group
-    for rg in range(pf.num_row_groups):
+    assert pf.num_row_groups == len(groups)
+    for rg, (postings, salt) in enumerate(groups):
         t = pf.read_row_group(rg)
-        assert len(set(t["salt"].to_pylist())) == 1  # never spans two groups
-        chunk_bytes = [
-            sum(len(t[c][i].as_py()) for c in ("doc_ids", "tfs", "doclens"))
-            for i in range(t.num_rows)
-        ]
-        # a row group passes the budget by at most its last chunk
-        assert sum(chunk_bytes[:-1]) < budget
+        assert set(t["salt"].to_pylist()) == {salt}
+        assert sorted(t["term"].to_pylist()) == sorted(postings)
 
     lexicon = Lexicon.from_arrow(pq.read_table(lex).sort_by("term"))
     for term, parts in truth.items():
