@@ -38,8 +38,8 @@ def raise_on_poison(html_bytes: bytes | None) -> str:
 def segment_rows(index_dir: str) -> pa.Table:
     """Every stored posting chunk of an index, read straight from its files
     (no IndexReader): one row per chunk with the segment file's columns
-    (term, salt, df_chunk, doc_ids, ...) plus ``file``, the segment file's
-    path.  Rows come in lexicon order — each bucket group's terms, each
+    (term, salt, doc_ids, tfs[, positions]) plus ``file``, the segment
+    file's path.  Rows come in lexicon order — each bucket group's terms, each
     term's chunks in salt order — and the layout is checked on the way:
     every lexicon address must point at a chunk of its own term, and every
     stored chunk must be addressed exactly once."""

@@ -23,9 +23,9 @@ re-expressed per SURVEY.md §7.2:
   phase segments  the reduce side of the filesystem exchange: one
                   independent task per term-bucket group reads ONLY its own
                   row groups from each partials file, computes exact df
-                  locally, salts hot terms, delta+varint compresses with
-                  block-max metadata, and writes its segment file
-                  (segments/bg-XXX.parquet) and term lexicon
+                  locally, salts hot terms, and writes its segment file
+                  (segments/bg-XXX.parquet: docnos and tfs as
+                  delta-encoded Parquet list columns) and term lexicon
                   (dfs/bg-XXX.parquet) directly.  No all-to-all operator.
 
 Every phase is checkpointed in the lineage manifest (engine/checkpoint.py);
@@ -70,10 +70,10 @@ from .schema import (
 )
 
 
-# merge-phase doclen exchange: broadcast the (doc_id, doclen) table while it
-# fits this budget; above it, reduce tasks read doc_id-range row groups from
-# the docmeta files instead (see the segments phase).  1 GiB ~= 67M docs.
-_DOCLEN_BCAST_BUDGET_BYTES = 1 << 30
+# merge-phase docno exchange: broadcast the sorted doc_id table while it fits
+# this budget; above it, reduce tasks read doc_id-range row groups from the
+# docmeta files instead (see the segments phase).  1 GiB ~= 134M docs.
+_DOCNO_BCAST_BUDGET_BYTES = 1 << 30
 
 
 def _ensure_nonempty(out_dir: str, schema: pa.Schema) -> None:
@@ -314,8 +314,9 @@ def build_index(
     (engine/serve.py build_sharded): ``loser_files`` computes the
     keep-latest-by-url loser set over the WHOLE corpus (a url re-crawled
     into a different shard must still lose globally), ``avgdl_override``
-    bakes the corpus-global avgdl into this shard's impacts so shard-local
-    top-k merge is rank-identical to one big index, and
+    writes the corpus-global avgdl into this shard's stats.json (its
+    reader computes impacts from it) so shard-local top-k merge is
+    rank-identical to one big index, and
     ``stop_after_postings`` ends the build after the ingest phases so the
     orchestrator can derive the global stats between passes, and
     ``precomputed_losers`` injects a loser table the orchestrator computed
@@ -331,7 +332,7 @@ def build_index(
 
     ``store_positions`` builds a POSITIONAL index: per-(term, doc) token
     positions (in the analyzed stream) ride the partial postings and are
-    packed into each segment chunk (codec.poslist_encode), so phrase
+    stored with each segment chunk (a positions list column), so phrase
     queries (engine/query.py search_boolean) resolve adjacency from the
     index instead of re-reading doc text.  It is part of the postings
     lineage fingerprint — toggling it re-runs tokenize+merge but reuses
@@ -606,8 +607,8 @@ def build_index(
     # format bump, but the layout these phases write does not
     partials_fp = man.partials_fingerprint() + tomb_tag + f"+F{FORMAT_VERSION}"
     if avgdl_override is not None:
-        # a different global avgdl bakes different impacts: stats and
-        # segments must re-run even over identical partials
+        # a different global avgdl changes stats.json, which the reader's
+        # impacts use: stats must re-run even over identical partials
         partials_fp += f"+avgdl{avgdl_override!r}"
     if not man.phase_done("stats", partials_fp, stats_path):
         n_docs, total_tokens, range_counts = _distinct_doc_stats(
@@ -652,14 +653,13 @@ def build_index(
     # One independent task per bucket group: read ONLY partials/*/bg=K
     # (column-pruned), assign (bucket, salt) per term — hot terms (Zipf head,
     # SURVEY.md §4 "Skew") split by doc_id % NUM_SALTS so no single chunk
-    # owns a head term's full list — then delta+varint compress and write
-    # the group's segment file and its lexicon directly.  No all-to-all:
-    # reduce parallelism = n_bg tasks sized to the cluster (round 1 used a
+    # owns a head term's full list — then write the group's segment file
+    # (delta-encoded Parquet list columns) and its lexicon directly.  No
+    # all-to-all: reduce parallelism = n_bg tasks sized to the cluster (round 1 used a
     # sort-based groupby whose reduce was pinned to ~32 fat blocks and
     # scaled 1.5x from 8->32 cpus; partitioned reads scale with the cores).
     segments_root = os.path.join(index_dir, "segments")
     if not man.phase_done("segments", partials_fp, segments_root):
-        avgdl = stats["avgdl"]
         # exchange map: bg -> [(partials file, row-group indexes)] from each
         # file's key-value metadata (footer-only reads; one per shard file)
         bg_files: dict[int, dict[str, list[int]]] = {}
@@ -672,33 +672,28 @@ def build_index(
                 kv = pa.parquet.read_metadata(path).metadata or {}
                 for rg, bg in enumerate(json.loads(kv.get(b"bgs", b"[]"))):
                     bg_files.setdefault(bg, {}).setdefault(path, []).append(rg)
-        # doclen exchange, adaptive (the q3 broadcast-vs-distributed
-        # pattern): while the corpus's (doc_id, doclen) table fits the
-        # budget it is ray.put ONCE (16 bytes/doc, fetched zero-copy by
-        # every reduce task — fastest when it fits); above the budget every
-        # reduce task instead reads only the doc_id-RANGE row groups its
-        # postings touch from the docmeta files (the wave wrote one row
-        # group per range, indexed in each footer's "drs" KV) — per-task
-        # memory is bounded by its touched ranges, and nothing corpus-scale
-        # is ever broadcast (at 10^10 docs the broadcast would be 160 GB).
-        doclen_ref = None
+        # docno exchange, adaptive (the q3 broadcast-vs-distributed
+        # pattern): while the corpus's sorted doc_id table fits the budget
+        # it is ray.put ONCE (8 bytes/doc, fetched zero-copy by every reduce
+        # task — fastest when it fits); above the budget every reduce task
+        # instead reads only the doc_id-RANGE row groups its postings touch
+        # from the docmeta files (the wave wrote one row group per range,
+        # indexed in each footer's "drs" KV) — per-task memory is bounded by
+        # its touched ranges, and nothing corpus-scale is ever broadcast (at
+        # 10^10 docs the broadcast would be 80 GB).
+        docids_ref = None
         dr_files_ref = None
-        if stats["n_docs"] * 16 <= _DOCLEN_BCAST_BUDGET_BYTES:
+        if stats["n_docs"] * 8 <= _DOCNO_BCAST_BUDGET_BYTES:
             import pyarrow.dataset as _pads
 
-            dm = _pads.dataset(docmeta_root).to_table(columns=["doc_id", "doclen"])
-            dm_ids = dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            dm_dls = dm["doclen"].to_numpy(zero_copy_only=False).astype(np.float64)
-            dm_order = np.argsort(dm_ids, kind="stable")
-            dm_ids, dm_dls = dm_ids[dm_order], dm_dls[dm_order]
-            # keep-first per doc_id — the reader's docmeta dedup, exactly:
-            # each doc's docno is its rank in THIS deduped sorted order
-            if dm_ids.size > 1:
-                dm_keep = np.ones(dm_ids.size, dtype=bool)
-                dm_keep[1:] = dm_ids[1:] != dm_ids[:-1]
-                dm_ids, dm_dls = dm_ids[dm_keep], dm_dls[dm_keep]
-            doclen_ref = ray.put((dm_ids, dm_dls))
-            metrics["doclen_exchange"] = "broadcast"
+            dm = _pads.dataset(docmeta_root).to_table(columns=["doc_id"])
+            # each doc's docno is its rank in the deduped sorted order (the
+            # reader's docmeta dedup, exactly)
+            dm_ids = np.unique(
+                dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+            )
+            docids_ref = ray.put(dm_ids)
+            metrics["docno_exchange"] = "broadcast"
         else:
             dr_files: dict[int, dict[str, list[int]]] = {}
             for pid in parts:
@@ -711,7 +706,7 @@ def build_index(
                     for rg, dr in enumerate(json.loads(kv.get(b"drs", b"[]"))):
                         dr_files.setdefault(dr, {}).setdefault(path, []).append(rg)
             dr_files_ref = ray.put(dr_files)
-            metrics["doclen_exchange"] = "range"
+            metrics["docno_exchange"] = "range"
         with atomic_dir(segments_root) as tmp:
             dfs_tmp = os.path.join(tmp, "_dfs")
             os.makedirs(dfs_tmp, exist_ok=True)
@@ -732,8 +727,8 @@ def build_index(
                 )
                 merged = work.map_batches(
                     _MergeBucketGroup(
-                        avgdl, stats["hot_df_threshold"], tmp, dfs_tmp,
-                        doclen_ref, dr_files_ref,
+                        stats["hot_df_threshold"], tmp, dfs_tmp,
+                        docids_ref, dr_files_ref,
                         tomb_ref=ray.put(tombs) if tombs.size else None,
                         range_bases=np.asarray(
                             stats["doc_range_bases"], dtype=np.int64
@@ -1249,44 +1244,42 @@ def _run_shard_wave(
 
 class _MergeBucketGroup:
     """Reduce task of the filesystem exchange: one bucket group's row groups
-    -> its compressed segment file (segments/bg-XXX.parquet) + its slice of
-    the partitioned term lexicon (dfs/bg-XXX.parquet: df and chunk
-    addresses).
+    -> its segment file (segments/bg-XXX.parquet) + its slice of the
+    partitioned term lexicon (dfs/bg-XXX.parquet: df and chunk addresses).
 
     ALL postings of a term live in exactly one bucket group, so per-term df
     is computed exactly here — no global stats pass, no hot-set broadcast:
     a term is hot iff its (local == global) df exceeds the threshold.  Hot
     terms (Zipf head, SURVEY.md §4 'Skew') are salted by doc_id % NUM_SALTS
     so no single chunk owns a head term's full posting list; cold terms use
-    salt 0.  Per-posting doclen comes from the broadcast docmeta lookup
-    (ray.put once, zero-copy per task) instead of being duplicated on every
-    partials row.  Writes both files directly with deterministic names —
-    Ray's generic parquet sink re-buffers the large binary chunk rows and is
-    ~3x slower, and deterministic names keep task retries idempotent.
+    salt 0.  Each doc_id is replaced by its dense docno, looked up in the
+    broadcast sorted doc_id table (ray.put once, zero-copy per task).
+    Writes both files directly with deterministic names — Ray's generic
+    parquet sink re-buffers the large chunk rows and is ~3x slower, and
+    deterministic names keep task retries idempotent.
     """
 
-    def __init__(self, avgdl: float, hot_threshold: float, out_root: str,
-                 dfs_root: str, doclen_ref, dr_files_ref=None, tomb_ref=None,
+    def __init__(self, hot_threshold: float, out_root: str, dfs_root: str,
+                 docids_ref, dr_files_ref=None, tomb_ref=None,
                  range_bases: np.ndarray | None = None):
-        self.avgdl = avgdl
         self.hot_threshold = hot_threshold
         self.out_root = out_root
         self.dfs_root = dfs_root
-        self.doclen_ref = doclen_ref
+        self.docids_ref = docids_ref
         self.dr_files_ref = dr_files_ref
         self.tomb_ref = tomb_ref  # sorted tombstoned doc_ids (delete_docs)
         # prefix sums of per-range distinct doc counts (stats phase): docno
         # of a doc in range r = range_bases[r] + its rank within the range
         self.range_bases = range_bases
 
-    def _load_doclen_ranges(
+    def _load_docno_ranges(
         self, doc_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Above-budget doclen+docno lookup: read ONLY the doc_id-range row
-        groups this group's postings touch (footer-KV-indexed, like the
-        partials exchange).  Memory is bounded by the touched ranges' docmeta
-        rows, not the corpus.  Ranges are doc_id INTERVALS, so each loaded
-        range's deduped sorted docs carry global docnos range_bases[r] +
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Above-budget docno lookup: read ONLY the doc_id-range row groups
+        this group's postings touch (footer-KV-indexed, like the partials
+        exchange).  Memory is bounded by the touched ranges' docmeta rows,
+        not the corpus.  Ranges are doc_id INTERVALS, so each loaded range's
+        deduped sorted docs carry global docnos range_bases[r] +
         0..count-1 without any cross-range view."""
         dr_files = ray.get(self.dr_files_ref)
         touched = np.unique(
@@ -1300,26 +1293,15 @@ class _MergeBucketGroup:
         for path in sorted(per_path):
             pf = pa.parquet.ParquetFile(path)
             tabs.append(
-                pf.read_row_groups(
-                    sorted(per_path[path]), columns=["doc_id", "doclen"]
-                )
+                pf.read_row_groups(sorted(per_path[path]), columns=["doc_id"])
             )
         if not tabs:
-            return (
-                np.empty(0, np.uint64),
-                np.empty(0, np.float64),
-                np.empty(0, np.int64),
-            )
+            return np.empty(0, np.uint64), np.empty(0, np.int64)
         dm = pa.concat_tables(tabs)
-        ids = dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        dls = dm["doclen"].to_numpy(zero_copy_only=False).astype(np.float64)
-        order = np.argsort(ids, kind="stable")
-        ids, dls = ids[order], dls[order]
-        # keep-first per doc_id (the reader's docmeta dedup, exactly)
-        if ids.size > 1:
-            keep = np.ones(ids.size, dtype=bool)
-            keep[1:] = ids[1:] != ids[:-1]
-            ids, dls = ids[keep], dls[keep]
+        # sorted, keep-first per doc_id (the reader's docmeta dedup, exactly)
+        ids = np.unique(
+            dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        )
         # global docnos: interval ranges are contiguous in the sorted order,
         # so each range's elements are base[r] + 0..len-1
         rng = (ids >> np.uint64(DOC_RANGE_SHIFT)).astype(np.int64)
@@ -1330,13 +1312,13 @@ class _MergeBucketGroup:
             seg_starts, seg_lens
         )
         nos = self.range_bases[rng] + local
-        return ids, dls, nos
+        return ids, nos
 
     def __call__(self, work: pa.Table) -> pa.Table:
-        dl_ids = dl_vals = None
-        dl_nos = None  # None => broadcast path: docno == searchsorted pos
-        if self.doclen_ref is not None:
-            dl_ids, dl_vals = ray.get(self.doclen_ref)
+        dm_ids = None
+        dm_nos = None  # None => broadcast path: docno == searchsorted pos
+        if self.docids_ref is not None:
+            dm_ids = ray.get(self.docids_ref)
         tomb = ray.get(self.tomb_ref) if self.tomb_ref is not None else None
         out_bg, out_terms, out_chunks, out_hot = [], [], [], []
         for item in work.to_pylist():
@@ -1355,15 +1337,13 @@ class _MergeBucketGroup:
                 dead = tomb[pos] == docs
                 if dead.any():
                     t = t.filter(pa.array(~dead))
-            if self.doclen_ref is None:
-                dl_ids, dl_vals, dl_nos = self._load_doclen_ranges(
+            if self.docids_ref is None:
+                dm_ids, dm_nos = self._load_docno_ranges(
                     t.column("doc_id").to_numpy(zero_copy_only=False)
                     if t.num_rows
                     else np.empty(0, np.uint64)
                 )
-            nt, nc, nh = self._merge_one(
-                t, int(item["bg"]), dl_ids, dl_vals, dl_nos
-            )
+            nt, nc, nh = self._merge_one(t, int(item["bg"]), dm_ids, dm_nos)
             out_terms.append(nt)
             out_chunks.append(nc)
             out_hot.append(nh)
@@ -1378,8 +1358,8 @@ class _MergeBucketGroup:
         )
 
     def _merge_one(
-        self, t: pa.Table, bg: int, dl_ids: np.ndarray, dl_vals: np.ndarray,
-        dl_nos: np.ndarray | None = None,
+        self, t: pa.Table, bg: int, dm_ids: np.ndarray,
+        dm_nos: np.ndarray | None = None,
     ) -> tuple[int, int, int]:
         if t.num_rows == 0:
             return 0, 0, 0
@@ -1392,54 +1372,44 @@ class _MergeBucketGroup:
         uniq = de.dictionary.to_pylist()
         # duplicate-(term, doc) guard BEFORE any counting: an exact-duplicate
         # input row split across Ray blocks of one file emits the same
-        # (term, doc) twice; counting it in df (or letting it reach the
-        # compressor) would drift idf from the oracle (ADVICE round 2).
-        # Keep-first in original row order, mirroring the in-place guard of
-        # segments.compress_group (redundant there, kept as a safety net).
-        doc_ids_all = t.column("doc_id").to_numpy(zero_copy_only=False)
+        # (term, doc) twice; counting it in df (or storing it in a chunk)
+        # would drift idf from the oracle (ADVICE round 2).  Keep-first in
+        # original row order.
+        doc_ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         if len(codes) > 1:
-            order0 = np.lexsort((doc_ids_all, codes))
+            order0 = np.lexsort((doc_ids, codes))
             eq = (codes[order0][1:] == codes[order0][:-1]) & (
-                doc_ids_all[order0][1:] == doc_ids_all[order0][:-1]
+                doc_ids[order0][1:] == doc_ids[order0][:-1]
             )
             if eq.any():
                 keep = np.ones(len(codes), dtype=bool)
                 keep[order0[1:][eq]] = False
                 t = t.filter(pa.array(keep))
-                codes = codes[keep]
+                codes, doc_ids = codes[keep], doc_ids[keep]
         # exact global df per term (this group owns every posting of its
         # terms); rows are (term, doc) pre-aggregated, so df = row count
         dfs = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
         uniq_hot = dfs > self.hot_threshold
         uniq_bucket = np.array([term_bucket(tm) for tm in uniq], dtype=np.int64)
-        doc_ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        # per-posting impact from the broadcast doclen table; identical op
-        # order to oracle.py: tf*(K1+1)/(tf + K1*((1-B) + (B*dl)/avgdl))
-        pos = np.searchsorted(dl_ids, doc_ids.astype(np.uint64))
-        pos = np.minimum(pos, max(len(dl_ids) - 1, 0))
-        dls = dl_vals[pos]
-        tfs = t.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
-        impacts = tfs * (K1 + 1.0) / (
-            tfs + K1 * ((1.0 - B) + (B * dls) / self.avgdl)
-        )
         salt = np.where(
             uniq_hot[codes], (doc_ids % np.uint64(NUM_SALTS)).astype(np.int64), 0
         )
         # dense-docno substitution (FORMAT_VERSION 9): postings leave this
         # point keyed by each doc's rank in the doc_id-sorted docmeta order —
         # broadcast path: the deduped broadcast IS that order, docno = pos;
-        # range path: the per-range global docnos loaded alongside doclens.
+        # range path: the per-range global docnos loaded alongside.
         # Monotone in doc_id, so every downstream sort/tie-break is unchanged.
-        docnos = (pos if dl_nos is None else dl_nos[pos]).astype(np.uint64)
+        pos = np.searchsorted(dm_ids, doc_ids.astype(np.uint64))
+        pos = np.minimum(pos, max(len(dm_ids) - 1, 0))
+        docnos = (pos if dm_nos is None else dm_nos[pos]).astype(np.uint64)
         t = t.set_column(
             t.schema.get_field_index("doc_id"), "doc_id",
             pa.array(docnos, pa.uint64()),
         )
+        # (bucket, salt) groups, each sorted by (term, docno)
         key = uniq_bucket[codes] * (NUM_SALTS + 1) + salt
-        order = np.argsort(key, kind="stable")
+        order = np.lexsort((docnos, codes, key))
         t2 = t.take(pa.array(order))
-        impacts = impacts[order]
-        dls = dls[order]
         key = key[order]
         bounds = np.nonzero(np.diff(key))[0] + 1
         starts = np.concatenate(([0], bounds))
@@ -1450,8 +1420,7 @@ class _MergeBucketGroup:
             de.dictionary, dfs,
             (
                 segments.compress_group(
-                    t2.slice(s0, e0 - s0), impacts[s0:e0], dls[s0:e0],
-                    int(key[s0] % (NUM_SALTS + 1)),
+                    t2.slice(s0, e0 - s0), int(key[s0] % (NUM_SALTS + 1))
                 )
                 for s0, e0 in zip(starts, ends)
             ),

@@ -1,18 +1,18 @@
-"""Posting-list compression codecs: delta + varint (LEB128) + PForDelta,
+"""Integer-sequence encoders (delta + varint (LEB128) + PForDelta) and
 block-max metadata.
 
-All encode/decode paths are vectorized numpy — no per-posting Python loop —
-so compression runs at memory bandwidth inside map_groups during the merge
-(SURVEY.md §7.2 step 5).  Values are full uint64 (hashed docIDs are 63-bit;
-deltas can need up to 10 varint bytes, but mean delta shrinks ~ 2^63/N as the
-corpus grows, so at 10^12 docs deltas take ~4 bytes).
+Segment files store postings as native Parquet list columns whose leaves
+are DELTA_BINARY_PACKED (engine/segments.py), so Parquet decodes them in
+C++; the engine itself no longer decodes any of these formats.  The
+encoders stay as a vectorized numpy reference for the benchmark's codec
+throughput probe; ``block_metadata`` is what the reader derives its
+Block-Max WAND bounds with at chunk load.
 
-Integer sequences go through `ints_encode`, which emits a 1-byte tag and the
-SMALLER of (varint, PForDelta): PFor (Zukowski et al. 2006; NewPFD exception
-layout per Yan, Ding & Suel WWW'09) bit-packs each 128-value frame at a width
-covering the common case and patches outliers separately, beating varint on
-the near-uniform delta streams long posting lists produce, while varint wins
-on short/skewed lists.  The choice is per list and self-describing.
+`ints_encode` emits a 1-byte tag and the SMALLER of (varint, PForDelta):
+PFor (Zukowski et al. 2006; NewPFD exception layout per Yan, Ding & Suel
+WWW'09) bit-packs each 128-value frame at a width covering the common case
+and patches outliers separately, beating varint on the near-uniform delta
+streams long posting lists produce, while varint wins on short/skewed lists.
 """
 
 from __future__ import annotations
@@ -50,28 +50,6 @@ def varint_encode(values: np.ndarray) -> bytes:
         cont = (lens[mask] > j + 1).astype(np.uint8) << 7
         out[pos] = byte | cont
     return out.tobytes()
-
-
-def varint_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    """Decode LEB128 bytes back to a uint64 array, vectorized."""
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    if raw.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    is_end = (raw & 0x80) == 0
-    ends = np.nonzero(is_end)[0]
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lens = ends - starts + 1
-    n = ends.size
-    out = np.zeros(n, dtype=np.uint64)
-    for j in range(int(lens.max())):
-        mask = lens > j
-        byte = raw[starts[mask] + j].astype(np.uint64)
-        out[mask] |= (byte & np.uint64(0x7F)) << np.uint64(7 * j)
-    if count is not None and n != count:
-        raise ValueError(f"varint_decode: expected {count} values, got {n}")
-    return out
 
 
 def _bit_lengths(v: np.ndarray) -> np.ndarray:
@@ -189,58 +167,6 @@ def pfor_encode(values: np.ndarray, plan: dict | None = None) -> bytes:
     )
 
 
-def pfor_decode(buf: bytes, count: int) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    F = (count + _PFOR_FRAME - 1) // _PFOR_FRAME
-    headers = raw[: 4 * F].reshape(F, 4)
-    b_star = headers[:, 0].astype(np.int64)
-    n_exc = headers[:, 1].astype(np.int64)
-    high_len = headers[:, 2].astype(np.int64) | (headers[:, 3].astype(np.int64) << 8)
-    n_in_frame = np.full(F, _PFOR_FRAME, np.int64)
-    n_in_frame[-1] = count - (F - 1) * _PFOR_FRAME
-    packed_len = (n_in_frame * b_star + 7) // 8
-    offs = 4 * F + np.concatenate(([0], np.cumsum(packed_len)))
-    out = np.zeros(F * _PFOR_FRAME, dtype=np.uint64)
-    for b in np.unique(b_star):
-        sel = np.nonzero(b_star == b)[0]
-        width = 16 * int(b)  # full-frame packed bytes
-        for c0 in range(0, sel.size, 4096):
-            chunk = sel[c0:c0 + 4096]
-            pos = offs[chunk][:, None] + np.arange(width)
-            valid = pos < offs[chunk][:, None] + packed_len[chunk][:, None]
-            byts = np.zeros((len(chunk), width), dtype=np.uint8)
-            byts[valid] = raw[pos[valid]]
-            bits = np.unpackbits(byts, axis=-1, bitorder="little")[
-                :, : _PFOR_FRAME * int(b)
-            ].reshape(len(chunk), _PFOR_FRAME, int(b))
-            # byte-wise reassembly: pad each value's bits to 64, packbits
-            # back to 8 LE bytes, view as uint64 (all uint8 ops — the shift
-            # matrix costs 8 bytes per bit and dominated decode time)
-            full = np.zeros((len(chunk), _PFOR_FRAME, 64), dtype=np.uint8)
-            full[:, :, : int(b)] = bits
-            le = np.packbits(full, axis=-1, bitorder="little")
-            vals = np.ascontiguousarray(le).view("<u8").reshape(
-                len(chunk), _PFOR_FRAME
-            )
-            rows = (chunk[:, None] * _PFOR_FRAME + np.arange(_PFOR_FRAME)).reshape(-1)
-            out[rows] = vals.reshape(-1)
-    total_exc = int(n_exc.sum())
-    if total_exc:
-        po = int(offs[-1])
-        exc_pos = raw[po:po + total_exc].astype(np.int64)
-        exc_frame = np.repeat(np.arange(F), n_exc)
-        highs = varint_decode(
-            raw[po + total_exc: po + total_exc + int(high_len.sum())].tobytes(),
-            total_exc,
-        )
-        shifts = b_star[exc_frame].astype(np.uint64)
-        idx = exc_frame * _PFOR_FRAME + exc_pos
-        out[idx] |= highs << shifts
-    return out[:count]
-
-
 def ints_encode(values: np.ndarray) -> bytes:
     """Tagged integer-sequence codec: 1-byte tag + the smaller of varint and
     PForDelta, chosen from EXACT computed sizes (histogram math only) so
@@ -258,17 +184,6 @@ def ints_encode(values: np.ndarray) -> bytes:
     return bytes((_TAG_VARINT,)) + varint_encode(v)
 
 
-def ints_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    if not buf:
-        return np.empty(0, dtype=np.uint64)
-    tag = buf[0]
-    if tag == _TAG_PFOR:
-        if count is None:
-            raise ValueError("pfor decode requires count")
-        return pfor_decode(buf[1:], count)
-    return varint_decode(buf[1:], count)
-
-
 def delta_encode(sorted_values: np.ndarray) -> bytes:
     """First value + successive deltas, tagged-codec-encoded (varint or
     PForDelta, whichever is smaller). Input must be sorted asc."""
@@ -279,45 +194,6 @@ def delta_encode(sorted_values: np.ndarray) -> bytes:
     deltas[0] = v[0]
     np.subtract(v[1:], v[:-1], out=deltas[1:])
     return ints_encode(deltas)
-
-
-def delta_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    deltas = ints_decode(buf, count)
-    return np.cumsum(deltas, dtype=np.uint64)
-
-
-def poslist_encode(flat: np.ndarray, lens: np.ndarray) -> bytes:
-    """Concatenated per-posting position lists -> one tagged-codec buffer.
-
-    `flat` holds every posting's ascending token positions back to back;
-    `lens` (== per-posting tf) gives the split points.  Within each posting
-    the first position is stored absolute and the rest as deltas, so the
-    whole stream is small non-negative ints that PFor/varint pack tightly.
-    Lens are NOT stored — the segment's tfs column already carries them.
-    """
-    v = np.ascontiguousarray(flat, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    d = np.empty_like(v)
-    d[0] = v[0]
-    np.subtract(v[1:], v[:-1], out=d[1:])
-    starts = np.concatenate(([0], np.cumsum(lens)))[:-1].astype(np.int64)
-    d[starts] = v[starts]  # reset the delta chain at each posting boundary
-    return ints_encode(d)
-
-
-def poslist_decode(buf: bytes, lens: np.ndarray) -> np.ndarray:
-    """Inverse of poslist_encode: flat ascending positions per posting."""
-    total = int(np.sum(lens))
-    if total == 0:
-        return np.empty(0, dtype=np.int32)
-    d = ints_decode(buf, total).astype(np.int64)
-    cs = np.cumsum(d)
-    starts = np.concatenate(([0], np.cumsum(lens)))[:-1].astype(np.int64)
-    base = cs[starts] - d[starts]  # cumsum value just before each posting
-    return (cs - np.repeat(base, np.asarray(lens, dtype=np.int64))).astype(
-        np.int32
-    )
 
 
 def floats_encode(values: np.ndarray) -> bytes:
@@ -341,9 +217,7 @@ def block_metadata(
     n = doc_ids.size
     if n == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
-    nblocks = (n + block_size - 1) // block_size
-    last = doc_ids[np.minimum(np.arange(1, nblocks + 1) * block_size - 1, n - 1)]
-    pad = nblocks * block_size - n
-    padded = np.pad(impacts.astype(np.float64), (0, pad), constant_values=-np.inf)
-    maxes = padded.reshape(nblocks, block_size).max(axis=1)
+    starts = np.arange(0, n, block_size)
+    last = doc_ids[np.minimum(starts + block_size, n) - 1]
+    maxes = np.maximum.reduceat(impacts.astype(np.float64, copy=False), starts)
     return last.astype(np.uint64), maxes

@@ -4373,7 +4373,9 @@ def suppliers_pareto(sf_dir: str):
         ["rev_cents", "sk"], ascending=[False, True]
     ).reset_index(drop=True)
     rev = out["rev_cents"].to_numpy(np.int64)
-    cs = np.cumsum(rev) / rev.sum()
+    total = rev.sum()
+    # SQL: a share over a zero total is NULL (class C), not inf/NaN
+    cs = np.cumsum(rev) / total if total else np.full(rev.size, np.nan)
     out["cum_share_r6"] = np.round(cs, 6)
     out["pareto_class"] = np.where(cs <= 0.8, "A", np.where(cs <= 0.95, "B", "C"))
     return out.rename(columns={"sk": "s_suppkey"})[

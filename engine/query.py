@@ -268,12 +268,13 @@ class _Cursor:
 class IndexReader:
     """Query-side state of one index directory.
 
-    On-disk layout read here (FORMAT_VERSION 10): ``stats.json``;
+    On-disk layout read here (FORMAT_VERSION 11): ``stats.json``;
     ``dfs/bg-XXX.parquet``, the term lexicon of each of the
     NUM_BUCKET_GROUPS bucket groups (term, df and each chunk's (row group,
-    row) address); ``segments/bg-XXX.parquet``, that group's compressed
-    posting chunks; ``docmeta/`` and ``extracted/`` (doc metadata and the
-    doc store).  The lexicon loads term-sorted at open; a term's postings
+    row) address); ``segments/bg-XXX.parquet``, that group's posting
+    chunks (docnos and tfs as delta-encoded Parquet list columns);
+    ``docmeta/`` and ``extracted/`` (doc metadata, doclens included, and
+    the doc store).  The lexicon loads term-sorted at open; a term's postings
     are then one binary search plus one row-group read per chunk, from a
     ParquetFile whose footer is read once per reader.
     """
@@ -285,8 +286,8 @@ class IndexReader:
         if self.stats.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"{index_dir}: stats.json predates FORMAT_VERSION "
-                f"{FORMAT_VERSION} (bucket-group segment files + term "
-                "lexicon); rebuild the index"
+                f"{FORMAT_VERSION} (native Parquet posting columns); "
+                "rebuild the index"
             )
         self.n_docs = self.stats["n_docs"]
         self.avgdl = self.stats["avgdl"]
@@ -523,16 +524,15 @@ class IndexReader:
         its (salted) chunks, UNDECORATED — the raw columns the impact
         formula consumes, for scorers whose saturation must run on a
         COMBINED tf (SynonymQuery) rather than per-term impacts."""
-        ids_l, tf_l, dl_l = [], [], []
-        for g, row in self._chunk_rows(term):
-            ids, tfs, dls = g.raw(row)
-            ids_l.append(ids.astype(np.int64))
-            tf_l.append(tfs.astype(np.float64))
-            dl_l.append(dls.astype(np.float64))
-        if not ids_l:
+        rows = self._chunk_rows(term)
+        if not rows:
             e = np.empty(0, np.int64)
             return e, np.empty(0, np.float64), np.empty(0, np.float64)
-        return np.concatenate(ids_l), np.concatenate(tf_l), np.concatenate(dl_l)
+        self._load_docmeta()
+        parts = [g.raw(row) for g, row in rows]
+        ids = np.concatenate([p[0] for p in parts]).astype(np.int64)
+        tfs = np.concatenate([p[1] for p in parts]).astype(np.float64)
+        return ids, tfs, self._docmeta[3][ids].astype(np.float64)
 
     def search_synonyms(
         self, groups: list[list[str]], k: int = 10
@@ -670,26 +670,31 @@ class IndexReader:
         )
 
     def _load_chunks(self, term: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """All compressed chunks (salted) for a term, decoded; cached.
+        """All chunks (salted) for a term as (docnos, impacts,
+        block_last_doc, block_max_impact); cached.
 
-        Impacts are RECOMPUTED here from the stored (tf, doclen) varints
-        with the exact arithmetic (dtype, op order, constants) the build
-        used before segments switched to storing doclens — so scores stay
-        float64-bitwise-identical to the oracle while the segment files
-        shed their one incompressible column (schema.py SEGMENT_SCHEMA).
-        Cached per term: warm-query latency is unchanged."""
+        Impacts are computed here from the stored tfs and the docmeta
+        doclens (gathered by docno) with the oracle's exact arithmetic
+        (dtype, op order, constants), so scores stay float64-bitwise-
+        identical; the block-max metadata is derived from them
+        (codec.block_metadata).  Neither is stored (schema.py
+        SEGMENT_SCHEMA).  Cached per term: warm-query latency is
+        unchanged."""
         if term in self._chunk_cache:
             return self._chunk_cache[term]
         k1 = float(self.stats["k1"])
         b = float(self.stats["b"])
         avgdl = self.avgdl
         chunks = []
-        for g, row in self._chunk_rows(term):
-            ids, tfs, dls = g.raw(row)
+        rows = self._chunk_rows(term)
+        if rows:
+            self._load_docmeta()
+        for g, row in rows:
+            ids, tfs = g.raw(row)
             tfs = tfs.astype(np.float64)
-            dls = dls.astype(np.float64)
+            dls = self._docmeta[3][ids.view(np.int64)].astype(np.float64)
             impacts = tfs * (k1 + 1.0) / (tfs + k1 * ((1.0 - b) + (b * dls) / avgdl))
-            chunks.append((ids, impacts, *g.blocks(row)))
+            chunks.append((ids, impacts, *codec.block_metadata(ids, impacts)))
         self._chunk_cache[term] = chunks
         return chunks
 
@@ -1130,17 +1135,14 @@ class IndexReader:
             for rg, row in self._lex.chunks(term):
                 # a bucket group with no terms has no segment file: open it
                 # only for a term the lexicon holds
-                tbl = self._read_row_group(
-                    bg, rg, ["term", "df_chunk", "doc_ids", "tfs", "positions"]
-                ).slice(row, 1)
-                if tbl.num_rows != 1 or tbl["term"][0].as_py() != term:
+                g = RowGroup(self._read_row_group(
+                    bg, rg, RowGroup.COLUMNS + ["positions"]
+                ))
+                if g.term(row) != term:
                     self._changed()
-                n = tbl["df_chunk"][0].as_py()
-                ids = codec.delta_decode(tbl["doc_ids"][0].as_py(), n)
-                lens = codec.ints_decode(tbl["tfs"][0].as_py(), n).astype(np.int64)
-                offs = np.concatenate(([0], np.cumsum(lens)))
-                flat = codec.poslist_decode(tbl["positions"][0].as_py(), lens)
-                data.append((ids, offs, flat))
+                ids, lens = g.raw(row)
+                offs = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+                data.append((ids, offs, g.positions(row).astype(np.int32)))
             if len(data) > 1:
                 # merge a hot term's salted chunks into ONE sorted run once
                 # at decode time (cached): phrase verification probes every

@@ -106,7 +106,7 @@ PARTIAL_POSTINGS_SCHEMA = pa.schema(
 # ascending token positions in the ANALYZED stream ride the posting rows so
 # phrase queries resolve adjacency from the index instead of re-reading and
 # re-tokenizing doc text (the verify fallback).  Lens == tf, so the segment
-# side stores only the packed flat positions.
+# side stores only the flat positions.
 PARTIAL_POSTINGS_POS_SCHEMA = PARTIAL_POSTINGS_SCHEMA.append(
     pa.field("positions", pa.list_(pa.int32()))
 )
@@ -120,43 +120,41 @@ PARTIAL_POSTINGS_POS_SCHEMA = PARTIAL_POSTINGS_SCHEMA.append(
 # v10: one segment file per bucket group (segments/bg-XXX.parquet) instead
 #     of one per (bucket, salt), addressed through the term lexicon that
 #     dfs/bg-XXX.parquet carries (LEXICON_SCHEMA)
-FORMAT_VERSION = 10
+# v11: postings are native Parquet list columns (DELTA_BINARY_PACKED leaves,
+#     decoded by Parquet itself inside the row-group read) instead of
+#     varint/PFor binary cells; the doclens, block_last_doc,
+#     block_max_impact and df_chunk columns are gone (derived at load)
+FORMAT_VERSION = 11
 
-# merged, compressed posting chunks — one row per (term, salt) group.  A
-# bucket group's chunks share one file, written in (bucket, salt) order,
-# one row group per (bucket, salt) group: a point read of one term's chunk
-# reads its (bucket, salt) group's row group.
+# merged posting chunks — one row per (term, salt) group.  A bucket group's
+# chunks share one file, written in (bucket, salt) order, one row group per
+# (bucket, salt) group: a point read of one term's chunk reads its (bucket,
+# salt) group's row group.  Only ``term`` carries column statistics.
 SEGMENT_SCHEMA = pa.schema(
     [
         pa.field("term", pa.string()),
         pa.field("salt", pa.int32()),
-        pa.field("df_chunk", pa.int64()),
-        # delta-varint, sorted.  v9 stores dense DOCNOS — each doc's rank in
-        # the doc_id-sorted docmeta table — not raw 64-bit url-hash doc_ids:
-        # gaps shrink from ~2^64/df (uniform hashes, ~6-9 B/posting, the
-        # dominant segment bytes of v8) to ~N/df (1-2 B/posting).  The docno
+        # ascending dense DOCNOS — each doc's rank in the doc_id-sorted
+        # docmeta table — not raw 64-bit url-hash doc_ids: Parquet's delta
+        # encoding stores gaps of ~N/df instead of ~2^64/df.  The docno
         # space is shared with the reader's cached docmeta order, so filter
-        # masks index directly (mask[docno]) and the top-k maps back to
-        # doc_ids with one array gather; ranks are monotone in doc_id, so
-        # the (score DESC, doc_id ASC) tie-break is unchanged bitwise.
-        pa.field("doc_ids", pa.binary()),
-        pa.field("tfs", pa.binary()),  # varint
-        # per-posting doc length, tagged varint/PFor.  The float64 BM25
-        # impact is RECOMPUTED at chunk load (query.py _load_chunks) from
-        # (tf, doclen, avgdl, k1, b) with the build's exact op order —
-        # bitwise-identical scores at ~1/4 the bytes: storing impacts as
-        # raw float64 made segments the build's largest write (8B/posting,
-        # zstd-incompressible mantissas; round-4 verdict #4's merge-phase
-        # byte-volume item), while doclens are small repeating ints.
-        pa.field("doclens", pa.binary()),
-        pa.field("block_last_doc", pa.list_(pa.uint64())),
-        pa.field("block_max_impact", pa.list_(pa.float64())),
+        # masks index directly (mask[docno]), doclens gather from docmeta
+        # (the float64 BM25 impact is recomputed at chunk load with the
+        # build's exact op order, query.py _load_chunks) and the top-k maps
+        # back to doc_ids with one array gather; ranks are monotone in
+        # doc_id, so the (score DESC, doc_id ASC) tie-break is unchanged.
+        # Block-max metadata is derived from the loaded chunk
+        # (codec.block_metadata), not stored.
+        pa.field("doc_ids", pa.list_(pa.uint64())),
+        pa.field("tfs", pa.list_(pa.uint32())),  # aligned with doc_ids
     ]
 )
 
-# positional segments: per-posting position lists packed into one buffer per
-# chunk (codec.poslist_encode; the tfs column carries the split lengths)
-SEGMENT_POS_SCHEMA = SEGMENT_SCHEMA.append(pa.field("positions", pa.binary()))
+# positional segments: each chunk's per-posting position lists back to back,
+# ascending within a posting (the tfs column carries the split lengths)
+SEGMENT_POS_SCHEMA = SEGMENT_SCHEMA.append(
+    pa.field("positions", pa.list_(pa.uint32()))
+)
 
 # the term lexicon, one file per bucket group (dfs/bg-XXX.parquet): each
 # term's exact df plus the address of each of its chunks in that group's

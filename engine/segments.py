@@ -1,18 +1,23 @@
-"""The segment format (FORMAT_VERSION 10): what the build's segments phase
-writes per term-bucket group and what IndexReader decodes.
+"""The segment format (FORMAT_VERSION 11): what the build's segments phase
+writes per term-bucket group and what IndexReader reads.
 
 Two files per bucket group:
 
-- ``segments/bg-XXX.parquet``: the group's compressed posting chunks, one
-  row per (term, salt) chunk (schema.py SEGMENT_SCHEMA), in (bucket, salt)
-  order, one row group per (bucket, salt) group.
+- ``segments/bg-XXX.parquet``: the group's posting chunks, one row per
+  (term, salt) chunk (schema.py SEGMENT_SCHEMA), in (bucket, salt) order,
+  one row group per (bucket, salt) group.  Docnos, tfs and positions are
+  native Parquet list columns whose leaves are DELTA_BINARY_PACKED (zstd on
+  top), so Parquet stores the docno gaps and decodes them in C++ inside
+  ``read_row_group``: a loaded row group is already a set of numpy views.
 - ``dfs/bg-XXX.parquet``: the group's term lexicon (LEXICON_SCHEMA), each
   term's exact df and the (row group, row) address of each of its chunks,
   in salt order.
 
 A query term is one binary search in the lexicon plus one row-group read
 per chunk: no scan of its hash bucket, no term dictionary built over a
-bucket's rows.
+bucket's rows.  Doc lengths and block-max metadata are not stored: the
+reader gathers doclens from its docmeta table and derives the blocks from
+the loaded chunk (codec.block_metadata).
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from . import codec
 from .schema import (
     LEXICON_SCHEMA,
     SEGMENT_POS_SCHEMA,
     SEGMENT_SCHEMA,
 )
+
+# the list columns of a segment file; each one's leaf is delta-encoded
+_LIST_COLUMNS = ("doc_ids", "tfs", "positions")
 
 
 # ---------------------------------------------------------------------------
@@ -116,61 +123,54 @@ class Lexicon(SortedTermMap):
         return []
 
 
-def _binary_cells(col) -> tuple[np.ndarray, memoryview]:
-    """A binary column's (offsets, data) buffers: cell i is
-    data[offs[i]:offs[i + 1]], a zero-copy slice."""
-    arr = col.combine_chunks()
-    _validity, offs, data = arr.buffers()
-    offs = np.frombuffer(offs, np.int32, len(arr) + 1, arr.offset * 4)
-    return offs, memoryview(data if data is not None else b"")
+def _array(col) -> pa.Array:
+    """A column as one array (a row group's column is one chunk, taken
+    as is)."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _list_cells(col) -> tuple[np.ndarray, np.ndarray]:
+    """A list column's (offsets, values): cell i is
+    values[offs[i]:offs[i + 1]], a zero-copy numpy view."""
+    arr = _array(col)
+    return arr.offsets.to_numpy(), arr.values.to_numpy()
 
 
 class RowGroup:
-    """One segment row group's scoring columns, each converted once (one
-    buffer view per column) so a chunk decodes from slices instead of a
-    per-row ``.as_py()`` of every column.  The term column is read too, so
-    a reader can check that a lexicon address still names its term."""
+    """One segment row group, read once: one offsets array shared by the
+    aligned doc_ids/tfs lists plus a numpy view of each column's values,
+    so a chunk is two slices.  The term column is read too, so a reader
+    can check that a lexicon address still names its term; ``positions``
+    is read only when asked for (phrase queries)."""
 
-    __slots__ = ("terms", "n", "ids", "tfs", "dls", "bl_offs", "bl", "bm")
+    __slots__ = ("terms", "offs", "ids", "tfs", "pos")
 
-    COLUMNS = [
-        "term", "df_chunk", "doc_ids", "tfs", "doclens",
-        "block_last_doc", "block_max_impact",
-    ]
+    COLUMNS = ["term", "doc_ids", "tfs"]
 
     def __init__(self, tbl: pa.Table):
-        self.terms = tbl["term"].combine_chunks()
-        self.n = tbl["df_chunk"].to_numpy()
-        self.ids = _binary_cells(tbl["doc_ids"])
-        self.tfs = _binary_cells(tbl["tfs"])
-        self.dls = _binary_cells(tbl["doclens"])
-        bl = tbl["block_last_doc"].combine_chunks()
-        self.bl_offs = bl.offsets.to_numpy()
-        self.bl = bl.values.to_numpy()
-        # both block lists have one entry per block, so they share offsets
-        self.bm = tbl["block_max_impact"].combine_chunks().values.to_numpy()
+        self.terms = _array(tbl["term"])
+        self.offs, self.ids = _list_cells(tbl["doc_ids"])
+        self.tfs = _list_cells(tbl["tfs"])[1]
+        self.pos = (
+            _list_cells(tbl["positions"])
+            if "positions" in tbl.column_names else None
+        )
 
     def term(self, row: int) -> str | None:
         """The term of chunk ``row``; None past the row group's end."""
         return self.terms[row].as_py() if row < len(self.terms) else None
 
-    def raw(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(docnos, tfs, doclens) of one chunk, decoded."""
-        n = int(self.n[row])
-        ids, tfs, dls = (
-            data[offs[row] : offs[row + 1]]
-            for offs, data in (self.ids, self.tfs, self.dls)
-        )
-        return (
-            codec.delta_decode(ids, n), codec.ints_decode(tfs, n),
-            codec.ints_decode(dls, n),
-        )
+    def raw(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """(docnos uint64, tfs uint32) of one chunk (copies, so a cached
+        chunk does not pin the row group's buffers)."""
+        a, b = self.offs[row], self.offs[row + 1]
+        return self.ids[a:b].copy(), self.tfs[a:b].copy()
 
-    def blocks(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """(block_last_doc, block_max_impact) of one chunk (copies, so a
-        cached chunk does not pin the row group's buffers)."""
-        a, b = self.bl_offs[row], self.bl_offs[row + 1]
-        return self.bl[a:b].copy(), self.bm[a:b].copy()
+    def positions(self, row: int) -> np.ndarray:
+        """One chunk's flat positions, each posting's back to back (a view;
+        a positional row group only)."""
+        offs, vals = self.pos
+        return vals[offs[row] : offs[row + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +180,10 @@ class RowGroup:
 def write_bucket_group(
     seg_path: str, lex_path: str, vocab: pa.Array, dfs: np.ndarray, groups
 ) -> int:
-    """Compressed chunk tables (compress_group), one per (bucket, salt)
-    group in (bucket, salt) order -> the group's segment file, one row
-    group each, then its lexicon over ``vocab`` (every term of the group,
-    with its exact df).  Returns the number of chunks written."""
+    """Chunk tables (compress_group), one per (bucket, salt) group in
+    (bucket, salt) order -> the group's segment file, one row group each,
+    then its lexicon over ``vocab`` (every term of the group, with its exact
+    df).  Returns the number of chunks written."""
     writer = None
     terms, rgs, rows = [], [], []
     for t in groups:
@@ -191,6 +191,13 @@ def write_bucket_group(
             writer = pq.ParquetWriter(
                 seg_path, t.schema, use_dictionary=False,
                 compression="zstd", compression_level=1,
+                # keyed by the LEAF path: keyed by "doc_ids", pyarrow
+                # silently writes PLAIN
+                column_encoding={
+                    f"{c}.list.element": "DELTA_BINARY_PACKED"
+                    for c in t.column_names if c in _LIST_COLUMNS
+                },
+                write_statistics=["term"],
             )
         writer.write_table(t, row_group_size=max(t.num_rows, 1))
         rgs.append(np.full(t.num_rows, len(rgs), np.int32))
@@ -217,82 +224,39 @@ def write_bucket_group(
     return codes.size
 
 
-def compress_group(
-    group: pa.Table, impacts: np.ndarray, dls: np.ndarray, salt: int
-) -> pa.Table:
-    """Exchange reducer: one (bucket, salt) group (+ its precomputed
-    per-posting impacts and doc lengths) -> one compressed chunk row per
-    term in the group (SURVEY.md §7.2 step 5).  Impacts drive the exact
-    block-max metadata but are NOT stored — the segment carries varint
-    doclens and the reader recomputes the identical float64 impacts
-    (schema.py SEGMENT_SCHEMA note)."""
-    terms = group.column("term")
-    de = terms.combine_chunks() if isinstance(terms, pa.ChunkedArray) else terms
-    de = de.dictionary_encode()
-    if isinstance(de, pa.ChunkedArray):
-        de = de.combine_chunks()
-    codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    vocab = de.dictionary.to_pylist()
-    doc_ids = group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-    tfs = group.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
-    order = np.lexsort((doc_ids, codes))
-    codes, doc_ids = codes[order], doc_ids[order]
-    tfs, impacts, dls = tfs[order], impacts[order], dls[order]
-    row_sel = order  # original row index per output row (positions gather)
-    # guard: an exact-duplicate input row split across blocks of one file can
-    # emit the same (term, doc) twice; a doc lives in exactly one salt group
-    # per term, so the duplicates are adjacent here — keep the first
-    if len(codes) > 1:
-        uniq = np.ones(len(codes), dtype=bool)
-        uniq[1:] = (codes[1:] != codes[:-1]) | (doc_ids[1:] != doc_ids[:-1])
-        if not uniq.all():
-            codes, doc_ids = codes[uniq], doc_ids[uniq]
-            tfs, impacts, dls = tfs[uniq], impacts[uniq], dls[uniq]
-            row_sel = row_sel[uniq]
-    with_pos = "positions" in group.column_names
-    if with_pos:
-        pos_col = group.column("positions")
-        if isinstance(pos_col, pa.ChunkedArray):
-            pos_col = pos_col.combine_chunks()
-        pos_col = pos_col.take(pa.array(row_sel, pa.int64()))
-        pos_offsets = pos_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        pos_offsets = pos_offsets - pos_offsets[0]  # flatten() trims any slice
-        pos_flat = pos_col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    bounds = np.nonzero(np.diff(codes))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(codes)]))
-    rows = {k: [] for k in (
-        "term", "df_chunk", "doc_ids", "tfs", "doclens",
-        "block_last_doc", "block_max_impact", "positions",
-    )}
-    for s0, e0 in zip(starts, ends):
-        ids_t = doc_ids[s0:e0]
-        imp_t = impacts[s0:e0]
-        block_last, block_max = codec.block_metadata(ids_t, imp_t)
-        rows["term"].append(vocab[codes[s0]])
-        rows["df_chunk"].append(e0 - s0)
-        rows["doc_ids"].append(codec.delta_encode(ids_t))
-        rows["tfs"].append(codec.ints_encode(tfs[s0:e0].astype(np.uint64)))
-        rows["doclens"].append(codec.ints_encode(dls[s0:e0].astype(np.uint64)))
-        rows["block_last_doc"].append(block_last.tolist())
-        rows["block_max_impact"].append(block_max.tolist())
-        if with_pos:
-            flat = pos_flat[pos_offsets[s0] : pos_offsets[e0]]
-            lens = np.diff(pos_offsets[s0 : e0 + 1])
-            rows["positions"].append(
-                codec.poslist_encode(flat.astype(np.uint64), lens)
-            )
-    n = len(rows["term"])
+def compress_group(group: pa.Table, salt: int) -> pa.Table:
+    """Exchange reducer: one (bucket, salt) group of postings (term, docno,
+    tf[, positions]), sorted by (term, docno) with no duplicate (term, doc)
+    row -> one chunk row per term (SURVEY.md §7.2 step 5).  The posting
+    columns become list cells over the same values; Parquet's delta
+    encoding does the compression at write time."""
+    terms = _array(group.column("term"))
+    n = len(terms)
+    new_term = np.ones(n, dtype=bool)
+    if n > 1:
+        new_term[1:] = pc.not_equal(terms[1:], terms[:-1]).to_numpy(
+            zero_copy_only=False
+        )
+    starts = np.flatnonzero(new_term)
+    offs = pa.array(np.append(starts, n).astype(np.int32))
     cols = {
-        "term": pa.array(rows["term"], pa.string()),
-        "salt": pa.array([salt] * n, pa.int32()),
-        "df_chunk": pa.array(rows["df_chunk"], pa.int64()),
-        "doc_ids": pa.array(rows["doc_ids"], pa.binary()),
-        "tfs": pa.array(rows["tfs"], pa.binary()),
-        "doclens": pa.array(rows["doclens"], pa.binary()),
-        "block_last_doc": pa.array(rows["block_last_doc"], pa.list_(pa.uint64())),
-        "block_max_impact": pa.array(rows["block_max_impact"], pa.list_(pa.float64())),
+        "term": terms.take(pa.array(starts)),
+        "salt": pa.array(np.full(starts.size, salt, np.int32)),
+        "doc_ids": pa.ListArray.from_arrays(
+            offs, _array(group.column("doc_id")).cast(pa.uint64())
+        ),
+        "tfs": pa.ListArray.from_arrays(
+            offs, _array(group.column("tf")).cast(pa.uint32())
+        ),
     }
-    if with_pos:
-        cols["positions"] = pa.array(rows["positions"], pa.binary())
-    return pa.table(cols, schema=SEGMENT_POS_SCHEMA if with_pos else SEGMENT_SCHEMA)
+    if "positions" in group.column_names:
+        # per-chunk boundaries of the flat positions = the posting
+        # boundaries at each term's first posting
+        pos = _array(group.column("positions"))
+        pos_offs = pos.offsets.to_numpy()
+        cols["positions"] = pa.ListArray.from_arrays(
+            pa.array(pos_offs[offs.to_numpy()] - pos_offs[0]),
+            pc.list_flatten(pos).cast(pa.uint32()),
+        )
+        return pa.table(cols, schema=SEGMENT_POS_SCHEMA)
+    return pa.table(cols, schema=SEGMENT_SCHEMA)

@@ -252,7 +252,8 @@ def build_sharded(
     full-corpus scans otherwise) so cross-shard re-crawls dedup correctly;
     pass A stops after ingest, the corpus-global avgdl is derived from the
     shard manifests, and pass B (which skips the checkpointed ingest)
-    compresses segments with the global avgdl baked into every impact.
+    writes segments and a stats.json carrying that global avgdl, from
+    which every shard reader computes its impacts.
     Finally the corpus-global df table is reduced DISTRIBUTED into
     root/global_dfs (see _assemble_global_dfs) so pool creation never
     touches vocab-scale data.

@@ -51,7 +51,8 @@ def cold(index_dir: str, qtbl: list[dict]) -> None:
             size += sum(
                 md.column(j).total_compressed_size
                 for j in range(md.num_columns)
-                if md.column(j).path_in_schema in RowGroup.COLUMNS
+                # a list column's leaf path is "<name>.list.element"
+                if md.column(j).path_in_schema.split(".")[0] in RowGroup.COLUMNS
             )
         rgs.append(len(reads))
         nbytes.append(size)

@@ -165,10 +165,10 @@ def test_repartition_rebuild_prunes_stale_pids(tmp_path):
 
 
 def test_doclen_range_exchange_matches_broadcast(tmp_path, monkeypatch):
-    """Force the above-budget doclen exchange (merge tasks read only the
+    """Force the above-budget docno exchange (merge tasks read only the
     doc_id-range row groups their postings touch; NO corpus-wide ray.put of
-    the docmeta table): byte-identical segments and identical query results
-    to the broadcast fast path."""
+    the docmeta table): identical segment chunks and identical query
+    results to the broadcast fast path."""
     from engine import build as buildmod
     from engine.query import IndexReader
 
@@ -176,19 +176,19 @@ def test_doclen_range_exchange_matches_broadcast(tmp_path, monkeypatch):
     synth.write_pages(pages_dir, 300, num_files=3)
     idx_b = str(tmp_path / "idx_bcast")
     m1 = build_index(pages_dir, idx_b, num_partitions=2)
-    assert m1["doclen_exchange"] == "broadcast"
+    assert m1["docno_exchange"] == "broadcast"
 
-    monkeypatch.setattr(buildmod, "_DOCLEN_BCAST_BUDGET_BYTES", 0)
+    monkeypatch.setattr(buildmod, "_DOCNO_BCAST_BUDGET_BYTES", 0)
     idx_r = str(tmp_path / "idx_range")
     m2 = build_index(pages_dir, idx_r, num_partitions=2)
-    assert m2["doclen_exchange"] == "range"
+    assert m2["docno_exchange"] == "range"
 
     def seg_rows(d):
         t = segment_rows(d)
         return sorted(
             zip(
                 t["term"].to_pylist(), t["salt"].to_pylist(),
-                t["doc_ids"].to_pylist(), t["doclens"].to_pylist(),
+                t["doc_ids"].to_pylist(), t["tfs"].to_pylist(),
             )
         )
 

@@ -10,7 +10,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pytest
 
-from engine import codec, synth
+from engine import synth
 from engine._testing import segment_rows
 from engine.build import build_index
 from engine.oracle import OracleIndex, expected_topk_table
@@ -164,11 +164,9 @@ def test_segments_store_dense_docnos(built_index):
     segs = segment_rows(index_dir)
     for t in terms:
         rows = segs.filter(pc.equal(segs["term"], t))
-        chunks = [
-            (codec.delta_decode(buf, n),)
-            for buf, n in zip(rows["doc_ids"].to_pylist(), rows["df_chunk"].to_pylist())
-        ]
-        docnos = np.sort(np.concatenate([c[0] for c in chunks]))
+        docnos = np.sort(
+            pc.list_flatten(rows["doc_ids"]).to_numpy().astype(np.uint64)
+        )
         assert docnos.size == r.df(t)
         assert docnos.max() < meta_ids.size  # dense, not hash-valued
         got_ids = np.sort(meta_ids[docnos.astype(np.int64)])
@@ -176,6 +174,18 @@ def test_segments_store_dense_docnos(built_index):
             np.array(sorted(oracle.postings[t]), dtype=np.uint64)
         )
         assert np.array_equal(got_ids, want), t
+
+
+def test_older_format_index_raises_rebuild_error(tmp_path):
+    """A FORMAT_VERSION 10 index (binary varint/PFor posting cells) cannot
+    be read by the v11 reader: opening it raises the rebuild error before
+    any segment file is touched."""
+    import json
+
+    with open(tmp_path / "stats.json", "w") as f:
+        json.dump({"format_version": 10, "n_docs": 1, "avgdl": 1.0}, f)
+    with pytest.raises(ValueError, match="rebuild the index"):
+        IndexReader(str(tmp_path))
 
 
 def test_datetime_ts_filters(built_index):

@@ -1686,6 +1686,33 @@ def test_final_wave_ops_empty_and_tiny_inputs(tmp_path):
     ]
 
 
+def test_suppliers_pareto_zero_revenue_total(tmp_path):
+    """Supplier revenues that sum to zero (one positive, one offsetting
+    negative, one zero): every cumulative share is a division by zero,
+    which SQL answers with NULL and class C.  The engine used to return
+    inf/NaN shares."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from engine.ops.relational import SUPPLIERS_PARETO_SQL, suppliers_pareto
+
+    path = str(tmp_path / "lineitem.parquet")
+    pq.write_table(pa.table({
+        "l_suppkey": pa.array([1, 2, 3, 1], pa.int64()),
+        "l_extendedprice": pa.array([100.0, 150.0, 80.0, 50.0]),
+        "l_discount": pa.array([0.0, 2.0, 1.0, 0.0]),
+    }), path)
+    got = _canon(_to_pandas(suppliers_pareto(str(tmp_path))))
+    c = duckdb.connect()
+    c.sql(f"CREATE VIEW lineitem AS SELECT * FROM '{path}'")
+    want = _canon(c.sql(SUPPLIERS_PARETO_SQL).df())
+    assert got["rev_cents"].sum() == 0 and len(got) == 3
+    assert want["cum_share_r6"].isna().all()
+    assert got["cum_share_r6"].isna().all()
+    assert (got["pareto_class"] == "C").all()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_q16_no_part_survives_the_filter(tmp_path):
     """Every part fails q16's part filter (all Brand#17) while lineitem is
     non-empty: the lineitem batches must probe an empty part table and the

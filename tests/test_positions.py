@@ -4,10 +4,9 @@ adjacency from the index (no doc-store read) and must be rank- and
 score-identical to both the oracle and the verify-based (text-fetch) path."""
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
-from engine import codec, synth
+from engine import synth
 from engine.analyze import tokenize
 from engine.build import build_index
 from engine.oracle import OracleIndex
@@ -27,18 +26,6 @@ def pos_index(tmp_path_factory):
     build_index(pages_dir, plain_dir, num_partitions=2)
     oracle = OracleIndex(synth.gen_pages_table(N_DOCS))
     return IndexReader(pos_dir), IndexReader(plain_dir), oracle
-
-
-def test_poslist_codec_roundtrip():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        lens = rng.integers(1, 9, size=int(rng.integers(0, 30)))
-        flat = np.concatenate(
-            [np.sort(rng.choice(5000, size=l, replace=False)) for l in lens]
-        ) if len(lens) else np.empty(0, np.int64)
-        buf = codec.poslist_encode(flat.astype(np.uint64), lens)
-        out = codec.poslist_decode(buf, lens)
-        assert np.array_equal(out, flat.astype(np.int32))
 
 
 def test_positions_flag_recorded(pos_index):

@@ -31,7 +31,6 @@ def _segment_fingerprint(index_dir):
             tbl["salt"].to_pylist(),
             tbl["doc_ids"].to_pylist(),
             tbl["tfs"].to_pylist(),
-            tbl["doclens"].to_pylist(),
         )
     )
     import hashlib
