@@ -6,9 +6,13 @@ and the DuckDB oracle SQL):
     lowercase the text, then tokens are maximal runs of ``[a-z0-9]+`` (ASCII).
 
 The spec is ASCII-only so the Arrow/RE2 path (`pc.utf8_lower` +
-`pc.split_pattern_regex`) and the Python path (`re.findall`) are provably
-equivalent, and so DuckDB's `regexp_split_to_array` can express the same
-tokenizer for the correctness oracle.
+`pc.split_pattern_regex`) and the Python path (`re.findall`) agree, and so
+DuckDB's `regexp_split_to_array` can express the same tokenizer for the
+correctness oracle.  "Lowercase" means the per-code-point simple mapping of
+`utf8_lower` and DuckDB's `lower`.  Python's `str.lower` differs on exactly
+one code point (checked over all of Unicode by
+tests/test_analyze.py): U+0130 'İ' becomes "i" + U+0307, which would split
+the token, so the Python side maps it to 'I' first (`py_lower`).
 
 `Tokenizer` is the stateful stage of SURVEY.md §2.3 (T1 analog): a callable
 class used as `map_batches(Tokenizer, concurrency=N, batch_format="pyarrow")`
@@ -58,9 +62,15 @@ class AnalyzerConfig:
 DEFAULT_ANALYZER = AnalyzerConfig()
 
 
+def py_lower(text: str) -> str:
+    """`str.lower` with U+0130 mapped as `pc.utf8_lower` maps it (to "i",
+    not "i" + U+0307); the same length as `text` in code points."""
+    return text.replace("\u0130", "I").lower()
+
+
 def tokenize(text: str, cfg: AnalyzerConfig = DEFAULT_ANALYZER) -> list[str]:
     """Reference (oracle-side) tokenizer. Must match Tokenizer exactly."""
-    toks = _PY_TOKEN_RE.findall(text.lower())
+    toks = _PY_TOKEN_RE.findall(py_lower(text))
     if cfg.min_len > 1 or cfg.stopwords:
         toks = [
             t for t in toks if len(t) >= cfg.min_len and t not in cfg.stopwords

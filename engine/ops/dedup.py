@@ -137,12 +137,35 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.8):
     return _exact_jaccard_pairs(docs, hot_cap, threshold)
 
 
-def _exact_jaccard_pairs(docs: "rd.Dataset", hot_cap: float, threshold: float):
+def _hot_shingles(docs: "rd.Dataset", hot_cap: float) -> list[str]:
+    """The shingles held by more than `hot_cap` docs of `docs` (the
+    boilerplate of the hot-shingle cap), collected to this process: each
+    one is shared by > 64 docs, so there are at most rows / 64 of them."""
+
+    def hot_of_partition(g: pd.DataFrame) -> pd.DataFrame:
+        df = g["tk"].value_counts()  # rows are distinct (doc, shingle)
+        return pd.DataFrame({"tk": df.index[df > hot_cap].astype(object)})
+
+    hot = (
+        docs.map_batches(_shingle_rows, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("part")
+        .map_groups(hot_of_partition, batch_format="pandas")
+    )
+    return [r["tk"] for r in hot.take_all()]
+
+
+def _exact_jaccard_pairs(
+    docs: "rd.Dataset", hot_cap: float, threshold: float, hot=None
+):
     """The exact shingle-join Jaccard kernel shared by ngram_jaccard_pairs
     (whole corpus) and ngram_jaccard_prefix (corpus pruned to candidate
-    docs).  `hot_cap` is always computed over the FULL corpus by the caller
-    so the boilerplate HAVING rule matches the oracle regardless of
-    pruning."""
+    docs).  `hot_cap` is always computed over the FULL corpus by the
+    caller.  On the full corpus a group's size is its df, so groups over
+    `hot_cap` are the boilerplate; on a pruned corpus the sizes undercount,
+    and the caller passes `hot`, the shingles over `hot_cap` on the full
+    corpus, which then decides instead — so the boilerplate HAVING rule
+    matches the oracle regardless of pruning."""
+    hot = None if hot is None else frozenset(hot)
     tok = docs.map_batches(_shingle_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def pairs_of_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -157,7 +180,7 @@ def _exact_jaccard_pairs(docs: "rd.Dataset", hot_cap: float, threshold: float):
             "nb": pd.Series([], dtype="int64"),
             "ppart": pd.Series([], dtype="int64"),
         }
-        codes, _ = pd.factorize(g["tk"], sort=False)
+        codes, uniq = pd.factorize(g["tk"], sort=False)
         order = np.argsort(codes, kind="stable")
         codes_s = codes[order]
         docs_s = g["doc_id"].to_numpy()[order]
@@ -165,8 +188,12 @@ def _exact_jaccard_pairs(docs: "rd.Dataset", hot_cap: float, threshold: float):
         starts = np.nonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])[0]
         ends = np.r_[starts[1:], codes_s.size]
         sizes = ends - starts
-        n_hot = int((sizes > hot_cap).sum())
-        live = (sizes >= 2) & (sizes <= hot_cap)
+        if hot is None:
+            is_hot = sizes > hot_cap
+        else:
+            is_hot = pd.Index(uniq).isin(hot)[codes_s[starts]]
+        n_hot = int(is_hot.sum())
+        live = (sizes >= 2) & ~is_hot
         out = []
         for s, e in zip(starts[live], ends[live]):
             ids, nn = docs_s[s:e], ns_s[s:e]
@@ -308,8 +335,11 @@ def ngram_jaccard_prefix(
     (_exact_jaccard_pairs) verifies real Jaccard over candidate docs only.
     Completeness: every oracle pair has oracle-jaccard <= true-jaccard, so
     >= t implies both docs are candidates; non-candidate pairs of candidate
-    docs are killed by the kernel's own >= t filter.  hot_cap is computed
-    over the FULL corpus so the boilerplate HAVING rule is unchanged.
+    docs are killed by the kernel's own >= t filter.  The boilerplate
+    HAVING rule is unchanged: hot_cap is computed over the FULL corpus, and
+    the pruned kernel drops the shingles that are hot on the full corpus
+    (one more shingle pass over it), not the ones over hot_cap among the
+    candidate docs.
 
     Crossover (measured, BENCH round 5): at sf0.1 (100k docs, ~0.03% dup
     rate) this path is ~2x SLOWER than the exact join (3.4 s vs 1.6 s) —
@@ -406,7 +436,6 @@ def ngram_jaccard_prefix(
         )
     ).materialize()
 
-    pruned = docs
     n_cands = cands.count()
     if n_cands == 0:
         # prefix filtering is complete: zero candidates proves zero pairs
@@ -419,16 +448,21 @@ def ngram_jaccard_prefix(
                 }
             )
         )
-    if 2 * n_cands <= pushdown_budget_ids:
-        cand_ids = sorted(
-            {int(x) for x in cands.unique("a")} | {int(x) for x in cands.unique("b")}
-        )
-        pruned = rd.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "text"],
-            filter=pc.field("doc_id").isin(cand_ids),
-        )
-    return _exact_jaccard_pairs(pruned, hot_cap, threshold)
+    if 2 * n_cands > pushdown_budget_ids:
+        return _exact_jaccard_pairs(docs, hot_cap, threshold)
+    cand_ids = sorted(
+        {int(x) for x in cands.unique("a")} | {int(x) for x in cands.unique("b")}
+    )
+    pruned = rd.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "text"],
+        filter=pc.field("doc_id").isin(cand_ids),
+    )
+    # a shingle's df on the candidate docs says nothing about its df on
+    # the corpus, which is what the boilerplate rule counts
+    return _exact_jaccard_pairs(
+        pruned, hot_cap, threshold, _hot_shingles(docs, hot_cap)
+    )
 
 
 # ---------------------------------------------------------------------------

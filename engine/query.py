@@ -38,7 +38,13 @@ import pyarrow.parquet  # noqa: F401  (enables pa.parquet.*)
 
 from . import codec
 from .analyze import DEFAULT_ANALYZER, AnalyzerConfig, tokenize
-from .schema import FORMAT_VERSION, NUM_BUCKET_GROUPS, term_bucket, ts_to_us
+from .schema import (
+    EXTRACTED_SCHEMA,
+    FORMAT_VERSION,
+    NUM_BUCKET_GROUPS,
+    term_bucket,
+    ts_to_us,
+)
 from .segments import Lexicon, RowGroup, SortedTermMap
 
 
@@ -199,14 +205,25 @@ def contains_sequence(
     return bool(surv)
 
 
+# bytes of decoded doc-store row groups one reader keeps (their Arrow
+# buffers), for the phrase verify of text-verify indexes; a 3000-doc store
+# decodes to ~4 MB, a 200k-doc one to ~280 MB
+DOCSTORE_CACHE_BYTES = 64 << 20
+
+
 class _LRU(dict):
     """Minimal LRU map: a serving actor holds one IndexReader for its whole
     lifetime, so per-term/bucket caches must be bounded or a diverse query
-    stream grows them without limit (ADVICE round 1)."""
+    stream grows them without limit (ADVICE round 1).  ``cap`` bounds the
+    summed ``weigh(value)`` (default: the entry count); the newest entry
+    always stays, even when it alone is over ``cap``."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, weigh=None):
         super().__init__()
         self.cap = cap
+        self._weigh = weigh or (lambda _val: 1)
+        self._weights: dict = {}  # key -> weigh(value), taken at insert
+        self.weight = 0
 
     def __getitem__(self, key):
         val = super().pop(key)  # re-insert -> most recently used
@@ -221,9 +238,14 @@ class _LRU(dict):
     def __setitem__(self, key, val):
         if key in self:
             super().pop(key)
+            self.weight -= self._weights.pop(key)
         super().__setitem__(key, val)
-        while len(self) > self.cap:
-            super().pop(next(iter(self)))
+        self._weights[key] = w = self._weigh(val)
+        self.weight += w
+        while self.weight > self.cap and len(self) > 1:
+            old = next(iter(self))
+            super().pop(old)
+            self.weight -= self._weights.pop(old)
 
 
 class _Cursor:
@@ -316,7 +338,15 @@ class IndexReader:
         # docmeta load on filterless queries.
         self._docno_count = int(self.stats["doc_range_bases"][-1])
         self._del_idx = None  # lazy SymSpell delete index (suggest())
-        self._ds_rg = None  # doc-store row-group interval index (fetch_docs)
+        # doc store: row-group doc_id intervals, the files opened once per
+        # reader, decoded row groups, (path, row group) -> Table, and the
+        # threads that read uncached row groups of several files at once
+        self._ds_rg = None
+        self._ds_files: dict[str, pa.parquet.ParquetFile] = {}
+        self._ds_rows: _LRU = _LRU(
+            cap=DOCSTORE_CACHE_BYTES, weigh=pa.Table.get_total_buffer_size
+        )
+        self._ds_pool = None
         self._url_mask_cache: _LRU = _LRU(cap=64)  # url pattern -> doc mask
         self._tomb_loaded = False  # tombstone alive-mask, loaded lazily
         self._tomb_alive: np.ndarray | None = None
@@ -980,11 +1010,14 @@ class IndexReader:
           presence mask already enforces that), then verify adjacency
           against the doc store for the top pool only, growing the pool
           geometrically until k survivors or candidates are exhausted.
-          Verification cost is O(pool * doclen) per deepening round and
-          never touches docs outside the ranked pool.  On an index built
-          with ``store_positions=True`` verification instead intersects
-          the per-posting position lists (O(pool * tf) decode + merge,
-          no doc-store read) — the scale path for phrase-heavy workloads.
+          Each round is one `fetch_docs` of the pool (doc-store row groups
+          decode once per reader and stay in a byte-bounded LRU) and one
+          `_phrases_ok_batch` over its texts: a regex scan per phrase,
+          O(pool * doclen) in C++, never touching docs outside the ranked
+          pool.  On an index built with ``store_positions=True``
+          verification instead intersects the per-posting position lists
+          (O(pool * tf) decode + merge, no doc-store read) — the scale
+          path for phrase-heavy workloads.
         """
         bq = parse_query(query_text, self.analyzer)
         required = bq.required_terms
@@ -1062,13 +1095,10 @@ class IndexReader:
                 self._load_docmeta()
                 meta_ids = self._docmeta[0]
                 by_docid = {int(meta_ids[d]): d for d in unseen}
-                tbl = self.fetch_docs(
-                    list(by_docid), columns=["doc_id", "warc_ts", "text"]
-                )
-                for did, txt in zip(
-                    tbl["doc_id"].to_pylist(), tbl["text"].to_pylist()
-                ):
-                    verified[by_docid[int(did)]] = self._phrases_ok(txt, bq)
+                tbl = self.fetch_docs(list(by_docid), columns=["doc_id", "text"])
+                ok = self._phrases_ok_batch(tbl["text"], bq)
+                for did, o in zip(tbl["doc_id"].to_pylist(), ok):
+                    verified[by_docid[int(did)]] = bool(o)
                 for d in unseen:  # doc-store miss counts as failed verify
                     verified.setdefault(d, False)
 
@@ -1077,9 +1107,11 @@ class IndexReader:
         # first round jumps straight to that bound and verifies lazily in
         # rank order — per-doc verification is a cheap position-list merge,
         # so the head of the ranked list usually settles k without touching
-        # the tail.  On a text-verify index each fetch_docs call scans the
-        # doc store, so rounds verify in ONE batched fetch and the pool
-        # grows geometrically to keep the number of scans logarithmic.
+        # the tail.  On a text-verify index a round's pool spreads over
+        # most doc-store row groups, so each round verifies in ONE batched
+        # fetch (decoded row groups are cached per reader, and the batch is
+        # checked by one regex pass per phrase) and the pool grows
+        # geometrically to keep the number of rounds logarithmic.
         bound = int(mask.sum()) if (required or must_groups) else None
         pool = max(50, 4 * k)
         while True:
@@ -1122,6 +1154,45 @@ class IndexReader:
             contains_sequence(toks, p, s)
             for p, s in zip(bq.not_phrases, nslops)
         )
+
+    def _phrases_ok_batch(self, texts, bq: BoolQuery) -> np.ndarray:
+        """`_phrases_ok` over a string array (null = empty text), as a bool
+        array.  Under an analyzer that keeps every token, a phrase
+        (t1, ..., tm) with slop 0 is in a text's token stream iff the
+        lowered text matches
+        ``(?:^|[^a-z0-9])t1[^a-z0-9]+t2...tm(?:[^a-z0-9]|$)`` (tokens are
+        the maximal [a-z0-9] runs between separators), so the batch takes
+        one `utf8_lower` and one RE2 scan per phrase.  Stopwords and
+        `min_len` define adjacency on the filtered stream, and slop allows
+        gaps: those take the token path."""
+        cfg = self.analyzer
+        if (
+            cfg.stopwords or cfg.min_len > 1
+            or any(bq.phrase_slops) or any(bq.not_phrase_slops)
+        ):
+            return np.array(
+                [self._phrases_ok(t or "", bq) for t in texts.to_pylist()],
+                dtype=bool,
+            )
+        lower = pc.utf8_lower(texts)
+
+        def found(phrase: tuple[str, ...]) -> np.ndarray:
+            if not phrase:  # the empty sequence is in every stream
+                return np.ones(len(texts), dtype=bool)
+            pattern = (
+                "(?:^|[^a-z0-9])"
+                + "[^a-z0-9]+".join(re.escape(t) for t in phrase)
+                + "(?:[^a-z0-9]|$)"
+            )
+            hit = pc.match_substring_regex(lower, pattern=pattern)
+            return pc.fill_null(hit, False).to_numpy(zero_copy_only=False)
+
+        ok = np.ones(len(texts), dtype=bool)
+        for p in bq.phrases:
+            ok &= found(p)
+        for p in bq.not_phrases:
+            ok &= ~found(p)
+        return ok
 
     # ---- positional phrase evaluation (store_positions=True indexes) -----
     def _token_positions(self, term: str):
@@ -1628,98 +1699,117 @@ class IndexReader:
 
     # ------------------------------------------------------------------
     def _docstore_rg_index(self):
-        """Row-group doc_id [min, max] intervals of every doc-store file
-        (one footer read per file, cached) — fetch_docs prunes with these
-        directly because the dataset scanner evaluates an isin filter
-        only AFTER decoding each row group, which makes every point lookup
-        a full doc-store scan."""
+        """(keys, mins, maxs, sizes): every doc-store row group as a (path,
+        row group) key with its doc_id [min, max] from the footer
+        statistics and its decoded size, built once per reader.  Each file
+        is opened here once and its handle kept for every later read, so a
+        footer is parsed once per reader.  fetch_docs prunes with these
+        intervals directly because the dataset scanner evaluates an isin
+        filter only AFTER decoding each row group, which makes every point
+        lookup a full doc-store scan."""
         if self._ds_rg is None:
-            import pyarrow.parquet as pq
-
-            paths: list[str] = []
-            rgs: list[int] = []
+            keys: list[tuple[str, int]] = []
             mins: list[int] = []
             maxs: list[int] = []
+            sizes: list[int] = []
             for path in self._extracted.files:
-                md = pq.read_metadata(path)
-                for i in range(md.num_row_groups):
-                    rgmd = md.row_group(i)
-                    st = None
-                    for j in range(rgmd.num_columns):
-                        c = rgmd.column(j)
-                        if c.path_in_schema == "doc_id":
-                            st = c.statistics
-                            break
+                pf = self._ds_files[path] = pa.parquet.ParquetFile(path)
+                col = pf.schema_arrow.get_field_index("doc_id")
+                for i in range(pf.num_row_groups):
+                    md = pf.metadata.row_group(i)
+                    st = md.column(col).statistics
                     if st is not None and st.has_min_max:
                         mins.append(int(st.min))
                         maxs.append(int(st.max))
                     else:  # no stats: never prune this row group
                         mins.append(0)
                         maxs.append(2**64 - 1)
-                    paths.append(path)
-                    rgs.append(i)
+                    keys.append((path, i))
+                    sizes.append(md.total_byte_size)
             self._ds_rg = (
-                paths,
-                np.asarray(rgs, dtype=np.int64),
+                keys,
                 np.asarray(mins, dtype=np.uint64),
                 np.asarray(maxs, dtype=np.uint64),
+                np.asarray(sizes, dtype=np.int64),
             )
         return self._ds_rg
+
+    def _docstore_rows(self, rgi, columns: list[str]) -> list[pa.Table]:
+        """The doc-store read entry point: `columns` of the row groups at
+        positions `rgi` of `_docstore_rg_index`, in that order.  A row
+        group decodes whole (all five columns) once and stays in a
+        byte-bounded LRU (DOCSTORE_CACHE_BYTES): a serving reader's verify
+        rounds and display fetches revisit the same row groups across
+        queries.  Uncached row groups of several files are read by the
+        reader's threads, one per file (a ParquetFile is never shared
+        between threads; only this thread touches the cache).  When the
+        uncached row groups alone would overflow the cache the read is a
+        scan: it decodes just `columns` of every row group, past the
+        cache, and leaves the cached ones in place."""
+        keys, _, _, sizes = self._docstore_rg_index()
+        out = {keys[i]: self._ds_rows[keys[i]] for i in rgi if keys[i] in self._ds_rows}
+        missed = [i for i in rgi if keys[i] not in out]
+        scan = int(sizes[missed].sum()) > DOCSTORE_CACHE_BYTES
+        by_file: dict[str, list[int]] = {}
+        for i in rgi if scan else missed:
+            by_file.setdefault(keys[i][0], []).append(keys[i][1])
+
+        def read(item: tuple[str, list[int]]) -> list[pa.Table]:
+            path, rgs = item
+            pf = self._ds_files[path]
+            if scan:
+                return [pf.read_row_groups(rgs, columns=columns, use_threads=False)]
+            return [pf.read_row_group(rg, use_threads=False) for rg in rgs]
+
+        if len(by_file) > 1:
+            if self._ds_pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                self._ds_pool = ThreadPoolExecutor(
+                    min(8, os.cpu_count() or 1), thread_name_prefix="docstore"
+                )
+            parts = list(self._ds_pool.map(read, by_file.items()))
+        else:
+            parts = [read(item) for item in by_file.items()]
+        if scan:
+            return [t for tabs in parts for t in tabs]
+        for (path, rgs), tabs in zip(by_file.items(), parts):
+            for rg, t in zip(rgs, tabs):
+                out[(path, rg)] = self._ds_rows[(path, rg)] = t
+        return [out[keys[i]].select(columns) for i in rgi]
 
     def fetch_docs(self, doc_ids: list[int], columns=None) -> pa.Table:
         """Doc-store lookup after top-k (SURVEY.md §2.4 J2 analog):
         broadcast-semi-join of the tiny k-set against the extracted table,
-        reading only the row groups whose doc_id range can hold a probe
-        (the build sorts each doc-store part by doc_id into small row
-        groups precisely so these intervals stay narrow)."""
-        if not doc_ids:
-            cols = columns or ["doc_id", "url", "warc_ts", "lang", "text"]
-            return self._extracted.schema.empty_table().select(cols)
-        import pyarrow.parquet as pq
-
+        reading (through `_docstore_rows`) only the row groups whose doc_id
+        range can hold a probe (the build sorts each doc-store part by
+        doc_id into small row groups precisely so these intervals stay
+        narrow).  Rows come in doc-store order; duplicate (loser) url rows
+        sharing a doc_id keep the max-warc_ts row, and the result is then
+        doc_id sorted."""
+        cols = list(columns or EXTRACTED_SCHEMA.names)
         probes = np.unique(np.asarray(doc_ids, dtype=np.uint64))
-        paths, rgs, mins, maxs = self._docstore_rg_index()
-        pos = np.searchsorted(probes, mins)
-        hit = (pos < probes.size) & (
-            probes[np.minimum(pos, probes.size - 1)] <= maxs
-        )
-        read_cols = columns
-        if columns is not None and "doc_id" not in columns:
-            read_cols = ["doc_id"] + list(columns)
-        by_path: dict[str, list[int]] = {}
-        for i in np.nonzero(hit)[0]:
-            by_path.setdefault(paths[i], []).append(int(rgs[i]))
-        def _read(item):
-            path, rgl = item
-            return pq.ParquetFile(path).read_row_groups(
-                rgl, columns=read_cols, use_threads=False
-            )
-        if len(by_path) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(min(8, len(by_path))) as ex:
-                tabs = list(ex.map(_read, by_path.items()))
-        else:
-            tabs = [_read(it) for it in by_path.items()]
-        if tabs:
-            tbl = pa.concat_tables(tabs)
-            ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            p = np.searchsorted(probes, ids)
-            keep = probes[np.minimum(p, probes.size - 1)] == ids
-            tbl = tbl.filter(pa.array(keep))
-            if read_cols is not columns and columns is not None:
-                tbl = tbl.select(columns)
-        else:
-            cols = columns or ["doc_id", "url", "warc_ts", "lang", "text"]
+        if probes.size == 0:
             return self._extracted.schema.empty_table().select(cols)
+        _, mins, maxs, _ = self._docstore_rg_index()
+        pos = np.searchsorted(probes, mins)
+        hit = (pos < probes.size) & (probes[np.minimum(pos, probes.size - 1)] <= maxs)
+        if not hit.any():
+            return self._extracted.schema.empty_table().select(cols)
+        read_cols = list(dict.fromkeys(["doc_id", "warc_ts", *cols]))
+        tbl = pa.concat_tables(self._docstore_rows(np.nonzero(hit)[0], read_cols))
+        ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        p = np.searchsorted(probes, ids)
+        keep = probes[np.minimum(p, probes.size - 1)] == ids
+        tbl, ids = tbl.filter(pa.array(keep)), ids[keep]
         # duplicate (loser) url rows share doc_id: keep max warc_ts row
-        if "warc_ts" in tbl.column_names and tbl.num_rows > len(doc_ids):
+        if np.unique(ids).size < ids.size:
             tbl = tbl.sort_by([("doc_id", "ascending"), ("warc_ts", "ascending")])
             ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
             keep = np.ones(len(ids), dtype=bool)
             keep[:-1] = ids[:-1] != ids[1:]
             tbl = tbl.filter(pa.array(keep))
-        return tbl
+        return tbl.select(cols)
 
     def topk_table(self, queries: pa.Table, method: str = "auto") -> pa.Table:
         """Run the fixed query set -> expected_topk-shaped table

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .analyze import tokenize
+from .analyze import py_lower, tokenize
 
 _WS_RE = re.compile(r"\s+")
 
@@ -27,7 +27,7 @@ def make_snippet(
     # token stream with positions (tokenizer spec = lowercase [a-z0-9]+ runs)
     toks: list[str] = []
     spans: list[tuple[int, int]] = []
-    for m in re.finditer(r"[a-z0-9]+", text.lower()):
+    for m in re.finditer(r"[a-z0-9]+", py_lower(text)):
         toks.append(m.group())
         spans.append(m.span())
     if not toks:

@@ -2,11 +2,17 @@
 
     python scripts/profile_query.py [index_dir] [--cold]
 
+    python scripts/profile_query.py [index_dir] --bool [--n N]
+
 Default (warm): p50/p95 over the 73-query conformance set after a warming
 pass, plus a breakdown of the slowest queries (term count, total postings,
 filtered).  ``--cold``: every query on a fresh IndexReader (nothing cached),
 printing p50/p95 and the segment row groups and compressed bytes each query
-reads.
+reads.  ``--bool``: N boolean phrase queries (phrases sampled from the doc
+store, so they match) run twice on one reader, the first pass starting with
+empty caches; per pass p50/p95, the doc-store row groups read per query (the
+row-group cache's misses), that cache's hit rate, and the phrase-verify ms
+per query (doc-store fetch plus phrase check).
 """
 
 import argparse
@@ -63,13 +69,108 @@ def cold(index_dir: str, qtbl: list[dict]) -> None:
           f"bytes/query={np.mean(nbytes):.0f}")
 
 
+def bool_queries(index_dir: str, n: int, seed: int = 3) -> list[str]:
+    """`n` boolean queries over phrases taken from doc-store texts (read
+    straight from the files, so no reader cache is warmed): a 2- or
+    3-token phrase with a head term, a +must, a -not or a -"not phrase"."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(seed)
+    files = sorted(pads.dataset(os.path.join(index_dir, "extracted")).files)
+    h = synth.HEAD_TERMS
+    out: list[str] = []
+    while len(out) < n:
+        pf = pq.ParquetFile(files[int(rng.integers(len(files)))])
+        rg = pf.read_row_group(int(rng.integers(pf.num_row_groups)), columns=["text"])
+        toks = tokenize(rg["text"][int(rng.integers(rg.num_rows))].as_py())
+        if len(toks) < 8:
+            continue
+        i = int(rng.integers(len(toks) - 3))
+        a, b, c = toks[i : i + 3]
+        x, y = (str(t) for t in rng.choice(h, 2, replace=False))
+        out.append([
+            f'"{a} {b}" {x}',
+            f'+{x} "{a} {b}" -{y}',
+            f'"{a} {b} {c}"',
+            f'{x} "{a} {b}" -"{b} {x}"',
+        ][len(out) % 4])
+    return out
+
+
+def boolean(index_dir: str, n: int) -> None:
+    import pyarrow.parquet as pq
+
+    reader = IndexReader(index_dir)
+    stats = {"looked": 0, "verify_s": 0.0}
+    reads: list[int] = []  # row groups decoded from doc-store files
+
+    def counted(name):
+        real = getattr(pq.ParquetFile, name)
+
+        def wrapper(self, rgs, *a, **kw):  # list.append: safe from threads
+            if id(self) in docstore:
+                reads.append(len(rgs) if isinstance(rgs, list) else 1)
+            return real(self, rgs, *a, **kw)
+        setattr(pq.ParquetFile, name, wrapper)
+
+    rows = reader._docstore_rows
+
+    def looked(rgi, columns):
+        stats["looked"] += len(rgi)
+        return rows(rgi, columns)
+
+    def timed(fn):
+        def wrapper(*a, **kw):
+            t0 = time.perf_counter()
+            try:
+                return fn(*a, **kw)
+            finally:
+                stats["verify_s"] += time.perf_counter() - t0
+        return wrapper
+
+    reader._docstore_rg_index()
+    docstore = {id(pf) for pf in reader._ds_files.values()}
+    counted("read_row_group")
+    counted("read_row_groups")
+    reader._docstore_rows = looked
+    reader.fetch_docs = timed(reader.fetch_docs)
+    reader._phrases_ok_batch = timed(reader._phrases_ok_batch)
+    reader._load_docmeta()
+    qs = bool_queries(index_dir, n)
+    print(f"bool n={len(qs)} docstore cache cap="
+          f"{reader._ds_rows.cap / 2**20:.0f} MiB", flush=True)
+    for name in ("first", "second"):
+        stats.update(looked=0, verify_s=0.0)
+        reads.clear()
+        lat = []
+        for q in qs:
+            t0 = time.perf_counter()
+            reader.search_boolean(q, k=10)
+            lat.append((time.perf_counter() - t0) * 1e3)
+        lat = np.array(lat)
+        print(f"  {name} pass: p50={np.percentile(lat, 50):.2f}ms "
+              f"p95={np.percentile(lat, 95):.2f}ms "
+              f"docstore_row_groups_read/query={sum(reads) / lat.size:.2f} "
+              f"hit_rate={1 - sum(reads) / max(1, stats['looked']):.3f} "
+              f"verify_ms/query={stats['verify_s'] * 1e3 / lat.size:.2f} "
+              f"cached={reader._ds_rows.weight / 2**20:.1f}MiB", flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("index_dir", nargs="?", default="/tmp/rayft_iter_idx_1500000")
     ap.add_argument("--cold", action="store_true",
                     help="a fresh reader per query (nothing cached)")
+    ap.add_argument("--bool", action="store_true",
+                    help="boolean phrase queries: doc-store cache and verify")
+    ap.add_argument("--n", type=int, default=200,
+                    help="number of --bool queries")
     args = ap.parse_args()
     index_dir = args.index_dir
+    if args.bool:
+        boolean(index_dir, args.n)
+        return
     qtbl = synth.gen_queries_table(73).to_pylist()
     if args.cold:
         cold(index_dir, qtbl)

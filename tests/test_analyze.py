@@ -57,3 +57,23 @@ def test_empty_and_null_texts():
     assert doclens.tolist() == [0, 3, 0]
     assert len(terms) == 2
     assert int(tfs[np.where(terms.to_numpy(zero_copy_only=False) == "a")[0][0]]) == 2
+
+
+def test_python_matches_arrow_on_every_code_point():
+    """Each code point c between two letters ("a" + c + "b") tokenizes the
+    same in Python and in Arrow.  Python's str.lower turns U+0130 'İ' into
+    "i" + U+0307 (two tokens), Arrow and DuckDB into "i" (one token)."""
+    assert tokenize("İstanbul") == ["istanbul"]
+    cps = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    for lo in range(0, len(cps), 1 << 16):
+        texts = [f"a{chr(c)}b" for c in cps[lo : lo + (1 << 16)]]
+        doc_idx, terms, tfs, doclens = tokenize_counts_arrow(pa.array(texts))
+        got = set(zip(doc_idx.tolist(), terms.to_pylist(), tfs.tolist()))
+        want = {
+            (d, t, n)
+            for d, text in enumerate(texts)
+            for t, n in Counter(tokenize(text)).items()
+        }
+        bad = {f"U+{ord(texts[d][1]):04X}" for d, _, _ in got ^ want}
+        assert not bad, sorted(bad)[:20]
+        assert doclens.tolist() == [len(tokenize(t)) for t in texts]

@@ -9,7 +9,7 @@ from engine import synth
 from engine.analyze import tokenize
 from engine.build import build_index
 from engine.oracle import OracleIndex
-from engine.query import IndexReader, contains_sequence, parse_query
+from engine.query import BoolQuery, IndexReader, contains_sequence, parse_query
 
 N_DOCS = 400
 
@@ -231,3 +231,93 @@ def test_boolean_plain_query_matches_search(bool_index):
     reader, _ = bool_index
     q = f"{synth.HEAD_TERMS[0]} {synth.HEAD_TERMS[3]}"
     assert reader.search_boolean(q, k=10) == reader.search(q, k=10)
+
+
+def _random_texts(rng, n):
+    """Token streams over a tiny vocabulary, so phrases recur, joined by
+    ASCII and non-ASCII separators; 'İ' and the Kelvin sign lower to
+    ASCII letters inside tokens, 'É' to a separator."""
+    words = ["a", "b", "ab", "B", "x1", "İa", "bİ", "Kb", "ÉA"]
+    seps = [" ", "  ", ",", "é", "—", " ", "\n", "ß", "-"]
+    out = []
+    for _ in range(n):
+        m = int(rng.integers(0, 12))
+        parts = [str(rng.choice(seps)) if rng.random() < 0.3 else ""]
+        for _ in range(m):
+            parts.append(str(rng.choice(words)))
+            parts.append(str(rng.choice(seps)))
+        out.append("".join(parts[:-1] if m and rng.random() < 0.5 else parts))
+    return out
+
+
+def _random_query(rng, slop=0):
+    vocab = ["a", "b", "ab", "x1", "ia", "bi", "kb", "ea"]
+
+    def phrase():
+        return tuple(str(t) for t in rng.choice(vocab, int(rng.integers(1, 4))))
+
+    ph = tuple(phrase() for _ in range(int(rng.integers(0, 3))))
+    nph = tuple(phrase() for _ in range(int(rng.integers(0, 2))))
+    return BoolQuery(
+        (), (), (), ph, nph,
+        phrase_slops=(slop,) * len(ph), not_phrase_slops=(slop,) * len(nph),
+    )
+
+
+def test_phrases_ok_batch_matches_token_path(bool_index):
+    """The regex verify of a whole batch equals the per-doc token check
+    (tokenize + contains_sequence) on random streams: single-term and
+    multi-term phrases and not-phrases, null texts and an empty batch."""
+    import copy
+
+    import pyarrow as pa
+
+    reader = copy.copy(bool_index[0])
+    rng = np.random.default_rng(7)
+    token_path = []
+    real = reader._phrases_ok
+    reader._phrases_ok = lambda text, bq: token_path.append(1) or real(text, bq)
+    for _ in range(300):
+        texts = _random_texts(rng, 20) + [None]
+        bq = _random_query(rng)
+        want = [real(t or "", bq) for t in texts]
+        got = reader._phrases_ok_batch(pa.chunked_array([texts[:7], texts[7:]]), bq)
+        assert got.tolist() == want, (bq, texts)
+    assert token_path == []
+    empty = reader._phrases_ok_batch(pa.array([], pa.string()), _random_query(rng))
+    assert empty.shape == (0,)
+    assert reader._phrases_ok_batch(
+        pa.array(["a b"]), BoolQuery((), (), (), ((),), ())
+    ).tolist() == [True]
+
+
+def test_phrases_ok_batch_token_path_cases(bool_index, monkeypatch):
+    """Stopwords and min_len define adjacency on the filtered stream, and
+    slop allows gaps: those queries go through the token path."""
+    import copy
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from engine.analyze import AnalyzerConfig
+
+    reader, _ = bool_index
+    rng = np.random.default_rng(11)
+    monkeypatch.setattr(pc, "match_substring_regex", None)  # no regex pass
+    for cfg, slop in (
+        (AnalyzerConfig(stopwords=frozenset({"b"})), 0),
+        (AnalyzerConfig(min_len=2), 0),
+        (reader.analyzer, 1),
+    ):
+        r = copy.copy(reader)
+        r.analyzer = cfg
+        for _ in range(100):
+            texts = _random_texts(rng, 10)
+            bq = _random_query(rng, slop)
+            want = [r._phrases_ok(t, bq) for t in texts]
+            assert r._phrases_ok_batch(pa.array(texts), bq).tolist() == want
+    # "a b a" holds the phrase (a, a) once the stopword b is dropped
+    r = copy.copy(reader)
+    r.analyzer = AnalyzerConfig(stopwords=frozenset({"b"}))
+    bq = BoolQuery((), (), (), (("a", "a"),), ())
+    assert r._phrases_ok_batch(pa.array(["a b a"]), bq).tolist() == [True]

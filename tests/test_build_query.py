@@ -248,15 +248,10 @@ def test_lexicon_fresh_reader_rank_identical(built_index):
             )
 
 
-def test_lexicon_point_reads(built_index, monkeypatch):
-    """A cold term's first _load_chunks is exactly one row-group read; a
-    salted hot term reads only its own row groups, each once, all from its
-    bucket group's one segment file; a second load reads nothing."""
+def _count_row_group_reads(monkeypatch) -> list:
+    """(ParquetFile, row group or row-group list) of every read from now."""
     import pyarrow.parquet as pq
 
-    from engine.schema import NUM_BUCKET_GROUPS, term_bucket
-
-    _, index_dir, _ = built_index
     calls = []
     for name in ("read_row_group", "read_row_groups"):
         real = getattr(pq.ParquetFile, name)
@@ -266,6 +261,17 @@ def test_lexicon_point_reads(built_index, monkeypatch):
             return _real(self, i, *a, **kw)
 
         monkeypatch.setattr(pq.ParquetFile, name, counted)
+    return calls
+
+
+def test_lexicon_point_reads(built_index, monkeypatch):
+    """A cold term's first _load_chunks is exactly one row-group read; a
+    salted hot term reads only its own row groups, each once, all from its
+    bucket group's one segment file; a second load reads nothing."""
+    from engine.schema import NUM_BUCKET_GROUPS, term_bucket
+
+    _, index_dir, _ = built_index
+    calls = _count_row_group_reads(monkeypatch)
     thr = IndexReader(index_dir).stats["hot_df_threshold"]
     cold = _cold_terms(index_dir, 1)[0]
     for term, hot in ((cold, False), (synth.HEAD_TERMS[0], True)):
@@ -285,3 +291,82 @@ def test_lexicon_point_reads(built_index, monkeypatch):
         calls.clear()
         r._load_chunks(term)
         assert calls == []
+
+
+def test_fetch_docs_reads_only_probed_row_groups(built_index, monkeypatch):
+    """A fetch reads each doc-store row group whose doc_id [min, max]
+    holds a probe, once, and no other; a second fetch of the same ids
+    reads nothing (decoded row groups stay cached in the reader).  Under
+    a cache too small for the misses, the same row groups are read past
+    the cache and the answer is the same."""
+    from engine import query
+
+    _, index_dir, _ = built_index
+    r = IndexReader(index_dir)
+    r._load_docmeta()
+    # the build's doc-store parts each span the whole hashed id range, so
+    # only the extreme ids prune: probe the two smallest and the largest
+    ids = sorted(int(x) for x in r._docmeta[0][[0, 1, -1]])
+    keys, mins, maxs, _ = r._docstore_rg_index()
+    want_keys = {
+        key for key, lo, hi in zip(keys, mins, maxs)
+        if any(lo <= i <= hi for i in ids)
+    }
+    want = {(r._ds_files[path], rg) for path, rg in want_keys}
+    assert 0 < len(want) < len(keys)
+    calls = _count_row_group_reads(monkeypatch)
+    got = r.fetch_docs(ids, columns=["doc_id", "url"])
+    assert sorted(got["doc_id"].to_pylist()) == ids
+    assert len(calls) == len(set(calls)) and set(calls) == want
+    calls.clear()
+    again = r.fetch_docs(ids, columns=["doc_id", "url"])
+    assert calls == [] and again.equals(got)
+    # a subset, other columns: still served from the cache
+    sub = r.fetch_docs(ids[:3], columns=["text", "lang"])
+    assert calls == [] and sub.column_names == ["text", "lang"]
+    assert sub.num_rows == 3
+    # misses that would overflow the cache are read past it, same answer
+    monkeypatch.setattr(query, "DOCSTORE_CACHE_BYTES", 1)
+    r = IndexReader(index_dir)
+    assert r.fetch_docs(ids, columns=["doc_id", "url"]).equals(got)
+    path_of = {id(pf): path for path, pf in r._ds_files.items()}
+    scanned = [(path_of[id(pf)], rg) for pf, rgs in calls for rg in rgs]
+    assert len(r._ds_rows) == 0
+    assert sorted(scanned) == sorted(want_keys)
+
+
+def test_fetch_docs_keeps_latest_loser_row(built_index, tmp_path):
+    """Doc-store rows sharing a doc_id (a url crawled twice) come back as
+    the max-warc_ts row, whichever columns are asked for."""
+    import shutil
+    from datetime import timedelta
+
+    import pyarrow.parquet as pq
+
+    _, index_dir, _ = built_index
+    copy = str(tmp_path / "index")
+    shutil.copytree(index_dir, copy)
+    r = IndexReader(copy)
+    r._load_docmeta()
+    older, newer = (int(x) for x in r._docmeta[0][[5, 6]])
+    cur = r.fetch_docs([older, newer]).sort_by("doc_id")
+    day = timedelta(days=1)
+    shift = {older: -day, newer: day}
+    ids = cur["doc_id"].to_pylist()
+    extra = cur.set_column(
+        cur.schema.get_field_index("warc_ts"), "warc_ts",
+        pa.array([t + shift[d] for d, t in zip(ids, cur["warc_ts"].to_pylist())],
+                 cur.schema.field("warc_ts").type),
+    ).set_column(
+        cur.schema.get_field_index("text"), "text",
+        pa.array(["fresh copy" if d == newer else "stale copy" for d in ids]),
+    )
+    os.makedirs(os.path.join(copy, "extracted", "pid=999"))
+    pq.write_table(extra, os.path.join(copy, "extracted", "pid=999", "part-x.parquet"))
+    want = {d: "fresh copy" if d == newer else t
+            for d, t in zip(ids, cur["text"].to_pylist())}
+    r = IndexReader(copy)
+    for cols in (None, ["doc_id", "text"], ["text"]):
+        got = r.fetch_docs([older, newer], columns=cols)
+        # rows sharing a doc_id come back doc_id-sorted, one per id
+        assert got["text"].to_pylist() == [want[d] for d in ids], cols

@@ -223,6 +223,54 @@ def test_jaccard_prefix_identical_to_exact():
     pd.testing.assert_frame_equal(nofilter, exact)
 
 
+def test_jaccard_prefix_hot_shingles_counted_on_full_corpus(tmp_path):
+    """Boilerplate shingles are dropped by their df over the whole corpus.
+    Docs 1 and 2 are the same text (boilerplate + 10 words), and the
+    boilerplate is in 82 of 84 docs, over the cap of 64: counted without
+    its 3 hot shingles the pair's Jaccard is 10/16, under 0.8.  Only 1-4
+    are prefix candidates (the boilerplate shingles sort last in crc32
+    order, outside every prefix), so the pruned kernel sees the
+    boilerplate in 2 docs; it must still drop it, as the full-corpus join
+    and the SQL oracle do."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from engine.ops.dedup import (
+        NGRAM_JACCARD_SQL,
+        ngram_jaccard_pairs,
+        ngram_jaccard_prefix,
+    )
+
+    boiler = "wbmguw bjxjtg nayokn hudfqb xmfaqp"
+    shared = " ".join(f"s{j}" for j in range(10))
+    texts = [f"{boiler} {shared}"] * 2 + ["t0 t1 t2 t3 t4 t5 t6 t7"] * 2
+    texts += [
+        boiler + "".join(f" f{i}w{j}" for j in range(40)) for i in range(80)
+    ]
+    n = len(texts)
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array(range(1, n + 1), pa.int64()),
+            "text": pa.array(texts, pa.string()),
+            "lang": pa.array(["en"] * n, pa.string()),
+            "source": pa.array(["src0"] * n, pa.string()),
+            "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+        }),
+        str(tmp_path / "documents.parquet"),
+    )
+    sf = str(tmp_path)
+    c = duckdb.connect()
+    c.sql(f"CREATE VIEW documents AS SELECT * FROM '{sf}/documents.parquet'")
+    want = _canon(c.sql(NGRAM_JACCARD_SQL).df())
+    assert want[["a", "b"]].values.tolist() == [[3, 4]]
+    pd.testing.assert_frame_equal(
+        _canon(_to_pandas(ngram_jaccard_pairs(sf))), want
+    )
+    pd.testing.assert_frame_equal(
+        _canon(_to_pandas(ngram_jaccard_prefix(sf))), want
+    )
+
+
 def test_lsh_recall_vs_bruteforce():
     from engine.ops.ann import knn_topk, lsh_knn_topk
 
