@@ -137,23 +137,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.8):
     return _exact_jaccard_pairs(docs, hot_cap, threshold)
 
 
-def _hot_shingles(docs: "rd.Dataset", hot_cap: float) -> list[str]:
-    """The shingles held by more than `hot_cap` docs of `docs` (the
-    boilerplate of the hot-shingle cap), collected to this process: each
-    one is shared by > 64 docs, so there are at most rows / 64 of them."""
-
-    def hot_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        df = g["tk"].value_counts()  # rows are distinct (doc, shingle)
-        return pd.DataFrame({"tk": df.index[df > hot_cap].astype(object)})
-
-    hot = (
-        docs.map_batches(_shingle_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(hot_of_partition, batch_format="pandas")
-    )
-    return [r["tk"] for r in hot.take_all()]
-
-
 def _exact_jaccard_pairs(
     docs: "rd.Dataset", hot_cap: float, threshold: float, hot=None
 ):
@@ -336,10 +319,14 @@ def ngram_jaccard_prefix(
     Completeness: every oracle pair has oracle-jaccard <= true-jaccard, so
     >= t implies both docs are candidates; non-candidate pairs of candidate
     docs are killed by the kernel's own >= t filter.  The boilerplate
-    HAVING rule is unchanged: hot_cap is computed over the FULL corpus, and
-    the pruned kernel drops the shingles that are hot on the full corpus
-    (one more shingle pass over it), not the ones over hot_cap among the
-    candidate docs.
+    HAVING rule is unchanged: hot_cap is computed over the FULL corpus, the
+    candidate shuffle carries every shingle row (prefix rows flagged) so
+    each partition sees its shingles' full-corpus df, and the pruned
+    kernel drops the shingles hot on the full corpus, not the ones over
+    hot_cap among the candidate docs.  Hot shingles also seed no
+    candidates: a pair at oracle Jaccard >= t shares >= t*max(n) cold
+    shingles, and the first of them in the global order lies in both
+    prefixes, so candidates from cold prefix shingles stay complete.
 
     Crossover (measured, BENCH round 5): at sf0.1 (100k docs, ~0.03% dup
     rate) this path is ~2x SLOWER than the exact join (3.4 s vs 1.6 s) —
@@ -359,10 +346,11 @@ def ngram_jaccard_prefix(
     hot_cap = max(64.0, 0.1 * docs.count())
 
     def prefix_rows(t: pa.Table) -> pa.Table:
-        """(doc_id, tk, n, part) rows for each doc's PREFIX shingles only:
-        its shingle set sorted by (crc32, shingle) — the same global order
-        in every task — truncated to n - ceil(t*n) + 1 entries."""
-        doc_ids, shingles, ns, parts = [], [], [], []
+        """(doc_id, tk, n, part, pre) rows for every shingle of each doc;
+        `pre` flags its PREFIX: its shingle set sorted by (crc32, shingle)
+        — the same global order in every task — truncated to
+        n - ceil(t*n) + 1 entries."""
+        doc_ids, shingles, ns, parts, pres = [], [], [], [], []
         for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
             toks = tokenize(text)
             ss = {
@@ -374,39 +362,42 @@ def ngram_jaccard_prefix(
                 continue
             p = n - int(math.ceil(threshold * n - 1e-9)) + 1
             crcs = {s: zlib.crc32(s.encode()) for s in ss}
-            pref = sorted(ss, key=lambda s: (crcs[s], s))[:p]
-            for s in pref:
+            for rank, s in enumerate(sorted(ss, key=lambda s: (crcs[s], s))):
                 doc_ids.append(did)
                 shingles.append(s)
                 ns.append(n)
                 parts.append(crcs[s] % _N_JACCARD_PARTS)
+                pres.append(rank < p)
         return pa.table(
             {
                 "doc_id": pa.array(doc_ids, pa.int64()),
                 "tk": pa.array(shingles, pa.string()),
                 "n": pa.array(ns, pa.int64()),
                 "part": pa.array(parts, pa.int64()),
+                "pre": pa.array(pres, pa.bool_()),
             }
         )
 
-    def cand_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        """Pairs co-occurring on a prefix shingle, with the Jaccard length
-        filter applied vectorized before the distinct."""
-        empty = {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "ppart": pd.Series([], dtype="int64"),
-        }
-        if g.empty:
-            return pd.DataFrame(empty)
-        codes, _ = pd.factorize(g["tk"], sort=False)
+    def cand_of_partition(g: pd.DataFrame) -> pa.Table:
+        """Pairs co-occurring on a cold prefix shingle, with the Jaccard
+        length filter applied vectorized before the distinct, plus one
+        (a = b = -1, tk) row per hot shingle (all rows of a shingle are in
+        this partition, so its group size is its full-corpus df).  Pair
+        rows carry tk = ""."""
+        codes, uniq = pd.factorize(g["tk"], sort=False)
         order = np.argsort(codes, kind="stable")
         codes_s = codes[order]
-        docs_s = g["doc_id"].to_numpy()[order]
-        ns_s = g["n"].to_numpy()[order]
+        starts = np.nonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])[0]
+        sizes = np.diff(np.r_[starts, codes_s.size])
+        is_hot = sizes > hot_cap
+        hot_tk = uniq[codes_s[starts[is_hot]]]
+        keep = g["pre"].to_numpy()[order] & ~np.repeat(is_hot, sizes)
+        codes_s = codes_s[keep]
+        docs_s = g["doc_id"].to_numpy()[order][keep]
+        ns_s = g["n"].to_numpy()[order][keep]
         starts = np.nonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])[0]
         ends = np.r_[starts[1:], codes_s.size]
-        out = []
+        a_parts, b_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for s, e in zip(starts[ends - starts >= 2], ends[ends - starts >= 2]):
             ids, nn = docs_s[s:e], ns_s[s:e]
             o = np.argsort(ids)
@@ -415,15 +406,21 @@ def ngram_jaccard_prefix(
             na, nb = nn[ai], nn[bi]
             ok = np.minimum(na, nb) >= threshold * np.maximum(na, nb)
             if ok.any():
-                out.append((ids[ai][ok], ids[bi][ok]))
-        if not out:
-            return pd.DataFrame(empty)
-        df = pd.DataFrame(
-            {"a": np.concatenate([x[0] for x in out]),
-             "b": np.concatenate([x[1] for x in out])}
+                a_parts.append(ids[ai][ok])
+                b_parts.append(ids[bi][ok])
+        pairs = pd.DataFrame(
+            {"a": np.concatenate(a_parts), "b": np.concatenate(b_parts)}
         ).drop_duplicates()
-        df["ppart"] = (df["a"] * 1_000_003 + df["b"]) % _N_JACCARD_PARTS
-        return df
+        hot = np.full(hot_tk.size, -1, dtype=np.int64)
+        a = np.r_[hot, pairs["a"].to_numpy()]
+        b = np.r_[hot, pairs["b"].to_numpy()]
+        return pa.table({
+            "a": a,
+            "b": b,
+            # typed: tk stays a string column in partitions without hot rows
+            "tk": pa.array([*hot_tk, *[""] * len(pairs)], pa.string()),
+            "ppart": (a * 1_000_003 + b) % _N_JACCARD_PARTS,
+        })
 
     cands = (
         docs.map_batches(prefix_rows, batch_format="pyarrow", zero_copy_batch=True)
@@ -431,12 +428,19 @@ def ngram_jaccard_prefix(
         .map_groups(cand_of_partition, batch_format="pandas")
         .groupby("ppart")
         .map_groups(  # a pair can co-occur on several prefix shingles
-            lambda g: g.drop_duplicates(["a", "b"])[["a", "b"]],
+            lambda g: g.drop_duplicates(["a", "b", "tk"])[["a", "b", "tk"]],
             batch_format="pandas",
         )
     ).materialize()
+    hot = [
+        r["tk"]
+        for r in cands.map_batches(
+            lambda t: t.filter(pc.less(t["a"], 0)).select(["tk"]),
+            batch_format="pyarrow",
+        ).take_all()
+    ]
 
-    n_cands = cands.count()
+    n_cands = cands.count() - len(hot)
     if n_cands == 0:
         # prefix filtering is complete: zero candidates proves zero pairs
         return rd.from_arrow(
@@ -451,7 +455,8 @@ def ngram_jaccard_prefix(
     if 2 * n_cands > pushdown_budget_ids:
         return _exact_jaccard_pairs(docs, hot_cap, threshold)
     cand_ids = sorted(
-        {int(x) for x in cands.unique("a")} | {int(x) for x in cands.unique("b")}
+        ({int(x) for x in cands.unique("a")} | {int(x) for x in cands.unique("b")})
+        - {-1}
     )
     pruned = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
@@ -460,9 +465,7 @@ def ngram_jaccard_prefix(
     )
     # a shingle's df on the candidate docs says nothing about its df on
     # the corpus, which is what the boilerplate rule counts
-    return _exact_jaccard_pairs(
-        pruned, hot_cap, threshold, _hot_shingles(docs, hot_cap)
-    )
+    return _exact_jaccard_pairs(pruned, hot_cap, threshold, hot)
 
 
 # ---------------------------------------------------------------------------

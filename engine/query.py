@@ -28,6 +28,7 @@ import heapq
 import json
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +210,11 @@ def contains_sequence(
 # buffers), for the phrase verify of text-verify indexes; a 3000-doc store
 # decodes to ~4 MB, a 200k-doc one to ~280 MB
 DOCSTORE_CACHE_BYTES = 64 << 20
+# one process-wide pool for reading uncached doc-store files in parallel;
+# its threads start on first use and are shared by every IndexReader
+_DOCSTORE_THREADS = ThreadPoolExecutor(
+    min(8, os.cpu_count() or 1), thread_name_prefix="docstore"
+)
 
 
 class _LRU(dict):
@@ -339,14 +345,12 @@ class IndexReader:
         self._docno_count = int(self.stats["doc_range_bases"][-1])
         self._del_idx = None  # lazy SymSpell delete index (suggest())
         # doc store: row-group doc_id intervals, the files opened once per
-        # reader, decoded row groups, (path, row group) -> Table, and the
-        # threads that read uncached row groups of several files at once
+        # reader, and decoded row groups, (path, row group) -> Table
         self._ds_rg = None
         self._ds_files: dict[str, pa.parquet.ParquetFile] = {}
         self._ds_rows: _LRU = _LRU(
             cap=DOCSTORE_CACHE_BYTES, weigh=pa.Table.get_total_buffer_size
         )
-        self._ds_pool = None
         self._url_mask_cache: _LRU = _LRU(cap=64)  # url pattern -> doc mask
         self._tomb_loaded = False  # tombstone alive-mask, loaded lazily
         self._tomb_alive: np.ndarray | None = None
@@ -1177,8 +1181,6 @@ class IndexReader:
         lower = pc.utf8_lower(texts)
 
         def found(phrase: tuple[str, ...]) -> np.ndarray:
-            if not phrase:  # the empty sequence is in every stream
-                return np.ones(len(texts), dtype=bool)
             pattern = (
                 "(?:^|[^a-z0-9])"
                 + "[^a-z0-9]+".join(re.escape(t) for t in phrase)
@@ -1740,12 +1742,15 @@ class IndexReader:
         group decodes whole (all five columns) once and stays in a
         byte-bounded LRU (DOCSTORE_CACHE_BYTES): a serving reader's verify
         rounds and display fetches revisit the same row groups across
-        queries.  Uncached row groups of several files are read by the
-        reader's threads, one per file (a ParquetFile is never shared
-        between threads; only this thread touches the cache).  When the
-        uncached row groups alone would overflow the cache the read is a
-        scan: it decodes just `columns` of every row group, past the
-        cache, and leaves the cached ones in place."""
+        queries.  Uncached row groups of several files are read on
+        `_DOCSTORE_THREADS`, one task per file (a ParquetFile is never
+        shared between threads; only this thread touches the cache).  When
+        the uncached row groups alone would overflow the cache the read is
+        a scan: it decodes just `columns` of every row group, past the
+        cache, and leaves the cached ones in place.  Only a doc store larger
+        than the cache takes it (every doc-store part spans the whole doc_id
+        range, so each probe lands in a row group of every part), and there
+        it keeps the uncached read's speed without raising the hit rate."""
         keys, _, _, sizes = self._docstore_rg_index()
         out = {keys[i]: self._ds_rows[keys[i]] for i in rgi if keys[i] in self._ds_rows}
         missed = [i for i in rgi if keys[i] not in out]
@@ -1762,13 +1767,7 @@ class IndexReader:
             return [pf.read_row_group(rg, use_threads=False) for rg in rgs]
 
         if len(by_file) > 1:
-            if self._ds_pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._ds_pool = ThreadPoolExecutor(
-                    min(8, os.cpu_count() or 1), thread_name_prefix="docstore"
-                )
-            parts = list(self._ds_pool.map(read, by_file.items()))
+            parts = list(_DOCSTORE_THREADS.map(read, by_file.items()))
         else:
             parts = [read(item) for item in by_file.items()]
         if scan:

@@ -2,17 +2,17 @@
 
     python scripts/profile_query.py [index_dir] [--cold]
 
-    python scripts/profile_query.py [index_dir] --bool [--n N]
+    python scripts/profile_query.py [index_dir] --bool
 
 Default (warm): p50/p95 over the 73-query conformance set after a warming
 pass, plus a breakdown of the slowest queries (term count, total postings,
 filtered).  ``--cold``: every query on a fresh IndexReader (nothing cached),
 printing p50/p95 and the segment row groups and compressed bytes each query
-reads.  ``--bool``: N boolean phrase queries (phrases sampled from the doc
-store, so they match) run twice on one reader, the first pass starting with
-empty caches; per pass p50/p95, the doc-store row groups read per query (the
-row-group cache's misses), that cache's hit rate, and the phrase-verify ms
-per query (doc-store fetch plus phrase check).
+reads.  ``--bool``: BOOL_QUERIES boolean phrase queries (phrases sampled
+from the doc store, so they match) run twice on one reader, the first pass
+starting with empty caches; per pass p50/p95, the doc-store row groups
+read per query (the row-group cache's misses), that cache's hit rate, and
+the phrase-verify ms per query (doc-store fetch plus phrase check).
 """
 
 import argparse
@@ -28,6 +28,10 @@ from engine import synth
 from engine.analyze import tokenize
 from engine.query import IndexReader
 from engine.segments import RowGroup
+
+# --bool query count: on a 200k-doc index whose doc store exceeds the
+# reader's row-group cache each query takes ~0.5 s
+BOOL_QUERIES = 40
 
 
 def cold(index_dir: str, qtbl: list[dict]) -> None:
@@ -98,7 +102,7 @@ def bool_queries(index_dir: str, n: int, seed: int = 3) -> list[str]:
     return out
 
 
-def boolean(index_dir: str, n: int) -> None:
+def boolean(index_dir: str) -> None:
     import pyarrow.parquet as pq
 
     reader = IndexReader(index_dir)
@@ -137,7 +141,7 @@ def boolean(index_dir: str, n: int) -> None:
     reader.fetch_docs = timed(reader.fetch_docs)
     reader._phrases_ok_batch = timed(reader._phrases_ok_batch)
     reader._load_docmeta()
-    qs = bool_queries(index_dir, n)
+    qs = bool_queries(index_dir, BOOL_QUERIES)
     print(f"bool n={len(qs)} docstore cache cap="
           f"{reader._ds_rows.cap / 2**20:.0f} MiB", flush=True)
     for name in ("first", "second"):
@@ -164,12 +168,10 @@ def main() -> None:
                     help="a fresh reader per query (nothing cached)")
     ap.add_argument("--bool", action="store_true",
                     help="boolean phrase queries: doc-store cache and verify")
-    ap.add_argument("--n", type=int, default=200,
-                    help="number of --bool queries")
     args = ap.parse_args()
     index_dir = args.index_dir
     if args.bool:
-        boolean(index_dir, args.n)
+        boolean(index_dir)
         return
     qtbl = synth.gen_queries_table(73).to_pylist()
     if args.cold:

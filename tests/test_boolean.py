@@ -286,9 +286,6 @@ def test_phrases_ok_batch_matches_token_path(bool_index):
     assert token_path == []
     empty = reader._phrases_ok_batch(pa.array([], pa.string()), _random_query(rng))
     assert empty.shape == (0,)
-    assert reader._phrases_ok_batch(
-        pa.array(["a b"]), BoolQuery((), (), (), ((),), ())
-    ).tolist() == [True]
 
 
 def test_phrases_ok_batch_token_path_cases(bool_index, monkeypatch):
