@@ -13,9 +13,9 @@ Determinism contract (must match engine/oracle.py exactly):
 
 Block-Max WAND (Ding & Suel, SIGIR 2011 "Faster top-k document retrieval
 using block-max indexes"): candidate pivoting on per-term score upper bounds,
-refined by per-block maxima, with a bounded min-heap.  Salted chunks of a hot
-term are treated as independent cursors — each doc lives in exactly one chunk
-per term, so bounds and scores stay exact.
+refined by per-block maxima, with a bounded min-heap.  A hot term's salted
+build chunks merge at load into one docno-sorted run (each doc lives in
+exactly one chunk per term), so every scorer walks one posting list per term.
 
 `IndexReader` is the stateful query-side cache (SURVEY.md §2.3 T6): stats,
 df table and doc metadata load once and are reused across queries — in a
@@ -30,6 +30,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -40,6 +41,7 @@ import pyarrow.parquet  # noqa: F401  (enables pa.parquet.*)
 from . import codec
 from .analyze import DEFAULT_ANALYZER, AnalyzerConfig, tokenize
 from .schema import (
+    BLOCK_SIZE,
     EXTRACTED_SCHEMA,
     FORMAT_VERSION,
     NUM_BUCKET_GROUPS,
@@ -254,18 +256,70 @@ class _LRU(dict):
             self.weight -= self._weights.pop(old)
 
 
+class _Run(NamedTuple):
+    """One term's postings as a single docno-sorted run: docnos (int64, =
+    docmeta positions), impacts (float64, idf excluded), the per-block
+    last docno and max impact (codec.block_metadata over the run) and the
+    run's max impact."""
+
+    docnos: np.ndarray
+    impacts: np.ndarray
+    block_last: np.ndarray
+    block_max: np.ndarray
+    max_impact: float
+
+
+_EMPTY_RUN = _Run(
+    np.empty(0, np.int64), np.empty(0), np.empty(0, np.uint64), np.empty(0), 0.0
+)
+
+
+def _merge_salted(chunks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """A term's chunks, each a tuple of aligned per-posting arrays (uint64
+    docnos first) sorted by docno, as one docno-sorted run.  A doc lives in
+    exactly one salted chunk of a term, so each docno appears once.  The
+    permutation comes from one in-place sort of (docno << bits | position)
+    keys, ~1.5x faster than np.argsort: an indirect timsort gains little from
+    the chunks' presorted runs, which interleave finely.  A single chunk is
+    returned as it is."""
+    if len(chunks) == 1:
+        return chunks[0]
+    key = np.concatenate([c[0] for c in chunks])
+    bits = max(1, (key.size - 1).bit_length())
+    if max((int(c[0][-1]) for c in chunks if c[0].size), default=0) >> (64 - bits):
+        raise ValueError(f"docnos too large to merge {key.size} postings")
+    key <<= np.uint64(bits)
+    key |= np.arange(key.size, dtype=np.uint64)
+    key.sort()
+    order = (key & np.uint64((1 << bits) - 1)).view(np.int64)
+    key >>= np.uint64(bits)
+    rest = (np.concatenate(col)[order] for col in list(zip(*chunks))[1:])
+    return (key, *rest)
+
+
+def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """Exact top-k of aligned (docno, score) arrays under (score DESC,
+    docno ASC): everything at or above the k-th score, then a lexsort of
+    that (small) tie-closed set."""
+    kk = min(k, ids.size)
+    cut = scores >= -np.partition(-scores, kk - 1)[kk - 1]
+    cids, csc = ids[cut], scores[cut]
+    order = np.lexsort((cids, -csc))[:kk]
+    return [(int(d), float(s)) for d, s in zip(cids[order], csc[order])]
+
+
 class _Cursor:
     __slots__ = ("term", "idf", "ids", "impacts", "block_last", "block_max", "ptr", "ub")
 
-    def __init__(self, term, idf, ids, impacts, block_last, block_max):
+    def __init__(self, term: str, idf: float, run: _Run):
         self.term = term
         self.idf = idf
-        self.ids = ids
-        self.impacts = impacts
-        self.block_last = block_last
-        self.block_max = block_max
+        self.ids = run.docnos
+        self.impacts = run.impacts
+        self.block_last = run.block_last
+        self.block_max = run.block_max
         self.ptr = 0
-        self.ub = idf * float(block_max.max()) if block_max.size else 0.0
+        self.ub = idf * run.max_impact
 
     def doc(self) -> int:
         return int(self.ids[self.ptr])
@@ -274,10 +328,8 @@ class _Cursor:
         return self.ptr >= self.ids.size
 
     def seek(self, target: int) -> None:
-        """Advance to first posting with doc_id >= target."""
-        self.ptr += int(
-            np.searchsorted(self.ids[self.ptr :], np.uint64(target), side="left")
-        )
+        """Advance to first posting with docno >= target."""
+        self.ptr += int(np.searchsorted(self.ids[self.ptr :], target, side="left"))
 
     def block_ub(self, doc: int) -> float:
         """idf * max impact of the block containing `doc` (exact upper bound)."""
@@ -304,7 +356,8 @@ class IndexReader:
     ``docmeta/`` and ``extracted/`` (doc metadata, doclens included, and
     the doc store).  The lexicon loads term-sorted at open; a term's postings
     are then one binary search plus one row-group read per chunk, from a
-    ParquetFile whose footer is read once per reader.
+    ParquetFile whose footer is read once per reader, and are cached as one
+    merged docno-sorted run per term (`_load_chunks`).
     """
 
     def __init__(self, index_dir: str):
@@ -332,9 +385,10 @@ class IndexReader:
         self._seg_files: dict[int, pa.parquet.ParquetFile] = {}
         self._extracted = pads.dataset(os.path.join(index_dir, "extracted"))
         self._docmeta = None  # (sorted doc_ids, lang codes, ts, doclens, langs)
+        self._doc_norm = None  # per-doc BM25 length normalization, with docmeta
         self._docmeta_order = None
         self._urls = None  # docmeta urls, loaded lazily for url filters
-        self._chunk_cache: _LRU = _LRU(cap=4096)  # term -> decoded chunks
+        self._chunk_cache: _LRU = _LRU(cap=4096)  # term -> merged posting _Run
         # (bucket group, row group) -> RowGroup
         self._bucket_tables: _LRU = _LRU(cap=64)
         self._tpos_cache: _LRU = _LRU(cap=512)  # term -> decoded token positions
@@ -362,7 +416,9 @@ class IndexReader:
 
     # ------------------------------------------------------------------
     def idf(self, term: str) -> float:
-        df = self._df.get(term, 0)
+        return self._idf(self._df.get(term, 0))
+
+    def _idf(self, df: int) -> float:
         return float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
 
     def df(self, term: str) -> int:
@@ -408,7 +464,7 @@ class IndexReader:
         contribution)], terms absent from the doc omitted.  Uses the exact
         scorer arithmetic (same dtype/op order/constants), so the
         contributions sum to the served score bitwise; costs one raw
-        postings decode per query term (cached chunks)."""
+        postings decode per query term (merged into one docno-sorted run)."""
         k1 = float(self.stats["k1"])
         b = float(self.stats["b"])
         avgdl = self.avgdl
@@ -420,15 +476,11 @@ class IndexReader:
         out = []
         for term in sorted(set(tokenize(query_text, self.analyzer))):
             docs, tfs, dls = self._term_postings_raw(term)
-            if docs.size == 0:
+            j = int(np.searchsorted(docs, pos))
+            if j >= docs.size or docs[j] != pos:
                 continue
-            # salted chunks concatenate unsorted across salts: O(df) probe
-            hit = np.nonzero(docs == pos)[0]
-            if hit.size == 0:
-                continue
-            j = int(hit[0])
             df = int(self._df.get(term, 0))
-            idf = float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
+            idf = self._idf(df)
             tf, dl = float(tfs[j]), float(dls[j])
             contrib = idf * (tf * (k1 + 1.0) / (tf + k1 * ((1.0 - b) + (b * dl) / avgdl)))
             out.append((term, int(tf), df, idf, contrib))
@@ -542,11 +594,11 @@ class IndexReader:
     def match_count(self, query_text: str) -> int:
         """Total-hits count: |union of the query terms' postings| — the
         result-count a search UI shows next to page 1.  Costs the same
-        postings decode the scorer pays (cached chunks), no scoring."""
-        ids: list[np.ndarray] = []
-        for term in set(tokenize(query_text, self.analyzer)):
-            for chunk in self._load_chunks(term):
-                ids.append(chunk[0])
+        postings decode the scorer pays (cached runs), no scoring."""
+        ids = [
+            self._load_chunks(t).docnos
+            for t in set(tokenize(query_text, self.analyzer))
+        ]
         if not ids:
             return 0
         return int(np.unique(np.concatenate(ids)).size)
@@ -554,19 +606,19 @@ class IndexReader:
     def _term_postings_raw(
         self, term: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(doc_nos, tfs, doclens) for one analyzed term, concatenated over
-        its (salted) chunks, UNDECORATED — the raw columns the impact
-        formula consumes, for scorers whose saturation must run on a
-        COMBINED tf (SynonymQuery) rather than per-term impacts."""
+        """(doc_nos, tfs, doclens) for one analyzed term, its (salted)
+        chunks merged into one docno-sorted run, UNDECORATED — the raw
+        columns the impact formula consumes, for scorers whose saturation
+        must run on a COMBINED tf (SynonymQuery) rather than per-term
+        impacts."""
         rows = self._chunk_rows(term)
         if not rows:
             e = np.empty(0, np.int64)
             return e, np.empty(0, np.float64), np.empty(0, np.float64)
         self._load_docmeta()
-        parts = [g.raw(row) for g, row in rows]
-        ids = np.concatenate([p[0] for p in parts]).astype(np.int64)
-        tfs = np.concatenate([p[1] for p in parts]).astype(np.float64)
-        return ids, tfs, self._docmeta[3][ids].astype(np.float64)
+        ids, tfs = _merge_salted([g.raw(row) for g, row in rows])
+        ids = ids.view(np.int64)
+        return ids, tfs.astype(np.float64), self._docmeta[3][ids].astype(np.float64)
 
     def search_synonyms(
         self, groups: list[list[str]], k: int = 10
@@ -602,8 +654,7 @@ class IndexReader:
             np.add.at(gtf, inv, tfs)
             gdl = np.zeros(u.size, np.float64)
             gdl[inv] = dls  # doclen is a doc property: identical per member
-            df = u.size
-            idf = float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
+            idf = self._idf(u.size)
             imps_l.append(
                 idf * (gtf * (k1 + 1.0) / (gtf + k1 * ((1.0 - b) + (b * gdl) / avgdl)))
             )
@@ -703,34 +754,38 @@ class IndexReader:
             "build if one was interrupted"
         )
 
-    def _load_chunks(self, term: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """All chunks (salted) for a term as (docnos, impacts,
-        block_last_doc, block_max_impact); cached.
+    def _load_chunks(self, term: str) -> _Run:
+        """A term's postings as ONE docno-sorted `_Run`, cached per term: a
+        hot term's salted chunks merge here once (`_merge_salted`), so every
+        scorer walks one run per term instead of one per salt.  A term with
+        no chunk in this index loads as an empty run.
 
-        Impacts are computed here from the stored tfs and the docmeta
-        doclens (gathered by docno) with the oracle's exact arithmetic
-        (dtype, op order, constants), so scores stay float64-bitwise-
-        identical; the block-max metadata is derived from them
-        (codec.block_metadata).  Neither is stored (schema.py
-        SEGMENT_SCHEMA).  Cached per term: warm-query latency is
-        unchanged."""
-        if term in self._chunk_cache:
-            return self._chunk_cache[term]
-        k1 = float(self.stats["k1"])
-        b = float(self.stats["b"])
-        avgdl = self.avgdl
-        chunks = []
+        Impacts are computed here from the stored tfs and each doc's length
+        normalization (`_doc_norm`, gathered by docno) with the oracle's
+        exact arithmetic (dtype, op order, constants), so scores stay
+        float64-bitwise-identical; the block-max metadata is derived from
+        them over the merged run (codec.block_metadata).  Neither is stored
+        (schema.py SEGMENT_SCHEMA)."""
+        run = self._chunk_cache.get(term)
+        if run is not None:
+            return run
         rows = self._chunk_rows(term)
+        run = _EMPTY_RUN
         if rows:
             self._load_docmeta()
-        for g, row in rows:
-            ids, tfs = g.raw(row)
+            ids, tfs = _merge_salted([g.raw(row) for g, row in rows])
+            ids = ids.view(np.int64)
             tfs = tfs.astype(np.float64)
-            dls = self._docmeta[3][ids.view(np.int64)].astype(np.float64)
-            impacts = tfs * (k1 + 1.0) / (tfs + k1 * ((1.0 - b) + (b * dls) / avgdl))
-            chunks.append((ids, impacts, *codec.block_metadata(ids, impacts)))
-        self._chunk_cache[term] = chunks
-        return chunks
+            # tf * (k1 + 1) / (tf + norm): the oracle's expression, its
+            # doc-only term gathered from _doc_norm
+            den = self._doc_norm[ids]
+            den += tfs
+            impacts = tfs * (float(self.stats["k1"]) + 1.0)
+            impacts /= den
+            last, bmax = codec.block_metadata(ids, impacts)
+            run = _Run(ids, impacts, last, bmax, float(bmax.max(initial=0.0)))
+        self._chunk_cache[term] = run
+        return run
 
     def _load_docmeta(self) -> None:
         """Load the compact per-doc metadata table emitted by the build's
@@ -763,6 +818,11 @@ class IndexReader:
                 order = order[keep]
         self._docmeta_order = order
         self._docmeta = (ids[order], codes[order], ts[order], dls[order], langs)
+        # each doc's BM25 length normalization, k1 * ((1 - b) + b * doclen /
+        # avgdl), in the oracle's op order: the doc-only term of every impact
+        k1 = float(self.stats["k1"])
+        b = float(self.stats["b"])
+        self._doc_norm = k1 * ((1.0 - b) + (b * dls[order].astype(np.float64)) / self.avgdl)
         # the deduped sorted order IS the dense-docno space the build's
         # segments encode (stats doc_range_bases) — a mismatch would mean
         # silently mis-keyed postings, so fail loudly instead
@@ -819,7 +879,9 @@ class IndexReader:
 
         At sandbox scale doc metadata is a cached in-memory column; at 10^12
         docs this becomes a partitioned filter bitmap keyed by docID range —
-        probing stays identical either way.
+        probing stays identical either way.  Without filters the result is
+        the reader's cached tombstone mask itself: callers never modify it
+        in place.
         """
         alive = self._tombstone_mask()
         ts_min, ts_max = ts_to_us(ts_min), ts_to_us(ts_max)
@@ -827,8 +889,7 @@ class IndexReader:
             lang_filter is None and ts_min is None and ts_max is None
             and url_contains is None and doc_ids_filter is None
         ):
-            # copy: callers (search_boolean) refine the mask in place
-            return alive.copy() if alive is not None else None
+            return alive
         self._load_docmeta()
         ids, lang_codes, ts, _dls, langs = self._docmeta
         mask = np.ones(ids.size, dtype=bool) if alive is None else alive.copy()
@@ -908,12 +969,12 @@ class IndexReader:
         (ILIKE '%x%'); ``doc_ids_filter`` an id allow-set (semi-join).
         """
         terms = sorted(set(tokenize(query_text, self.analyzer)))
-        term_chunks, total_postings = self._gather_chunks(terms)
+        runs, total_postings = self._gather_chunks(terms)
         pool = max(50, 10 * k) if prior_weight > 0.0 else k
         mask = self._filter_mask(
             lang_filter, ts_min, ts_max, url_contains, doc_ids_filter
         )
-        top = self._dispatch(term_chunks, pool, mask, method, total_postings)
+        top = self._dispatch(runs, pool, mask, method, total_postings)
         if prior_weight > 0.0:
             top = self._rerank(top, prior_weight)
         return self._docnos_to_ids(top[:k])
@@ -933,59 +994,56 @@ class IndexReader:
         ids = self._docmeta[0]
         return [(int(ids[d]), s) for d, s in pool]
 
-    def _gather_chunks(self, terms) -> tuple[list[tuple[str, float, list]], int]:
-        """Decode (cached) posting chunks for a sorted unique term list."""
-        term_chunks: list[tuple[str, float, list]] = []
+    def _gather_chunks(self, terms) -> tuple[list[tuple[str, float, _Run]], int]:
+        """(term, idf, cached run) for each term of a sorted unique term
+        list that has postings here, and their summed posting count."""
+        runs: list[tuple[str, float, _Run]] = []
         total_postings = 0
         for t in terms:
-            if self._df.get(t, 0) <= 0:
+            df = self._df.get(t, 0)
+            if df <= 0:
                 continue
-            w = self.idf(t)
-            chunks = [c for c in self._load_chunks(t) if c[0].size]
-            if chunks:
-                term_chunks.append((t, w, chunks))
-                total_postings += sum(c[0].size for c in chunks)
-        return term_chunks, total_postings
+            run = self._load_chunks(t)
+            if run.docnos.size:
+                runs.append((t, self._idf(df), run))
+                total_postings += run.docnos.size
+        return runs, total_postings
 
     def _dispatch(
-        self, term_chunks, pool: int, mask, method: str, total_postings: int
+        self, runs, pool: int, mask, method: str, total_postings: int
     ) -> list[tuple[int, float]]:
         """Route to the cheapest exact scoring path (shared by search and
         search_boolean — every path returns the same ranked list of
         (docno, score); callers map docnos to doc_ids at the API boundary).
         The (score DESC, docno ASC) tie-break equals the oracle's
         (score DESC, doc_id ASC): docnos are doc_id ranks, hence monotone."""
-        if not term_chunks:
+        if not runs:
             return []
         use_vec = method == "vectorized" or (
             method == "auto" and total_postings <= self.VECTORIZED_POSTINGS_LIMIT
         )
-        if method == "auto" and len(term_chunks) == 1:
+        if method == "auto" and len(runs) == 1:
             # single-term query: exact top-k straight off the term's own
             # impacts — O(df) work and memory, no dense n_docs array and no
             # document-at-a-time pivoting (which degenerates on head terms:
             # nothing prunes when every doc matches the only term)
-            return self._single_term(term_chunks[0], pool, mask)
+            return self._single_term(runs[0], pool, mask)
         if method == "auto" and total_postings * 4 <= self.n_docs:
             # selective multi-term query: sparse accumulation over the
             # candidate postings only (sort + reduceat) — O(p log p) for p
             # postings instead of allocating and scanning O(n_docs) dense
             # arrays; float64-identical to the dense path (same per-doc
             # term-order summation)
-            return self._sparse(term_chunks, pool, mask)
+            return self._sparse(runs, pool, mask)
         if method in ("auto", "maxscore"):
             # multi-term with a head term: MaxScore pruning keeps the work
             # proportional to the SELECTIVE terms' postings instead of the
             # head term's (the dense scan is O(n_docs + total_postings)
             # per query no matter how selective the query is)
-            return self._maxscore(term_chunks, pool, mask)
+            return self._maxscore(runs, pool, mask)
         if use_vec:
-            return self._vectorized(term_chunks, pool, mask)
-        cursors = [
-            _Cursor(t, w, ids, impacts, bl, bm)
-            for t, w, chunks in term_chunks
-            for ids, impacts, bl, bm in chunks
-        ]
+            return self._vectorized(runs, pool, mask)
+        cursors = [_Cursor(t, w, run) for t, w, run in runs]
         return self._bmw(cursors, pool, self._allowed_fn(mask))
 
     def search_boolean(
@@ -1053,32 +1111,26 @@ class IndexReader:
         excluded = sorted(set(bq.must_not) | set(exp_not))
         if required or excluded or must_groups:
             n = self._docno_count
-            if mask is None:
-                mask = np.ones(n, dtype=bool)
-            for t in required:
-                pres = np.zeros(n, dtype=bool)
-                for ci, (ids, _imp, _bl, _bm) in enumerate(self._load_chunks(t)):
-                    pres[self._chunk_positions(t, ci, ids)] = True
-                mask &= pres
-            for g in must_groups:  # >=1 member present (union, then AND)
+            # refined in place below: a copy, never the reader's cached
+            # tombstone mask
+            mask = np.ones(n, dtype=bool) if mask is None else mask.copy()
+            # each required term, and each must-prefix group: >=1 member
+            # present (union, then AND)
+            for g in [[t] for t in required] + must_groups:
                 pres = np.zeros(n, dtype=bool)
                 for t in g:
-                    for ci, (ids, _imp, _bl, _bm) in enumerate(
-                        self._load_chunks(t)
-                    ):
-                        pres[self._chunk_positions(t, ci, ids)] = True
+                    pres[self._load_chunks(t).docnos] = True
                 mask &= pres
             for t in excluded:
-                for ci, (ids, _imp, _bl, _bm) in enumerate(self._load_chunks(t)):
-                    mask[self._chunk_positions(t, ci, ids)] = False
+                mask[self._load_chunks(t).docnos] = False
             if not mask.any():
                 return []
-        term_chunks, total_postings = self._gather_chunks(scoring)
-        if not term_chunks:
+        runs, total_postings = self._gather_chunks(scoring)
+        if not runs:
             return []
         if not bq.phrases and not bq.not_phrases:
             return self._docnos_to_ids(
-                self._dispatch(term_chunks, k, mask, method, total_postings)[:k]
+                self._dispatch(runs, k, mask, method, total_postings)[:k]
             )
         verified: dict[int, bool] = {}  # keyed by docno
 
@@ -1119,7 +1171,7 @@ class IndexReader:
         bound = int(mask.sum()) if (required or must_groups) else None
         pool = max(50, 4 * k)
         while True:
-            top = self._dispatch(term_chunks, pool, mask, method, total_postings)
+            top = self._dispatch(runs, pool, mask, method, total_postings)
             out: list[tuple[int, float]] = []
             if self.has_positions:
                 # batched-vectorized, GEOMETRIC steps: each _verify_batch
@@ -1198,13 +1250,16 @@ class IndexReader:
 
     # ---- positional phrase evaluation (store_positions=True indexes) -----
     def _token_positions(self, term: str):
-        """Decoded per-chunk (doc_ids, posting offsets, flat positions) for a
-        term — read from the segment files' positions column on demand
-        (scoring reads never load it), LRU-cached per term."""
+        """[(doc_ids, posting offsets, flat positions)] for a term (empty
+        when the index lacks it): one docno-sorted run, a hot term's salted
+        chunks merged by `_merge_salted` as in `_load_chunks`, so phrase
+        verification probes one run per term.  Read from the segment
+        files' positions column on demand (scoring reads never load it),
+        LRU-cached per term."""
         data = self._tpos_cache.get(term)
         if data is None:
             bg = term_bucket(term) % NUM_BUCKET_GROUPS
-            data = []
+            chunks, flats, base = [], [], 0
             for rg, row in self._lex.chunks(term):
                 # a bucket group with no terms has no segment file: open it
                 # only for a term the lexicon holds
@@ -1214,33 +1269,23 @@ class IndexReader:
                 if g.term(row) != term:
                     self._changed()
                 ids, lens = g.raw(row)
-                offs = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
-                data.append((ids, offs, g.positions(row).astype(np.int32)))
-            if len(data) > 1:
-                # merge a hot term's salted chunks into ONE sorted run once
-                # at decode time (cached): phrase verification probes every
-                # chunk per batch, so 8 salt chunks made each verify pass
-                # pay 8 searchsorteds per term — the dominant cost of
-                # BENCH_r04's bool_query_pos p95 (sparse-match phrases)
-                ids = np.concatenate([d[0] for d in data])
-                run_lens = np.concatenate([np.diff(d[1]) for d in data])
-                flat_all = np.concatenate([d[2] for d in data])
-                bases = np.cumsum([0] + [d[2].size for d in data[:-1]])
-                run_starts = np.concatenate(
-                    [d[1][:-1] + b for d, b in zip(data, bases)]
-                )
-                order = np.argsort(ids, kind="stable")
-                ids_s = ids[order]
-                lens_s = run_lens[order]
-                starts_s = run_starts[order]
-                offs_s = np.concatenate(([0], np.cumsum(lens_s)))
-                total = int(offs_s[-1])
-                gather = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(offs_s[:-1], lens_s)
-                    + np.repeat(starts_s, lens_s)
-                )
-                data = [(ids_s, offs_s, flat_all[gather])]
+                lens = lens.astype(np.int64)
+                # each posting's start in the chunks' concatenated positions
+                chunks.append((ids, lens, np.cumsum(lens) - lens + base))
+                flats.append(g.positions(row))
+                base += flats[-1].size
+            data = []
+            if chunks:
+                ids, lens, starts = _merge_salted(chunks)
+                offs = np.concatenate(([0], np.cumsum(lens)))
+                flat = np.concatenate(flats).astype(np.int32)
+                if len(chunks) > 1:
+                    flat = flat[
+                        np.arange(offs[-1], dtype=np.int64)
+                        - np.repeat(offs[:-1], lens)
+                        + np.repeat(starts, lens)
+                    ]
+                data = [(ids, offs, flat)]
             self._tpos_cache[term] = data
         return data
 
@@ -1336,18 +1381,8 @@ class IndexReader:
             ok &= ~self._phrase_present_many(arr, p, s)
         return ok
 
-    def _chunk_positions(self, term: str, chunk_i: int, ids: np.ndarray) -> np.ndarray:
-        """Positions of a chunk's docs within the global sorted doc table.
-
-        FORMAT_VERSION 9 segments store dense docnos — each doc's rank in
-        the doc_id-sorted docmeta order — so a chunk's ids ARE its docmeta
-        positions: the per-(term, chunk) searchsorted + position cache of
-        v8 (the expensive part of a cold query, plus 4 B/posting of cached
-        int32 per reader) is gone entirely."""
-        return ids.view(np.int64)
-
     def _single_term(
-        self, tc, k: int, mask: np.ndarray | None
+        self, tr, k: int, mask: np.ndarray | None
     ) -> list[tuple[int, float]]:
         """Exact top-k for a one-term query via block-max pruning.
 
@@ -1360,41 +1395,27 @@ class IndexReader:
         O(k) blocks instead of the full O(df) posting list.  Scores are the
         bitwise-identical idf * impact float64 product of the exhaustive
         paths."""
-        from .schema import BLOCK_SIZE
-
-        t, w, chunks = tc
-        bms, cis, bstarts = [], [], []
-        for ci, (ids, impacts, _bl, bm) in enumerate(chunks):
-            if bm.size == 0:
-                continue
-            bms.append(bm)
-            cis.append(np.full(bm.size, ci, dtype=np.int32))
-            bstarts.append(np.arange(bm.size, dtype=np.int64) * BLOCK_SIZE)
-        if not bms:
-            return []
-        bms = np.concatenate(bms)
-        cis = np.concatenate(cis)
-        bstarts = np.concatenate(bstarts)
+        _t, w, run = tr
+        ids, impacts, bms = run.docnos, run.impacts, run.block_max
         order = np.argsort(-bms, kind="stable")
+        lanes = np.arange(BLOCK_SIZE, dtype=np.int64)
         g_ids: list[np.ndarray] = []
         g_sc: list[np.ndarray] = []
         n_got = 0
         i = 0
         slab = max(1, (k + BLOCK_SIZE - 1) // BLOCK_SIZE + 1)
         while i < order.size:
-            for b in order[i : i + slab]:
-                ci = int(cis[b])
-                s0 = int(bstarts[b])
-                ids, impacts, _, _ = chunks[ci]
-                e0 = min(s0 + BLOCK_SIZE, ids.size)
-                bi, bsc = ids[s0:e0], w * impacts[s0:e0]
-                if mask is not None:
-                    keep = mask[self._chunk_positions(t, ci, ids)[s0:e0]]
-                    bi, bsc = bi[keep], bsc[keep]
-                if bi.size:
-                    g_ids.append(bi)
-                    g_sc.append(bsc)
-                    n_got += bi.size
+            # the postings of the next `slab` blocks (the last block of the
+            # run may be short)
+            p = (order[i : i + slab, None] * BLOCK_SIZE + lanes).ravel()
+            p = p[p < ids.size]
+            bi, bsc = ids[p], w * impacts[p]
+            if mask is not None:
+                keep = mask[bi]
+                bi, bsc = bi[keep], bsc[keep]
+            g_ids.append(bi)
+            g_sc.append(bsc)
+            n_got += bi.size
             i += slab
             slab *= 2  # geometric: O(log) python rounds even on full scans
             if n_got >= k and i < order.size:
@@ -1406,38 +1427,27 @@ class IndexReader:
                     break
         if n_got == 0:
             return []
-        ids = np.concatenate(g_ids)
-        sc = np.concatenate(g_sc)
-        kk = min(k, ids.size)
-        thr = -np.partition(-sc, kk - 1)[kk - 1]
-        cut = sc >= thr  # tie-closed candidate set, then exact ordering
-        cids, csc = ids[cut], sc[cut]
-        order = np.lexsort((cids, -csc))[:kk]
-        return [(int(d), float(s)) for d, s in zip(cids[order], csc[order])]
+        return _top_k(np.concatenate(g_ids), np.concatenate(g_sc), k)
 
     def _sparse(
-        self, term_chunks, k: int, mask: np.ndarray | None
+        self, runs, k: int, mask: np.ndarray | None
     ) -> list[tuple[int, float]]:
-        """Sparse exact scoring: gather the matching postings' docmeta
-        positions, rank them against the (unique) candidate set, then
-        scatter-add each (term, chunk)'s idf*impact contributions IN
-        ASCENDING TERM ORDER.  A doc's contributions then add in the
-        identical left-to-right sequence the dense path applies (term by
-        term, starting from +0.0), so scores are bitwise equal — a
-        reduceat over per-doc runs is NOT (ufunc.reduce associates
-        pairwise: c1+(c2+c3) vs ((0+c1)+c2)+c3 differs by an ULP)."""
+        """Sparse exact scoring: gather the matching postings' docnos,
+        rank them against the (unique) candidate set, then scatter-add
+        each term's idf*impact contributions IN ASCENDING TERM ORDER.  A
+        doc's contributions then add in the identical left-to-right
+        sequence the dense path applies (term by term, starting from
+        +0.0), so scores are bitwise equal — a reduceat over per-doc runs
+        is NOT (ufunc.reduce associates pairwise: c1+(c2+c3) vs
+        ((0+c1)+c2)+c3 differs by an ULP)."""
         pos_l, sc_l = [], []
-        for t, w, chunks in term_chunks:  # term_chunks is term-sorted
-            for ci, (ids, impacts, _, _) in enumerate(chunks):
-                pos = self._chunk_positions(t, ci, ids)
-                sc = w * impacts
-                if mask is not None:
-                    keep = mask[pos]
-                    pos, sc = pos[keep], sc[keep]
-                pos_l.append(pos)
-                sc_l.append(sc)
-        if not pos_l:
-            return []
+        for _t, w, run in runs:  # runs is term-sorted
+            pos, sc = run.docnos, w * run.impacts
+            if mask is not None:
+                keep = mask[pos]
+                pos, sc = pos[keep], sc[keep]
+            pos_l.append(pos)
+            sc_l.append(sc)
         pos = np.concatenate(pos_l)
         if pos.size == 0:
             return []
@@ -1445,25 +1455,19 @@ class IndexReader:
         scores = np.zeros(upos.size, dtype=np.float64)
         off = 0
         for sc_part in sc_l:  # term-ascending: oracle FP addition order
-            # positions are unique within a chunk, so the scatter-add is a
+            # docnos are unique within a run, so the scatter-add is a
             # plain assignment-accumulate per doc
             scores[inv[off : off + sc_part.size]] += sc_part
             off += sc_part.size
-        ids = upos  # positions ARE docnos; doc_id mapping happens at the API
-        kk = min(k, ids.size)
-        thr = -np.partition(-scores, kk - 1)[kk - 1]
-        cut = scores >= thr
-        cids, csc = ids[cut], scores[cut]
-        order = np.lexsort((cids, -csc))[:kk]
-        return [(int(d), float(s)) for d, s in zip(cids[order], csc[order])]
+        return _top_k(upos, scores, k)
 
     # when the essential-term candidate union approaches the corpus size the
-    # dense scatter (O(n_docs + postings), sequential writes) beats per-term
-    # binary search (O(chunks * u log df)); fall back past this fraction
+    # dense scatter (O(n_docs + postings), sequential writes) beats the
+    # candidate union's sort and random probes; fall back past this fraction
     _MAXSCORE_DENSE_FRACTION = 4
 
     def _maxscore(
-        self, term_chunks, k: int, mask: np.ndarray | None
+        self, runs, k: int, mask: np.ndarray | None
     ) -> list[tuple[int, float]]:
         """Vectorized MaxScore (Turtle & Flood 1995 term-at-a-time pruning,
         re-expressed as numpy set algebra) — exact, oracle-identical.
@@ -1474,45 +1478,28 @@ class IndexReader:
            above it, so no doc scoring strictly below theta0 can reach the
            top k even on ties.
         2. Essential terms: sort terms by ascending score upper bound
-           (idf * max block impact); the longest prefix whose cumulative
-           bound stays strictly below theta0 is non-essential — a doc
-           matching ONLY those terms scores < theta0.  On web corpora the
-           Zipf-head terms (df ~ n_docs, tiny idf) land in that prefix, so
-           candidate generation skips their million-entry posting lists.
+           (idf * the run's max impact); the longest prefix whose
+           cumulative bound stays strictly below theta0 is non-essential —
+           a doc matching ONLY those terms scores < theta0.  On web corpora
+           the Zipf-head terms (df ~ n_docs, tiny idf) land in that prefix,
+           so candidate generation skips their million-entry posting lists.
         3. Candidates: union of the essential terms' postings (masked).
         4. Exact scoring: every term's contributions are gathered onto the
-           sorted candidate array via binary search, accumulating in
-           ascending lexicographic term order starting from +0.0 — the
-           identical FP addition sequence as the dense path / oracle.
+           candidate array, accumulating in ascending lexicographic term
+           order starting from +0.0 — the identical FP addition sequence as
+           the dense path / oracle.
         """
-        if not term_chunks:
-            return []
-        n = len(term_chunks)
-        ubs = np.zeros(n, dtype=np.float64)
-        sizes = np.zeros(n, dtype=np.int64)
-        for i, (t, w, chunks) in enumerate(term_chunks):
-            m = 0.0
-            for _ids, _imp, _bl, bm in chunks:
-                if bm.size:
-                    m = max(m, float(bm.max()))
-            ubs[i] = w * m
-            sizes[i] = sum(c[0].size for c in chunks)
+        ubs = np.array([w * run.max_impact for _t, w, run in runs])
+        sizes = np.array([run.docnos.size for _t, _w, run in runs])
         # --- theta0 (ub-descending; a term whose ub <= theta cannot raise it)
         theta = -np.inf
         for i in np.argsort(-ubs, kind="stable"):
             if ubs[i] <= theta:
                 break
-            t, w, chunks = term_chunks[i]
-            parts = []
-            for ci, (ids, impacts, _, _) in enumerate(chunks):
-                sc = w * impacts
-                if mask is not None:
-                    sc = sc[mask[self._chunk_positions(t, ci, ids)]]
-                if sc.size:
-                    parts.append(sc)
-            if not parts:
-                continue
-            sc = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            _t, w, run = runs[i]
+            sc = w * run.impacts
+            if mask is not None:
+                sc = sc[mask[run.docnos]]
             if sc.size >= k:
                 theta = max(theta, float(-np.partition(-sc, k - 1)[k - 1]))
         # --- essential set
@@ -1524,15 +1511,10 @@ class IndexReader:
             int(sizes[essential].sum()) * self._MAXSCORE_DENSE_FRACTION
             > self.n_docs
         ):
-            return self._vectorized(term_chunks, k, mask)
+            return self._vectorized(runs, k, mask)
         # --- candidate union (essential postings only, masked)
-        cand_parts = []
-        for i in np.sort(essential):
-            t, _w, chunks = term_chunks[i]
-            for ci, (ids, _imp, _, _) in enumerate(chunks):
-                cand_parts.append(self._chunk_positions(t, ci, ids))
-        cand = np.unique(np.concatenate(cand_parts)) if cand_parts else np.empty(0, np.int64)
-        if mask is not None and cand.size:
+        cand = np.unique(np.concatenate([runs[i][2].docnos for i in essential]))
+        if mask is not None:
             cand = cand[mask[cand]]
         if cand.size == 0:
             return []
@@ -1550,57 +1532,34 @@ class IndexReader:
         crank[cand] = np.arange(cand.size, dtype=np.int32)
         scores = np.zeros(cand.size, dtype=np.float64)
         try:
-            for t, w, chunks in term_chunks:  # term_chunks is term-sorted
-                for ci, (ids, impacts, _, _) in enumerate(chunks):
-                    pos = self._chunk_positions(t, ci, ids)
-                    if pos.size == 0:
-                        continue
-                    sel = cmask[pos]
-                    scores[crank[pos[sel]]] += w * impacts[sel]
+            for _t, w, run in runs:  # runs is term-sorted
+                sel = cmask[run.docnos]
+                scores[crank[run.docnos[sel]]] += w * run.impacts[sel]
         finally:
             cmask[cand] = False
-        ids = cand  # candidates ARE docnos; doc_id mapping happens at the API
-        kk = min(k, ids.size)
-        thr = -np.partition(-scores, kk - 1)[kk - 1]
-        cut = scores >= thr
-        cids, csc = ids[cut], scores[cut]
-        order = np.lexsort((cids, -csc))[:kk]
-        return [(int(d), float(s)) for d, s in zip(cids[order], csc[order])]
+        return _top_k(cand, scores, k)
 
     def _vectorized(
-        self, term_chunks, k: int, mask: np.ndarray | None
+        self, runs, k: int, mask: np.ndarray | None
     ) -> list[tuple[int, float]]:
         """Exhaustive vectorized scoring, oracle-identical float64 results.
 
-        Scores accumulate into a dense array indexed by each doc's position
-        in the sorted global doc table.  Terms are accumulated in ascending
-        lexicographic order and each doc appears in exactly one chunk per
-        term, so every doc's score is the same FP addition sequence the
+        Scores accumulate into a dense array indexed by docno (each doc's
+        position in the sorted global doc table).  Terms are accumulated in
+        ascending lexicographic order and each doc appears once per term's
+        run, so every doc's score is the same FP addition sequence the
         oracle performs."""
-        if not term_chunks:
-            return []
         scores = np.zeros(self._docno_count, dtype=np.float64)
         touched = np.zeros(self._docno_count, dtype=bool)
-        for t, w, chunks in term_chunks:  # term_chunks is term-sorted
-            for ci, (ids, impacts, _, _) in enumerate(chunks):
-                pos = self._chunk_positions(t, ci, ids)
-                scores[pos] += w * impacts  # unique positions within a chunk
-                touched[pos] = True
+        for _t, w, run in runs:  # runs is term-sorted
+            scores[run.docnos] += w * run.impacts  # unique docnos within a run
+            touched[run.docnos] = True
         if mask is not None:
             touched &= mask
         cand = np.nonzero(touched)[0]
         if cand.size == 0:
             return []
-        kk = min(k, cand.size)
-        cscores = scores[cand]
-        # exact top-k under (score DESC, doc_id ASC): take everything at or
-        # above the kk-th score, then lexsort that (small) tie-closed set
-        thr = -np.partition(-cscores, kk - 1)[kk - 1]
-        top = cand[cscores >= thr]
-        tscores = scores[top]
-        tids = top  # docnos; doc_id mapping happens at the API boundary
-        order = np.lexsort((tids, -tscores))[:kk]
-        return [(int(d), float(s)) for d, s in zip(tids[order], tscores[order])]
+        return _top_k(cand, scores[cand], k)
 
     def _bmw(self, cursors: list[_Cursor], k: int, allowed) -> list[tuple[int, float]]:
         """Block-Max WAND with a bounded min-heap of size k."""
@@ -1690,12 +1649,11 @@ class IndexReader:
         if not pool:
             return pool
         self._load_docmeta()
-        dls = self._docmeta[3]
-        rescored = [
-            # pool entries are docnos = docmeta positions: direct gather
-            (d, s + prior_weight * float(np.log1p(int(dls[d]))))
-            for d, s in pool
-        ]
+        # pool entries are docnos = docmeta positions: one gather, one log1p
+        # (bitwise equal to the oracle's per-doc scalar np.log1p)
+        docnos = np.fromiter((d for d, _ in pool), np.int64, len(pool))
+        prior = prior_weight * np.log1p(self._docmeta[3][docnos])
+        rescored = [(d, s + float(p)) for (d, s), p in zip(pool, prior)]
         rescored.sort(key=lambda kv: (-kv[1], kv[0]))
         return rescored
 

@@ -6,7 +6,9 @@
 
 Default (warm): p50/p95 over the 73-query conformance set after a warming
 pass, plus a breakdown of the slowest queries (term count, total postings,
-filtered).  ``--cold``: every query on a fresh IndexReader (nothing cached),
+filtered).  The warm and ``--cold`` modes run each conformance query as
+specified, with its lang / crawl-time filters and rerank prior.
+``--cold``: every query on a fresh IndexReader (nothing cached),
 printing p50/p95 and the segment row groups and compressed bytes each query
 reads.  ``--bool``: BOOL_QUERIES boolean phrase queries (phrases sampled
 from the doc store, so they match) run twice on one reader, the first pass
@@ -34,6 +36,15 @@ from engine.segments import RowGroup
 BOOL_QUERIES = 40
 
 
+def search(reader: IndexReader, q: dict) -> list:
+    """One conformance query with its filters and rerank prior."""
+    return reader.search(
+        q["query_text"], k=q["k"], lang_filter=q["lang_filter"],
+        ts_min=q["ts_min"], ts_max=q["ts_max"],
+        prior_weight=q["prior_weight"] or 0.0,
+    )
+
+
 def cold(index_dir: str, qtbl: list[dict]) -> None:
     """One fresh reader per query; row groups and bytes come from the
     segment files' footers for each row group the reader had to read.  Doc
@@ -53,7 +64,7 @@ def cold(index_dir: str, qtbl: list[dict]) -> None:
         reader._bucket_rows = counted
         reader._load_docmeta()
         t0 = time.perf_counter()
-        reader.search(q["query_text"], k=q["k"])
+        search(reader, q)
         lat.append((time.perf_counter() - t0) * 1e3)
         size = 0
         for bg, rg in reads:
@@ -181,7 +192,7 @@ def main() -> None:
 
     # warm pass
     for q in qtbl:
-        reader.search(q["query_text"], k=q["k"])
+        search(reader, q)
 
     rows = []
     for q in qtbl:
@@ -190,7 +201,7 @@ def main() -> None:
         best = None
         for _ in range(3):
             t0 = time.perf_counter()
-            reader.search(q["query_text"], k=q["k"])
+            search(reader, q)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         rows.append((best * 1e3, len(terms), postings, q["query_id"],

@@ -15,6 +15,7 @@ from engine._testing import segment_rows
 from engine.build import build_index
 from engine.oracle import OracleIndex, expected_topk_table
 from engine.query import IndexReader
+from engine.schema import ts_to_us
 
 N_DOCS = 1000
 
@@ -141,9 +142,9 @@ def test_sparse_path_bitwise_equals_dense(built_index):
         terms = sorted(set(t for t in q.split()))
         tcs = []
         for t in terms:
-            chunks = [c for c in r._load_chunks(t) if c[0].size]
-            if chunks:
-                tcs.append((t, r.idf(t), chunks))
+            run = r._load_chunks(t)
+            if run.docnos.size:
+                tcs.append((t, r.idf(t), run))
         for mask in (None, r._filter_mask("en", None, None)):
             assert r._sparse(tcs, 10, mask) == r._vectorized(tcs, 10, mask)
 
@@ -279,8 +280,8 @@ def test_lexicon_point_reads(built_index, monkeypatch):
         assert (r.df(term) > thr) == hot
         addr = r._lex.chunks(term)
         calls.clear()
-        chunks = r._load_chunks(term)
-        assert sum(c[0].size for c in chunks) == r.df(term)
+        run = r._load_chunks(term)
+        assert run.docnos.size == r.df(term)
         bg = term_bucket(term) % NUM_BUCKET_GROUPS
         assert {pf for pf, _ in calls} == {r._seg_files[bg]}
         assert sorted(i for _, i in calls) == sorted({rg for rg, _ in addr})
@@ -370,3 +371,114 @@ def test_fetch_docs_keeps_latest_loser_row(built_index, tmp_path):
         got = r.fetch_docs([older, newer], columns=cols)
         # rows sharing a doc_id come back doc_id-sorted, one per id
         assert got["text"].to_pylist() == [want[d] for d in ids], cols
+
+
+def test_salted_term_loads_as_one_merged_run(built_index):
+    """A salted hot term (df > HOT_TERM_DF_FRACTION * N, one stored chunk
+    per salt) loads as ONE docno-sorted run: its docnos are the sorted
+    union of the stored chunks, its impacts the oracle formula over their
+    tfs, its block metadata codec.block_metadata over the merged run."""
+    from engine import codec
+    from engine.schema import HOT_TERM_DF_FRACTION
+
+    _, index_dir, _ = built_index
+    r = IndexReader(index_dir)
+    r._load_docmeta()
+    segs = segment_rows(index_dir)
+    hot = synth.HEAD_TERMS[0]
+    assert r.df(hot) > HOT_TERM_DF_FRACTION * r.n_docs
+    rows = segs.filter(pc.equal(segs["term"], hot))
+    assert len(set(rows["salt"].to_pylist())) == rows.num_rows > 1
+    ids = pc.list_flatten(rows["doc_ids"]).to_numpy().astype(np.int64)
+    tfs = pc.list_flatten(rows["tfs"]).to_numpy().astype(np.float64)
+    order = np.argsort(ids)
+    ids, tfs = ids[order], tfs[order]
+
+    run = r._load_chunks(hot)
+    assert np.array_equal(run.docnos, ids)
+    assert np.all(np.diff(run.docnos) > 0)
+    k1, b = float(r.stats["k1"]), float(r.stats["b"])
+    dls = r._docmeta[3][ids].astype(np.float64)
+    want = tfs * (k1 + 1.0) / (tfs + k1 * ((1.0 - b) + (b * dls) / r.avgdl))
+    assert np.array_equal(run.impacts, want)
+    last, mx = codec.block_metadata(run.docnos, run.impacts)
+    assert np.array_equal(run.block_last, last)
+    assert np.array_equal(run.block_max, mx)
+    assert run.max_impact == want.max()
+    assert r._load_chunks(hot) is run  # cached per term
+
+
+def test_methods_oracle_identical_on_salted_and_unsalted_terms(built_index, tmp_path):
+    """`auto` and every forced method return the oracle's ranking and
+    float64 scores on queries mixing salted and unsalted terms, under
+    lang/ts filters and tombstones (deleted docs drop out of the oracle's
+    ranking; stats stay as-built until compaction).  Boolean must /
+    must-not queries compose the same masks, and never modify the
+    reader's cached tombstone mask."""
+    import shutil
+
+    from engine.build import delete_docs
+
+    _, index_dir, _ = built_index
+    copy = str(tmp_path / "index")
+    shutil.copytree(index_dir, copy)
+    r = IndexReader(copy)
+    terms = sorted(r._lex.terms.tolist())
+    hot = [t for t in terms if len(r._lex.chunks(t)) > 1]
+    cold = [t for t in terms if len(r._lex.chunks(t)) == 1 and r.df(t) >= 5]
+    assert len(hot) >= 4 and len(cold) >= 12
+    queries = []
+    for i in range(4):
+        h1, h2 = hot[i], hot[(i + 1) % len(hot)]
+        c1, c2 = cold[3 * i], cold[3 * i + 1]
+        queries += [f"{h1} {c1}", f"{h1} {h2} {c2}", f"{c1} {c2} {h2}"]
+    dead = {d for d, _ in r.search(f"{hot[0]} {cold[0]}", k=3)}
+    dead |= {d for d, _ in r.search(hot[1], k=2)}
+    delete_docs(copy, doc_ids=sorted(dead))
+
+    oracle = OracleIndex(synth.gen_pages_table(N_DOCS))
+    ts = [q for q in synth.gen_queries_table(73).to_pylist() if q["ts_min"] is not None][0]
+    filters = [
+        {}, {"lang_filter": "en"},
+        {"ts_min": ts["ts_min"], "ts_max": ts["ts_max"]},
+    ]
+    r = IndexReader(copy)
+    assert r._tombstone_mask() is not None
+    alive = r._tombstone_mask().copy()
+    extra = len(dead)
+    hits = 0
+    for q in queries:
+        for f in filters:
+            o = {k: ts_to_us(v) if k.startswith("ts") else v for k, v in f.items()}
+            want = [h for h in oracle.search(q, k=10 + extra, **o) if h[0] not in dead][:10]
+            hits += len(want)
+            for method in ("auto", "bmw", "maxscore", "vectorized"):
+                assert r.search(q, k=10, method=method, **f) == want, (q, f, method)
+        a, b, *_ = q.split()
+        for bq in (f"+{a} {b}", f"{a} {b} -{hot[2]}", f"+{b} -{a}"):
+            want = [h for h in oracle.search_boolean(bq, k=10 + extra) if h[0] not in dead][:10]
+            for method in ("auto", "bmw", "maxscore", "vectorized"):
+                assert r.search_boolean(bq, k=10, method=method) == want, (bq, method)
+    assert hits > 0
+    assert r._filter_mask(None, None, None) is r._tombstone_mask()
+    assert np.array_equal(r._tombstone_mask(), alive)
+
+
+def test_rerank_prior_bitwise_equals_oracle_scalar():
+    """The doclen prior of the two-stage rerank, one gather and one
+    vectorized log1p over the pool, equals the oracle's per-doc scalar
+    `float(np.log1p(doclen))` bitwise over a wide range of doclens."""
+    rng = np.random.default_rng(11)
+    dls = np.concatenate([
+        np.arange(1 << 17, dtype=np.int64),
+        rng.integers(1 << 17, 1 << 31, 100_000, dtype=np.int64),
+    ])
+    r = IndexReader.__new__(IndexReader)
+    r._docmeta = (None, None, None, dls, None)  # only doclens are read
+    pool = [(d, float(s)) for d, s in enumerate(rng.random(dls.size) * 20.0)]
+    for w in (0.25, 1.0, 3.7):
+        want = [
+            (d, s + w * float(np.log1p(int(dls[d])))) for d, s in pool
+        ]
+        want.sort(key=lambda kv: (-kv[1], kv[0]))
+        assert r._rerank(pool, w) == want
