@@ -18,7 +18,7 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline on sf0.001: full inverted-index build over the
     documents table (extract -> tokenizer actor pool -> salted groupby(term)
-    merge -> compressed segments) + Block-Max-WAND BM25 top-k."""
+    merge -> compressed segments) + exact BM25 top-k."""
     from engine.ops.docsearch import bm25_docs_topk
 
     return bm25_docs_topk("/root/testdata/sf0.001")

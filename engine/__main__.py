@@ -3,8 +3,7 @@
     python -m engine synth  OUT_DIR --docs 10000 --files 8
     python -m engine build  PAGES_DIR INDEX_DIR [--partitions 8] [--docs-table]
     python -m engine query  INDEX_DIR "query terms" [-k 10] [--lang en]
-                            [--rerank W] [--method auto|bmw|vectorized]
-                            [--snippets]
+                            [--rerank W] [--snippets]
     python -m engine suggest  INDEX_DIR TERM          # did-you-mean
     python -m engine complete INDEX_DIR PREFIX [-k 8] # autocomplete
 
@@ -42,7 +41,6 @@ def main(argv=None) -> int:
     pq.add_argument("-k", type=int, default=10)
     pq.add_argument("--lang", default=None)
     pq.add_argument("--rerank", type=float, default=0.0)
-    pq.add_argument("--method", default="auto", choices=["auto", "bmw", "vectorized"])
     pq.add_argument("--snippets", action="store_true")
 
     pg = sub.add_parser("suggest", help="did-you-mean for a (misspelled) term")
@@ -85,7 +83,7 @@ def main(argv=None) -> int:
             reader = IndexReader(args.index_dir)
             res = reader.search(
                 args.query_text, k=args.k, lang_filter=args.lang,
-                prior_weight=args.rerank, method=args.method,
+                prior_weight=args.rerank,
             )
             docs = reader.fetch_docs(
                 [d for d, _ in res],

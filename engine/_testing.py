@@ -1,5 +1,6 @@
-"""Test helpers: chaos extractors for the extraction sandbox, and a direct
-reader of an index's segment layout.
+"""Test helpers: chaos extractors for the extraction sandbox, a direct
+reader of an index's segment layout, and a scoring-path override for
+`IndexReader`.
 
 `hang_on_poison` stands in for a parser with a catastrophic-backtracking
 input class: any page containing the POISON marker spins forever (only
@@ -66,3 +67,18 @@ def segment_rows(index_dir: str) -> pa.Table:
         return pa.table({"term": pa.array([], pa.string()),
                          "file": pa.array([], pa.string())})
     return pa.concat_tables(tabs)
+
+
+def force_scorer(reader, path: str) -> None:
+    """Send every scoring call of `reader` to one internal path ("maxscore"
+    -> `reader._maxscore`, "vectorized" -> `reader._vectorized`) instead of
+    the one `_dispatch` picks, so a test can hold that path to the oracle
+    on every query shape; "auto" leaves the dispatch as it is."""
+    if path == "auto":
+        return
+    scorer = getattr(reader, "_" + path)
+
+    def dispatch(runs, pool, mask, _total_postings):
+        return scorer(runs, pool, mask) if runs and pool else []
+
+    reader._dispatch = dispatch

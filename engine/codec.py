@@ -6,7 +6,7 @@ are DELTA_BINARY_PACKED (engine/segments.py), so Parquet decodes them in
 C++; the engine itself no longer decodes any of these formats.  The
 encoders stay as a vectorized numpy reference for the benchmark's codec
 throughput probe; ``block_metadata`` is what the reader derives its
-Block-Max WAND bounds with at chunk load.
+per-block impact maxima with at chunk load.
 
 `ints_encode` emits a 1-byte tag and the SMALLER of (varint, PForDelta):
 PFor (Zukowski et al. 2006; NewPFD exception layout per Yan, Ding & Suel
@@ -207,17 +207,15 @@ def floats_decode(buf: bytes) -> np.ndarray:
 
 def block_metadata(
     doc_ids: np.ndarray, impacts: np.ndarray, block_size: int = BLOCK_SIZE
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block (last_doc, max_impact) for Block-Max WAND skipping.
+) -> np.ndarray:
+    """Per-block max impact: `_single_term` visits a run's blocks in
+    descending max order and stops once no unvisited block can score.
 
     Blocks are consecutive runs of `block_size` postings in docID order.
     max_impact excludes the per-term idf factor (a constant multiplier
     applied at query time), so the bound stays exact.
     """
-    n = doc_ids.size
-    if n == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
-    starts = np.arange(0, n, block_size)
-    last = doc_ids[np.minimum(starts + block_size, n) - 1]
-    maxes = np.maximum.reduceat(impacts.astype(np.float64, copy=False), starts)
-    return last.astype(np.uint64), maxes
+    if doc_ids.size == 0:
+        return np.empty(0, dtype=np.float64)
+    starts = np.arange(0, doc_ids.size, block_size)
+    return np.maximum.reduceat(impacts.astype(np.float64, copy=False), starts)

@@ -2,7 +2,7 @@
 
 This is the flagship pipeline run through the driver's correctness gate: the
 whole index build (extract-adapter -> tokenize actor pool -> salted
-groupby(term) merge -> compressed segments) plus Block-Max-WAND top-k, with a
+groupby(term) merge -> compressed segments) plus exact BM25 top-k, with a
 pure-SQL BM25 oracle on the same table (tokenizer spec and BM25 formula
 mirrored term-for-term; scores compared at 6 decimals because summation
 order differs between a distributed engine and a sequential SQL engine).
@@ -769,7 +769,7 @@ def bm25_docs_fuzzy(sf_dir: str, k: int = K) -> pd.DataFrame:
     reachable from two query terms contributes once) scored as a BM25 OR
     query.  Engine path: IndexReader.fuzzy_expand (SymSpell delete-index
     candidates + exact verify, never a vocabulary scan) feeding the
-    ordinary BMW/MaxScore top-k; the oracle mirrors the expansion with a
+    ordinary BM25 top-k; the oracle mirrors the expansion with a
     DISTINCT levenshtein()<=1 join against the same df table."""
     reader = _index_for(sf_dir)
     rows = []

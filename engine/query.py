@@ -1,4 +1,4 @@
-"""Query engine: Block-Max WAND BM25 top-k over the compressed segments.
+"""Query engine: exact BM25 top-k over the compressed segments.
 
 The engine analog of the reference's query path
 (/root/reference/streamlit_app.py:165-399): encode query -> compile metadata
@@ -11,11 +11,13 @@ Determinism contract (must match engine/oracle.py exactly):
   order, of idf * impact (impacts precomputed float64 at build)
 - tie-break (score DESC, doc_id ASC)
 
-Block-Max WAND (Ding & Suel, SIGIR 2011 "Faster top-k document retrieval
-using block-max indexes"): candidate pivoting on per-term score upper bounds,
-refined by per-block maxima, with a bounded min-heap.  A hot term's salted
-build chunks merge at load into one docno-sorted run (each doc lives in
-exactly one chunk per term), so every scorer walks one posting list per term.
+Scoring paths (`IndexReader._dispatch`): `_single_term` for one term,
+stopping early on per-block impact maxima; `_sparse` for selective
+multi-term queries; otherwise vectorized MaxScore (`_maxscore`, Turtle &
+Flood 1995), with a dense fallback (`_vectorized`) when nothing prunes.  A
+hot term's salted build chunks merge at load into one docno-sorted run
+(each doc lives in exactly one chunk per term), so every scorer walks one
+posting list per term.
 
 `IndexReader` is the stateful query-side cache (SURVEY.md §2.3 T6): stats,
 df table and doc metadata load once and are reused across queries — in a
@@ -24,7 +26,6 @@ serving deployment this class is the per-actor state of a query actor pool.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import re
@@ -258,20 +259,16 @@ class _LRU(dict):
 
 class _Run(NamedTuple):
     """One term's postings as a single docno-sorted run: docnos (int64, =
-    docmeta positions), impacts (float64, idf excluded), the per-block
-    last docno and max impact (codec.block_metadata over the run) and the
-    run's max impact."""
+    docmeta positions), impacts (float64, idf excluded), the per-block max
+    impact (codec.block_metadata over the run) and the run's max impact."""
 
     docnos: np.ndarray
     impacts: np.ndarray
-    block_last: np.ndarray
     block_max: np.ndarray
     max_impact: float
 
 
-_EMPTY_RUN = _Run(
-    np.empty(0, np.int64), np.empty(0), np.empty(0, np.uint64), np.empty(0), 0.0
-)
+_EMPTY_RUN = _Run(np.empty(0, np.int64), np.empty(0), np.empty(0), 0.0)
 
 
 def _merge_salted(chunks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
@@ -308,41 +305,9 @@ def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float
     return [(int(d), float(s)) for d, s in zip(cids[order], csc[order])]
 
 
-class _Cursor:
-    __slots__ = ("term", "idf", "ids", "impacts", "block_last", "block_max", "ptr", "ub")
-
-    def __init__(self, term: str, idf: float, run: _Run):
-        self.term = term
-        self.idf = idf
-        self.ids = run.docnos
-        self.impacts = run.impacts
-        self.block_last = run.block_last
-        self.block_max = run.block_max
-        self.ptr = 0
-        self.ub = idf * run.max_impact
-
-    def doc(self) -> int:
-        return int(self.ids[self.ptr])
-
-    def exhausted(self) -> bool:
-        return self.ptr >= self.ids.size
-
-    def seek(self, target: int) -> None:
-        """Advance to first posting with docno >= target."""
-        self.ptr += int(np.searchsorted(self.ids[self.ptr :], target, side="left"))
-
-    def block_ub(self, doc: int) -> float:
-        """idf * max impact of the block containing `doc` (exact upper bound)."""
-        b = int(np.searchsorted(self.block_last, np.uint64(doc), side="left"))
-        if b >= self.block_max.size:
-            return 0.0
-        return self.idf * float(self.block_max[b])
-
-    def block_end(self, doc: int) -> int:
-        b = int(np.searchsorted(self.block_last, np.uint64(doc), side="left"))
-        if b >= self.block_last.size:
-            return 1 << 62
-        return int(self.block_last[b])
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
 
 
 class IndexReader:
@@ -593,15 +558,18 @@ class IndexReader:
 
     def match_count(self, query_text: str) -> int:
         """Total-hits count: |union of the query terms' postings| — the
-        result-count a search UI shows next to page 1.  Costs the same
-        postings decode the scorer pays (cached runs), no scoring."""
+        result-count a search UI shows next to page 1, deleted docs
+        excluded.  Costs the same postings decode the scorer pays (cached
+        runs), no scoring."""
         ids = [
             self._load_chunks(t).docnos
             for t in set(tokenize(query_text, self.analyzer))
         ]
         if not ids:
             return 0
-        return int(np.unique(np.concatenate(ids)).size)
+        hits = np.unique(np.concatenate(ids))
+        alive = self._tombstone_mask()
+        return int(hits.size if alive is None else alive[hits].sum())
 
     def _term_postings_raw(
         self, term: str
@@ -631,6 +599,7 @@ class IndexReader:
         one IDF, instead of double-counting two independent terms.  Exact
         same impact arithmetic (dtype, op order, constants) as the scorer;
         returns [(doc_id, score)], (score DESC, doc_id) tie-broken."""
+        _check_k(k)
         k1 = float(self.stats["k1"])
         b = float(self.stats["b"])
         avgdl = self.avgdl
@@ -782,8 +751,8 @@ class IndexReader:
             den += tfs
             impacts = tfs * (float(self.stats["k1"]) + 1.0)
             impacts /= den
-            last, bmax = codec.block_metadata(ids, impacts)
-            run = _Run(ids, impacts, last, bmax, float(bmax.max(initial=0.0)))
+            bmax = codec.block_metadata(ids, impacts)
+            run = _Run(ids, impacts, bmax, float(bmax.max(initial=0.0)))
         self._chunk_cache[term] = run
         return run
 
@@ -918,23 +887,6 @@ class IndexReader:
                 mask &= False
         return mask
 
-    def _allowed_fn(self, mask: np.ndarray | None):
-        """Per-candidate probe over the compiled mask (BMW path).  Candidates
-        are docnos (= docmeta positions), so the probe is one array index —
-        v8 paid a binary search over the sorted doc_id table per candidate."""
-        if mask is None:
-            return None
-
-        def allowed(doc: int) -> bool:
-            return bool(mask[doc])
-
-        return allowed
-
-    # vectorized path is used when the candidate postings fit this budget
-    # (cost is O(n_docs + postings) with a dense f64 score array); beyond it
-    # Block-Max WAND's skipping wins and bounds memory to O(k + cursors)
-    VECTORIZED_POSTINGS_LIMIT = 20_000_000
-
     # ------------------------------------------------------------------
     def search(
         self,
@@ -946,35 +898,24 @@ class IndexReader:
         url_contains: str | None = None,
         doc_ids_filter=None,
         prior_weight: float = 0.0,
-        method: str = "auto",
     ) -> list[tuple[int, float]]:
-        """BM25 top-k -> [(doc_id, score)], best first. Rank-identical to
-        OracleIndex.search with either method:
-
-        - "bmw": Block-Max WAND document-at-a-time with a bounded heap —
-          the scale path (skips whole blocks; memory ~ O(k + cursors)).
-        - "vectorized": exhaustive term-at-a-time in numpy with the SAME
-          per-doc summation order as the oracle — faster when the candidate
-          set fits in memory (common for selective queries).
-        - "maxscore": vectorized MaxScore — a provable score floor from the
-          most selective term prunes head terms out of candidate generation;
-          exact scores then accumulate over the candidate union only.
-        - "auto": single-term O(df) path, sparse accumulation for selective
-          multi-term queries, maxscore otherwise (it self-falls-back to the
-          dense scan when nothing prunes).
+        """BM25 top-k -> [(doc_id, score)], best first, rank- and
+        float64-identical to OracleIndex.search; `_dispatch` picks the
+        scoring path (see the module docstring).  ``k`` must be >= 0.
 
         Filters (the reference's families, streamlit_app.py:175-243):
         ``lang_filter`` exact lang; ``ts_min``/``ts_max`` crawl-time window
         (int64 us or datetime); ``url_contains`` case-insensitive substring
         (ILIKE '%x%'); ``doc_ids_filter`` an id allow-set (semi-join).
         """
+        _check_k(k)
         terms = sorted(set(tokenize(query_text, self.analyzer)))
         runs, total_postings = self._gather_chunks(terms)
         pool = max(50, 10 * k) if prior_weight > 0.0 else k
         mask = self._filter_mask(
             lang_filter, ts_min, ts_max, url_contains, doc_ids_filter
         )
-        top = self._dispatch(runs, pool, mask, method, total_postings)
+        top = self._dispatch(runs, pool, mask, total_postings)
         if prior_weight > 0.0:
             top = self._rerank(top, prior_weight)
         return self._docnos_to_ids(top[:k])
@@ -1010,41 +951,30 @@ class IndexReader:
         return runs, total_postings
 
     def _dispatch(
-        self, runs, pool: int, mask, method: str, total_postings: int
+        self, runs, pool: int, mask, total_postings: int
     ) -> list[tuple[int, float]]:
         """Route to the cheapest exact scoring path (shared by search and
         search_boolean — every path returns the same ranked list of
         (docno, score); callers map docnos to doc_ids at the API boundary).
         The (score DESC, docno ASC) tie-break equals the oracle's
         (score DESC, doc_id ASC): docnos are doc_id ranks, hence monotone."""
-        if not runs:
+        if not runs or pool == 0:
             return []
-        use_vec = method == "vectorized" or (
-            method == "auto" and total_postings <= self.VECTORIZED_POSTINGS_LIMIT
-        )
-        if method == "auto" and len(runs) == 1:
+        if len(runs) == 1:
             # single-term query: exact top-k straight off the term's own
-            # impacts — O(df) work and memory, no dense n_docs array and no
-            # document-at-a-time pivoting (which degenerates on head terms:
-            # nothing prunes when every doc matches the only term)
+            # impacts — O(df) work and memory, no dense n_docs array
             return self._single_term(runs[0], pool, mask)
-        if method == "auto" and total_postings * 4 <= self.n_docs:
+        if total_postings * 4 <= self.n_docs:
             # selective multi-term query: sparse accumulation over the
             # candidate postings only (sort + reduceat) — O(p log p) for p
             # postings instead of allocating and scanning O(n_docs) dense
             # arrays; float64-identical to the dense path (same per-doc
             # term-order summation)
             return self._sparse(runs, pool, mask)
-        if method in ("auto", "maxscore"):
-            # multi-term with a head term: MaxScore pruning keeps the work
-            # proportional to the SELECTIVE terms' postings instead of the
-            # head term's (the dense scan is O(n_docs + total_postings)
-            # per query no matter how selective the query is)
-            return self._maxscore(runs, pool, mask)
-        if use_vec:
-            return self._vectorized(runs, pool, mask)
-        cursors = [_Cursor(t, w, run) for t, w, run in runs]
-        return self._bmw(cursors, pool, self._allowed_fn(mask))
+        # multi-term with a head term: MaxScore pruning keeps the work
+        # proportional to the SELECTIVE terms' postings, where the dense
+        # scan is O(n_docs + total_postings) however selective the query
+        return self._maxscore(runs, pool, mask)
 
     def search_boolean(
         self,
@@ -1055,15 +985,15 @@ class IndexReader:
         ts_max: int | None = None,
         url_contains: str | None = None,
         doc_ids_filter=None,
-        method: str = "auto",
     ) -> list[tuple[int, float]]:
-        """Boolean-operator BM25 top-k (see `parse_query` for the syntax).
+        """Boolean-operator BM25 top-k (see `parse_query` for the syntax);
+        ``k`` must be >= 0.
 
         Execution shape:
         - must / must-not terms compile into the SAME docmeta-aligned bool
           mask the metadata filters use (presence scatter off the cached
           posting->position maps) — candidate generation then prunes them
-          for free in every scoring path, including BMW block skipping.
+          for free in every scoring path.
           At 10^12 docs the mask becomes the partitioned filter bitmap of
           `_filter_mask`; per-shard n_docs stays bounded under doc-sharded
           serving (engine/serve.py), so the dense bool array is per-shard.
@@ -1081,6 +1011,7 @@ class IndexReader:
           (O(pool * tf) decode + merge, no doc-store read) — the scale
           path for phrase-heavy workloads.
         """
+        _check_k(k)
         bq = parse_query(query_text, self.analyzer)
         required = bq.required_terms
         if any(self._df.get(t, 0) <= 0 for t in required):
@@ -1130,7 +1061,7 @@ class IndexReader:
             return []
         if not bq.phrases and not bq.not_phrases:
             return self._docnos_to_ids(
-                self._dispatch(runs, k, mask, method, total_postings)[:k]
+                self._dispatch(runs, k, mask, total_postings)[:k]
             )
         verified: dict[int, bool] = {}  # keyed by docno
 
@@ -1171,7 +1102,7 @@ class IndexReader:
         bound = int(mask.sum()) if (required or must_groups) else None
         pool = max(50, 4 * k)
         while True:
-            top = self._dispatch(runs, pool, mask, method, total_postings)
+            top = self._dispatch(runs, pool, mask, total_postings)
             out: list[tuple[int, float]] = []
             if self.has_positions:
                 # batched-vectorized, GEOMETRIC steps: each _verify_batch
@@ -1386,7 +1317,7 @@ class IndexReader:
     ) -> list[tuple[int, float]]:
         """Exact top-k for a one-term query via block-max pruning.
 
-        Blocks (the BMW per-128-posting maxima, idf excluded) are visited in
+        Blocks (the per-128-posting impact maxima, idf excluded) are visited in
         descending max-impact order; the scan stops once k mask-surviving
         postings are in hand whose k-th best impact is >= the next unvisited
         block's max — every unvisited posting then scores STRICTLY below the
@@ -1561,86 +1492,6 @@ class IndexReader:
             return []
         return _top_k(cand, scores[cand], k)
 
-    def _bmw(self, cursors: list[_Cursor], k: int, allowed) -> list[tuple[int, float]]:
-        """Block-Max WAND with a bounded min-heap of size k."""
-        heap: list[tuple[float, int, int]] = []  # (score, -doc_id, doc_id)
-
-        def theta() -> tuple[float, int]:
-            if len(heap) < k:
-                return (-np.inf, 0)
-            return (heap[0][0], heap[0][1])
-
-        cursors = [c for c in cursors if not c.exhausted()]
-        while cursors:
-            cursors.sort(key=lambda c: c.doc())
-            th, _ = theta()
-            # find pivot: first prefix whose summed term upper bounds can win
-            acc = 0.0
-            pivot_idx = -1
-            # pivot when the bound can beat the floor — or exactly tie it
-            # (a tying doc can still win on the (score, doc_id) tie-break)
-            for i, c in enumerate(cursors):
-                acc += c.ub
-                if acc >= th:
-                    pivot_idx = i
-                    break
-            if pivot_idx < 0:
-                break  # nothing left can beat the heap floor
-            pivot_doc = cursors[pivot_idx].doc()
-            if cursors[0].doc() == pivot_doc:
-                # extend to every cursor currently sitting on pivot_doc —
-                # they all contribute to its score and its upper bound
-                q = pivot_idx
-                while q + 1 < len(cursors) and cursors[q + 1].doc() == pivot_doc:
-                    q += 1
-                # block-max refinement: exact per-block bounds at pivot_doc
-                block_acc = 0.0
-                for c in cursors[: q + 1]:
-                    block_acc += c.block_ub(pivot_doc)
-                if block_acc < th:  # strict: a tie could win on doc_id
-                    # skip within current blocks, but never past the next
-                    # cursor's doc (it would add score we haven't bounded)
-                    d_prime = min(c.block_end(pivot_doc) for c in cursors[: q + 1])
-                    if q + 1 < len(cursors):
-                        d_prime = min(d_prime, cursors[q + 1].doc() - 1)
-                    target = max(d_prime + 1, pivot_doc + 1)
-                    for c in cursors[: q + 1]:
-                        c.seek(target)
-                else:
-                    # fully evaluate pivot_doc
-                    if allowed is None or allowed(pivot_doc):
-                        contribs = []
-                        for c in cursors:
-                            if c.doc() > pivot_doc:
-                                break
-                            if c.doc() == pivot_doc:
-                                contribs.append(
-                                    (c.term, c.idf * float(c.impacts[c.ptr]))
-                                )
-                        contribs.sort(key=lambda x: x[0])
-                        score = 0.0
-                        for _, v in contribs:
-                            score += v
-                        entry = (score, -pivot_doc, pivot_doc)
-                        if len(heap) < k:
-                            heapq.heappush(heap, entry)
-                        elif (entry[0], entry[1]) > (heap[0][0], heap[0][1]):
-                            heapq.heapreplace(heap, entry)
-                    for c in cursors:
-                        if c.doc() == pivot_doc:
-                            c.ptr += 1
-                        elif c.doc() > pivot_doc:
-                            break
-            else:
-                # advance the highest-ub cursor that is strictly before the
-                # pivot doc (guaranteed progress; cursors at the pivot stay)
-                behind = [i for i in range(pivot_idx + 1) if cursors[i].doc() < pivot_doc]
-                pre = max(behind, key=lambda i: cursors[i].ub)
-                cursors[pre].seek(pivot_doc)
-            cursors = [c for c in cursors if not c.exhausted()]
-        out = sorted(heap, key=lambda e: (-e[0], e[2]))
-        return [(doc, score) for score, _, doc in out]
-
     def _rerank(self, pool: list[tuple[int, float]], prior_weight: float):
         """Two-stage rerank (reference: streamlit_app.py:317-364 analog):
         score + prior_weight * ln(1 + doclen).  The doclen prior comes from
@@ -1768,7 +1619,7 @@ class IndexReader:
             tbl = tbl.filter(pa.array(keep))
         return tbl.select(cols)
 
-    def topk_table(self, queries: pa.Table, method: str = "auto") -> pa.Table:
+    def topk_table(self, queries: pa.Table) -> pa.Table:
         """Run the fixed query set -> expected_topk-shaped table
         (query_id, rank, url, doc_id, score)."""
         qid_out, rank_out, did_out, score_out = [], [], [], []
@@ -1782,7 +1633,6 @@ class IndexReader:
                 url_contains=q.get("url_contains"),
                 doc_ids_filter=q.get("doc_ids_filter"),
                 prior_weight=q.get("prior_weight") or 0.0,
-                method=method,
             )
             for r, (did, score) in enumerate(res, start=1):
                 qid_out.append(q["query_id"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from engine import synth
+from engine._testing import force_scorer
 from engine.analyze import tokenize
 from engine.build import build_index
 from engine.oracle import OracleIndex
@@ -23,6 +24,14 @@ def bool_index(tmp_path_factory):
     build_index(pages_dir, index_dir, num_partitions=2)
     oracle = OracleIndex(synth.gen_pages_table(N_DOCS))
     return IndexReader(index_dir), oracle
+
+
+def _scored_by(reader: IndexReader, path: str) -> IndexReader:
+    """A fresh reader of the shared index whose every scoring call goes to
+    `path` (engine._testing.force_scorer; "auto" is the engine's routing)."""
+    fresh = IndexReader(reader.index_dir)
+    force_scorer(fresh, path)
+    return fresh
 
 
 def _sample_phrase(oracle: OracleIndex, n: int, skip: int = 0) -> list[str]:
@@ -101,9 +110,10 @@ def test_parse_query_slop():
     assert parse_query('"solo"~3').must == ("solo",)
 
 
-@pytest.mark.parametrize("method", ["auto", "maxscore"])
-def test_slop_rank_identical(bool_index, method):
+@pytest.mark.parametrize("path", ["auto", "maxscore"])
+def test_slop_rank_identical(bool_index, path):
     reader, oracle = bool_index
+    forced = _scored_by(reader, path)
     h = synth.HEAD_TERMS
     p2 = _sample_phrase(oracle, 2)
     p3 = _sample_phrase(oracle, 3, skip=5)
@@ -115,25 +125,26 @@ def test_slop_rank_identical(bool_index, method):
         f'"{h[0]} {h[1]}"~3',
     ):
         exp = oracle.search_boolean(q, k=10)
-        got = reader.search_boolean(q, k=10, method=method)
-        assert [d for d, _ in got] == [d for d, _ in exp], (q, method)
+        got = forced.search_boolean(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in exp], (q, path)
         for (gd, gs), (ed, es) in zip(got, exp):
-            assert gs == es, (q, method, gd)
+            assert gs == es, (q, path, gd)
     # slop widens the match set monotonically
     n0 = len(reader.search_boolean(f'"{p2[0]} {p2[1]}"', k=50))
     n2 = len(reader.search_boolean(f'"{p2[0]} {p2[1]}"~2', k=50))
     assert n2 >= n0
 
 
-@pytest.mark.parametrize("method", ["auto", "bmw", "vectorized", "maxscore"])
-def test_boolean_rank_identical(bool_index, method):
+@pytest.mark.parametrize("path", ["auto", "vectorized", "maxscore"])
+def test_boolean_rank_identical(bool_index, path):
     reader, oracle = bool_index
+    forced = _scored_by(reader, path)
     for q in _query_set(oracle):
         exp = oracle.search_boolean(q, k=10)
-        got = reader.search_boolean(q, k=10, method=method)
-        assert [d for d, _ in got] == [d for d, _ in exp], (q, method)
+        got = forced.search_boolean(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in exp], (q, path)
         for (gd, gs), (ed, es) in zip(got, exp):
-            assert gs == es, (q, method, gd, gs, es)
+            assert gs == es, (q, path, gd, gs, es)
 
 
 def test_boolean_semantics(bool_index):
@@ -188,9 +199,10 @@ def test_parse_query_wildcards():
     assert parse_query("*") == parse_query("")
 
 
-@pytest.mark.parametrize("method", ["auto", "bmw", "maxscore"])
-def test_wildcard_rank_identical(bool_index, method):
+@pytest.mark.parametrize("path", ["auto", "maxscore"])
+def test_wildcard_rank_identical(bool_index, path):
     reader, oracle = bool_index
+    forced = _scored_by(reader, path)
     h = synth.HEAD_TERMS
     px = h[7][:4]  # a prefix with several vocab expansions
     for q in (
@@ -202,10 +214,10 @@ def test_wildcard_rank_identical(bool_index, method):
         f"{h[0]} ba*",  # expansion count > MAX_PREFIX_EXPANSIONS: cap binds
     ):
         exp = oracle.search_boolean(q, k=10)
-        got = reader.search_boolean(q, k=10, method=method)
-        assert [d for d, _ in got] == [d for d, _ in exp], (q, method)
+        got = forced.search_boolean(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in exp], (q, path)
         for (gd, gs), (ed, es) in zip(got, exp):
-            assert gs == es, (q, method, gd)
+            assert gs == es, (q, path, gd)
 
 
 def test_wildcard_semantics(bool_index):

@@ -1,4 +1,4 @@
-"""End-to-end conformance: distributed build + BMW query vs the
+"""End-to-end conformance: distributed build + BM25 query vs the
 single-process oracle (FIXTURES.md §3) — rank-identical docIDs AND float64
 scores on the fixed 73-query set, byte-identical extracted text per url."""
 
@@ -11,13 +11,16 @@ import pyarrow.dataset as pads
 import pytest
 
 from engine import synth
-from engine._testing import segment_rows
+from engine._testing import force_scorer, segment_rows
 from engine.build import build_index
 from engine.oracle import OracleIndex, expected_topk_table
 from engine.query import IndexReader
 from engine.schema import ts_to_us
 
 N_DOCS = 1000
+# `auto` is the engine's own routing; the others force one internal scorer
+# on every query (engine._testing.force_scorer)
+PATHS = ("auto", "maxscore", "vectorized")
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +62,15 @@ def test_extracted_byte_identical(built_index):
         assert text == truth[url], f"byte mismatch for {url}"
 
 
-@pytest.mark.parametrize("method", ["bmw", "vectorized", "maxscore", "auto"])
-def test_topk_rank_identical(built_index, method):
+@pytest.mark.parametrize("path", PATHS)
+def test_topk_rank_identical(built_index, path):
     pages_dir, index_dir, _ = built_index
     pages = synth.gen_pages_table(N_DOCS)
     queries = synth.gen_queries_table(73)
     expected = expected_topk_table(pages, queries)
     reader = IndexReader(index_dir)
-    got = reader.topk_table(queries, method=method)
+    force_scorer(reader, path)
+    got = reader.topk_table(queries)
     assert got.num_rows == expected.num_rows, (
         f"result count mismatch: {got.num_rows} vs {expected.num_rows}"
     )
@@ -243,10 +247,10 @@ def test_lexicon_fresh_reader_rank_identical(built_index):
     for q in queries:
         want = oracle.search(q, k=10)
         assert want, q
-        for method in ("auto", "bmw", "maxscore", "vectorized"):
-            assert IndexReader(index_dir).search(q, k=10, method=method) == want, (
-                q, method,
-            )
+        for path in PATHS:
+            fresh = IndexReader(index_dir)
+            force_scorer(fresh, path)
+            assert fresh.search(q, k=10) == want, (q, path)
 
 
 def _count_row_group_reads(monkeypatch) -> list:
@@ -377,7 +381,7 @@ def test_salted_term_loads_as_one_merged_run(built_index):
     """A salted hot term (df > HOT_TERM_DF_FRACTION * N, one stored chunk
     per salt) loads as ONE docno-sorted run: its docnos are the sorted
     union of the stored chunks, its impacts the oracle formula over their
-    tfs, its block metadata codec.block_metadata over the merged run."""
+    tfs, its block maxima codec.block_metadata over the merged run."""
     from engine import codec
     from engine.schema import HOT_TERM_DF_FRACTION
 
@@ -401,15 +405,14 @@ def test_salted_term_loads_as_one_merged_run(built_index):
     dls = r._docmeta[3][ids].astype(np.float64)
     want = tfs * (k1 + 1.0) / (tfs + k1 * ((1.0 - b) + (b * dls) / r.avgdl))
     assert np.array_equal(run.impacts, want)
-    last, mx = codec.block_metadata(run.docnos, run.impacts)
-    assert np.array_equal(run.block_last, last)
+    mx = codec.block_metadata(run.docnos, run.impacts)
     assert np.array_equal(run.block_max, mx)
     assert run.max_impact == want.max()
     assert r._load_chunks(hot) is run  # cached per term
 
 
 def test_methods_oracle_identical_on_salted_and_unsalted_terms(built_index, tmp_path):
-    """`auto` and every forced method return the oracle's ranking and
+    """`auto` and every forced scorer return the oracle's ranking and
     float64 scores on queries mixing salted and unsalted terms, under
     lang/ts filters and tombstones (deleted docs drop out of the oracle's
     ranking; stats stay as-built until compaction).  Boolean must /
@@ -442,7 +445,10 @@ def test_methods_oracle_identical_on_salted_and_unsalted_terms(built_index, tmp_
         {}, {"lang_filter": "en"},
         {"ts_min": ts["ts_min"], "ts_max": ts["ts_max"]},
     ]
-    r = IndexReader(copy)
+    readers = {p: IndexReader(copy) for p in PATHS}
+    for p, reader in readers.items():
+        force_scorer(reader, p)
+    r = readers["auto"]
     assert r._tombstone_mask() is not None
     alive = r._tombstone_mask().copy()
     extra = len(dead)
@@ -452,17 +458,129 @@ def test_methods_oracle_identical_on_salted_and_unsalted_terms(built_index, tmp_
             o = {k: ts_to_us(v) if k.startswith("ts") else v for k, v in f.items()}
             want = [h for h in oracle.search(q, k=10 + extra, **o) if h[0] not in dead][:10]
             hits += len(want)
-            for method in ("auto", "bmw", "maxscore", "vectorized"):
-                assert r.search(q, k=10, method=method, **f) == want, (q, f, method)
+            for p, reader in readers.items():
+                assert reader.search(q, k=10, **f) == want, (q, f, p)
         a, b, *_ = q.split()
         for bq in (f"+{a} {b}", f"{a} {b} -{hot[2]}", f"+{b} -{a}"):
             want = [h for h in oracle.search_boolean(bq, k=10 + extra) if h[0] not in dead][:10]
-            for method in ("auto", "bmw", "maxscore", "vectorized"):
-                assert r.search_boolean(bq, k=10, method=method) == want, (bq, method)
+            for p, reader in readers.items():
+                assert reader.search_boolean(bq, k=10) == want, (bq, p)
     assert hits > 0
     assert r._filter_mask(None, None, None) is r._tombstone_mask()
     assert np.array_equal(r._tombstone_mask(), alive)
 
+
+
+def test_each_scoring_path_oracle_identical(built_index, tmp_path):
+    """Each internal scorer, called directly on `_gather_chunks` runs under
+    `_filter_mask` masks (lang and crawl-time filters composed with
+    tombstones), returns the oracle's top-k, float64-bitwise:
+    `_single_term` on one-term queries, `_sparse`, `_maxscore` and
+    `_vectorized` on every query.  `_maxscore` takes both of its branches
+    here: pruned candidate scoring, and the dense fallback, seen as a call
+    of `_vectorized`."""
+    import shutil
+
+    from engine.build import delete_docs
+
+    _, index_dir, _ = built_index
+    copy = str(tmp_path / "index")
+    shutil.copytree(index_dir, copy)
+    r = IndexReader(copy)
+    thr = r.stats["hot_df_threshold"]
+    hot = [t for t in synth.HEAD_TERMS[:3] if r.df(t) > thr]
+    cold = _cold_terms(copy, 3)
+    assert len(hot) == 3 and len(cold) == 3
+    queries = [
+        hot[0], cold[0], f"{hot[0]} {cold[0]}", f"{cold[0]} {cold[1]} {cold[2]}",
+        f"{hot[0]} {hot[1]}", " ".join(hot), f"{hot[1]} {cold[1]} {cold[2]}",
+    ]
+    dead = {d for d, _ in r.search(hot[0], k=3)}
+    dead |= {d for d, _ in r.search(f"{cold[0]} {cold[1]}", k=2)}
+    delete_docs(copy, doc_ids=sorted(dead))
+
+    oracle = OracleIndex(synth.gen_pages_table(N_DOCS))
+    ts = [q for q in synth.gen_queries_table(73).to_pylist() if q["ts_min"] is not None][0]
+    filters = [
+        (None, None, None), ("en", None, None), (None, ts["ts_min"], ts["ts_max"]),
+    ]
+    r = IndexReader(copy)
+    vectorized = r._vectorized
+    dense_calls = []
+
+    def counted(*args):
+        dense_calls.append(args)
+        return vectorized(*args)
+
+    r._vectorized = counted  # what _maxscore's dense fallback calls
+    branches = set()
+    for q in queries:
+        terms = sorted(set(q.split()))
+        for lang, lo, hi in filters:
+            runs, _total = r._gather_chunks(terms)
+            mask = r._filter_mask(lang, lo, hi)
+            assert mask is not None  # tombstones at least
+            want = [
+                h for h in oracle.search(
+                    q, k=10 + len(dead), lang_filter=lang,
+                    ts_min=ts_to_us(lo), ts_max=ts_to_us(hi),
+                ) if h[0] not in dead
+            ][:10]
+            got = {
+                "sparse": r._sparse(runs, 10, mask),
+                "vectorized": vectorized(runs, 10, mask),
+            }
+            if len(runs) == 1:
+                got["single_term"] = r._single_term(runs[0], 10, mask)
+            n = len(dense_calls)
+            got["maxscore"] = r._maxscore(runs, 10, mask)
+            branches.add("dense" if len(dense_calls) > n else "pruned")
+            for path, top in got.items():
+                assert r._docnos_to_ids(top) == want, (q, lang, lo, path)
+    assert branches == {"dense", "pruned"}
+
+
+def test_negative_k_is_rejected(built_index):
+    """k < 0 raises a ValueError naming k (a negative k used to slice from
+    the end and return almost every match); k = 0 returns no rows, also
+    when a filter leaves no candidate (that used to raise IndexError)."""
+    _, index_dir, _ = built_index
+    r = IndexReader(index_dir)
+    h = synth.HEAD_TERMS
+    calls = [
+        lambda k: r.search(h[0], k=k),
+        lambda k: r.search_boolean(f"{h[0]} +{h[1]}", k=k),
+        lambda k: r.search_synonyms([[h[0], h[1]]], k=k),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            call(-1)
+        assert call(0) == []
+        assert len(call(3)) == 3
+    for q in (h[0], f"{h[0]} {h[1]}"):
+        assert r.search(q, k=0, lang_filter="xx") == []
+        assert r.search_boolean(q, k=0, lang_filter="xx") == []
+
+
+def test_cli_query_prints_oracle_top_k(built_index, capsys):
+    """`python -m engine query INDEX "terms" -k 3` prints one JSON line per
+    hit: the oracle's doc_ids in rank order, with their urls."""
+    import json
+
+    from engine.__main__ import main
+
+    _, index_dir, _ = built_index
+    q = f"{synth.HEAD_TERMS[0]} {synth.VOCAB[300]}"
+    want = OracleIndex(synth.gen_pages_table(N_DOCS)).search(q, k=3)
+    assert len(want) == 3
+    assert main(["query", index_dir, q, "-k", "3"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(x["rank"], x["doc_id"]) for x in lines] == [
+        (i, d) for i, (d, _) in enumerate(want, 1)
+    ]
+    assert [x["score"] for x in lines] == [round(s, 6) for _, s in want]
+    urls = IndexReader(index_dir).fetch_docs([d for d, _ in want], ["doc_id", "url"])
+    assert {x["url"] for x in lines} == set(urls["url"].to_pylist())
 
 def test_rerank_prior_bitwise_equals_oracle_scalar():
     """The doclen prior of the two-stage rerank, one gather and one

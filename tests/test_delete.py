@@ -114,3 +114,20 @@ def test_delete_by_doc_id_accumulates(tmp_path):
     assert delete_docs(index_dir, doc_ids=[b]) == 2
     got = {d for d, _ in IndexReader(index_dir).search(synth.HEAD_TERMS[1], k=6)}
     assert a not in got and b not in got
+
+
+def test_match_count_excludes_deleted_docs(tmp_path):
+    """match_count, like every ranked and boolean path, drops tombstoned
+    docs at once (it used to count them until compaction)."""
+    pages_dir = str(tmp_path / "pages")
+    index_dir = str(tmp_path / "index")
+    synth.write_pages(pages_dir, 120, num_files=2)
+    build_index(pages_dir, index_dir, num_partitions=2)
+    q = synth.HEAD_TERMS[0]
+    before = IndexReader(index_dir).match_count(q)
+    assert before > 10
+    victims = [d for d, _ in IndexReader(index_dir).search(q, k=5)]
+    assert delete_docs(index_dir, doc_ids=victims) == 5
+    r = IndexReader(index_dir)
+    assert r.match_count(q) == before - 5
+    assert r.match_count(q) == len(r.search_boolean(f"+{q}", k=before))

@@ -123,17 +123,16 @@ def test_segment_footer_layout(tmp_path):
 
 
 def _block_metadata_reference(ids, impacts, block_size=128):
-    """Literal block-max definition: the last docno and the largest impact
-    of each run of ``block_size`` postings."""
-    last, mx = [], []
-    for s in range(0, len(ids), block_size):
-        last.append(int(ids[min(s + block_size, len(ids)) - 1]))
-        mx.append(max(float(x) for x in impacts[s : s + block_size]))
-    return last, mx
+    """Literal block-max definition: the largest impact of each run of
+    ``block_size`` postings."""
+    return [
+        max(float(x) for x in impacts[s : s + block_size])
+        for s in range(0, len(ids), block_size)
+    ]
 
 
 def test_block_metadata_matches_reference_at_block_edges():
-    """The load-time block metadata (np.maximum.reduceat) is bit-identical
+    """The load-time block maxima (np.maximum.reduceat) are bit-identical
     to the literal definition on either side of a block boundary and over
     many blocks."""
     rng = np.random.default_rng(11)
@@ -142,8 +141,6 @@ def test_block_metadata_matches_reference_at_block_edges():
         tfs = rng.integers(1, 9, n).astype(np.float64)
         dls = rng.integers(5, 900, n).astype(np.float64)
         impacts = tfs * 2.2 / (tfs + 1.2 * (0.25 + (0.75 * dls) / 311.7))
-        last, mx = codec.block_metadata(ids, impacts)
-        want_last, want_mx = _block_metadata_reference(ids, impacts)
-        assert last.dtype == np.uint64 and mx.dtype == np.float64
-        assert last.tolist() == want_last, n
-        assert mx.tolist() == want_mx, n  # exact float equality
+        mx = codec.block_metadata(ids, impacts)
+        assert mx.dtype == np.float64
+        assert mx.tolist() == _block_metadata_reference(ids, impacts), n  # exact
