@@ -17,8 +17,8 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: full inverted-index build over the
-    documents table (extract -> tokenizer actor pool -> salted groupby(term)
-    merge -> compressed segments) + exact BM25 top-k."""
+    documents table (extract -> tokenizer actor pool -> term-bucket exchange
+    -> compressed segments) + exact BM25 top-k."""
     from engine.ops.docsearch import bm25_docs_topk
 
     return bm25_docs_topk("/root/testdata/sf0.001")

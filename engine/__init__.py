@@ -4,7 +4,8 @@ A brand-new engine with the query/data-processing capabilities of
 uw-math-ai/TheoremSearch (see SURVEY.md), realized as an inverted-index build +
 BM25 top-k query engine over Parquet tables of Common-Crawl-style web pages,
 built on ray.data.Dataset pipelines (map_batches over zero-copy Arrow, actor
-pools for stateful stages, explicit salted groupby(term) shuffle for the merge).
+pools for stateful stages, a filesystem exchange partitioned by term bucket for
+the merge, one docno-sorted posting chunk per term).
 
 Never calls ray.init()/ray.shutdown() — the session is owned by the caller
 (driver, bench.py, or the pytest fixture).

@@ -1,6 +1,6 @@
 """Test helpers: chaos extractors for the extraction sandbox, a direct
-reader of an index's segment layout, and a scoring-path override for
-`IndexReader`.
+reader and a checker of an index's segment layout, and a scoring-path
+override for `IndexReader`.
 
 `hang_on_poison` stands in for a parser with a catastrophic-backtracking
 input class: any page containing the POISON marker spins forever (only
@@ -11,6 +11,7 @@ can import it by path.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -19,6 +20,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .extract import extract_text
+from .schema import term_bucket
 
 POISON = b"<!--graft:poison-->"
 
@@ -38,35 +40,64 @@ def raise_on_poison(html_bytes: bytes | None) -> str:
 
 def segment_rows(index_dir: str) -> pa.Table:
     """Every stored posting chunk of an index, read straight from its files
-    (no IndexReader): one row per chunk with the segment file's columns
-    (term, salt, doc_ids, tfs[, positions]) plus ``file``, the segment
-    file's path.  Rows come in lexicon order — each bucket group's terms, each
-    term's chunks in salt order — and the layout is checked on the way:
-    every lexicon address must point at a chunk of its own term, and every
-    stored chunk must be addressed exactly once."""
+    (no IndexReader): one row per term with the segment file's columns
+    (term, doc_ids, tfs[, positions]) plus ``file``, the segment file's
+    path, and ``rg``, the chunk's row group in it.  Rows come in lexicon
+    order, and the layout is checked on the way: every lexicon address must
+    point at a chunk of its own term, and every stored chunk must be
+    addressed exactly once."""
     seg_dir = os.path.join(index_dir, "segments")
     tabs = []
     for f in sorted(os.listdir(seg_dir)):
         path = os.path.join(seg_dir, f)
         pf = pq.ParquetFile(path)
         lex = pq.read_table(os.path.join(index_dir, "dfs", f))
-        rg, row = lex["rg"].combine_chunks(), lex["row"].combine_chunks()
+        rg = lex["rg"].to_numpy()
         starts = np.cumsum(
             [0] + [pf.metadata.row_group(i).num_rows for i in range(pf.num_row_groups)]
         )
-        at = (
-            starts[pc.list_flatten(rg).to_numpy()]
-            + pc.list_flatten(row).to_numpy()
-        )
+        at = starts[rg] + lex["row"].to_numpy()
         assert np.array_equal(np.sort(at), np.arange(pf.metadata.num_rows)), path
         t = pf.read().take(pa.array(at))
-        owner = lex["term"].take(pc.list_parent_indices(rg))
-        assert t["term"].equals(owner), path
-        tabs.append(t.append_column("file", pa.array([path] * t.num_rows, pa.string())))
+        assert t["term"].equals(lex["term"]), path
+        tabs.append(
+            t.append_column("file", pa.array([path] * t.num_rows, pa.string()))
+            .append_column("rg", pa.array(rg, pa.int32()))
+        )
     if not tabs:
         return pa.table({"term": pa.array([], pa.string()),
-                         "file": pa.array([], pa.string())})
+                         "file": pa.array([], pa.string()),
+                         "rg": pa.array([], pa.int32())})
     return pa.concat_tables(tabs)
+
+
+def check_chunk_layout(index_dir: str) -> tuple[int, int]:
+    """Check an index's segment layout (FORMAT_VERSION 12) straight from
+    its files: every term has exactly one lexicon address, at its own chunk
+    (`segment_rows`); a hot term (df above stats.json's hot_df_threshold)
+    is the only chunk of its row group; the cold terms of a bucket share
+    one row group, which holds no other bucket's terms.  Returns (hot
+    terms, cold row groups) so a caller can see the check was not empty."""
+    with open(os.path.join(index_dir, "stats.json")) as f:
+        thr = json.load(f)["hot_df_threshold"]
+    t = segment_rows(index_dir)
+    dfs = pc.list_value_length(t["doc_ids"]).to_pylist()
+    groups: dict[tuple[str, int], list[tuple[str, bool]]] = {}
+    for term, df, path, rg in zip(
+        t["term"].to_pylist(), dfs, t["file"].to_pylist(), t["rg"].to_pylist()
+    ):
+        groups.setdefault((path, rg), []).append((term, df > thr))
+    n_hot, cold_rg = 0, {}  # (file, bucket) -> the row group of its cold terms
+    for (path, rg), members in groups.items():
+        if any(hot for _, hot in members):
+            assert len(members) == 1, (path, rg, members)
+            n_hot += 1
+            continue
+        buckets = {term_bucket(term) for term, _ in members}
+        assert len(buckets) == 1, (path, rg, buckets)
+        home = cold_rg.setdefault((path, buckets.pop()), rg)
+        assert home == rg, (path, home, rg)
+    return n_hot, len(cold_rg)
 
 
 def force_scorer(reader, path: str) -> None:

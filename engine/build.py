@@ -23,8 +23,9 @@ re-expressed per SURVEY.md §7.2:
   phase segments  the reduce side of the filesystem exchange: one
                   independent task per term-bucket group reads ONLY its own
                   row groups from each partials file, computes exact df
-                  locally, salts hot terms, and writes its segment file
-                  (segments/bg-XXX.parquet: docnos and tfs as
+                  locally, and writes its segment file
+                  (segments/bg-XXX.parquet: one chunk per term, a row
+                  group per hot term; docnos and tfs as
                   delta-encoded Parquet list columns) and term lexicon
                   (dfs/bg-XXX.parquet) directly.  No all-to-all operator.
 
@@ -36,6 +37,7 @@ driver-side set difference.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -62,7 +64,6 @@ from .schema import (
     LEXICON_SCHEMA,
     NUM_BUCKET_GROUPS,
     NUM_DOC_RANGES,
-    NUM_SALTS,
     NUM_TERM_BUCKETS,
     PARTIAL_POSTINGS_POS_SCHEMA,
     PARTIAL_POSTINGS_SCHEMA,
@@ -635,7 +636,6 @@ def build_index(
             "hot_df_threshold": hot_threshold,
             "k1": K1,
             "b": B,
-            "num_salts": NUM_SALTS,
             "num_buckets": NUM_TERM_BUCKETS,
             "format_version": FORMAT_VERSION,
             "analyzer": analyzer.to_json(),
@@ -651,10 +651,10 @@ def build_index(
 
     # ---- phase segments (the reduce side of the filesystem exchange) -----
     # One independent task per bucket group: read ONLY partials/*/bg=K
-    # (column-pruned), assign (bucket, salt) per term — hot terms (Zipf head,
-    # SURVEY.md §4 "Skew") split by doc_id % NUM_SALTS so no single chunk
-    # owns a head term's full list — then write the group's segment file
-    # (delta-encoded Parquet list columns) and its lexicon directly.  No
+    # (column-pruned), give each hot term (Zipf head, SURVEY.md §4 "Skew") a
+    # row group of its own and each bucket's cold terms one shared row
+    # group, then write the group's segment file (one delta-encoded chunk
+    # per term) and its lexicon directly.  No
     # all-to-all: reduce parallelism = n_bg tasks sized to the cluster (round 1 used a
     # sort-based groupby whose reduce was pinned to ~32 fat blocks and
     # scaled 1.5x from 8->32 cpus; partitioned reads scale with the cores).
@@ -710,7 +710,6 @@ def build_index(
         with atomic_dir(segments_root) as tmp:
             dfs_tmp = os.path.join(tmp, "_dfs")
             os.makedirs(dfs_tmp, exist_ok=True)
-            n_chunks = 0
             n_terms = 0
             n_hot = 0
             if bg_files:
@@ -737,7 +736,6 @@ def build_index(
                     batch_format="pyarrow", batch_size=None,
                 )
                 summary = merged.to_pandas()
-                n_chunks = int(summary["n_chunks"].sum())
                 n_terms = int(summary["n_terms"].sum())
                 n_hot = int(summary["n_hot"].sum())
             if not os.listdir(dfs_tmp):  # empty corpus: an empty lexicon
@@ -758,7 +756,7 @@ def build_index(
         os.replace(stats_path + ".tmp", stats_path)
         man.record_phase(
             "segments", partials_fp,
-            {"n_terms": n_terms, "n_hot_terms": n_hot, "chunk_groups": n_chunks,
+            {"n_terms": n_terms, "n_hot_terms": n_hot,
              "bytes_partials_read": metrics.get("bytes_partials"),
              "bytes_segments": _dir_bytes(segments_root),
              "bytes_dfs": _dir_bytes(dfs_root)},
@@ -1210,6 +1208,11 @@ def _run_shard_wave(
             concurrency=concurrency,
             zero_copy_batch=True,
         ).to_pandas()  # metadata rows only (one per written row group)
+        # the pool's actors hold their CPUs until this process's garbage
+        # collector frees the executor's reference cycles; collect now, or
+        # the next phase's tasks can wait ~10-20 s on a small box for the
+        # raylet to ask for a collection
+        gc.collect()
         if len(meta):
             post = meta[meta["bg"] >= 0]
             for pid, r in post.groupby("pid")["tf_sum"].sum().items():
@@ -1249,10 +1252,11 @@ class _MergeBucketGroup:
 
     ALL postings of a term live in exactly one bucket group, so per-term df
     is computed exactly here — no global stats pass, no hot-set broadcast:
-    a term is hot iff its (local == global) df exceeds the threshold.  Hot
-    terms (Zipf head, SURVEY.md §4 'Skew') are salted by doc_id % NUM_SALTS
-    so no single chunk owns a head term's full posting list; cold terms use
-    salt 0.  Each doc_id is replaced by its dense docno, looked up in the
+    a term is hot iff its (local == global) df exceeds the threshold.  Each
+    term is written as one docno-sorted chunk; a hot term (Zipf head,
+    SURVEY.md §4 'Skew') gets a row group of its own, so reading it reads no
+    other term's postings, while a bucket's cold terms share one row group.
+    Each doc_id is replaced by its dense docno, looked up in the
     broadcast sorted doc_id table (ray.put once, zero-copy per task).
     Writes both files directly with deterministic names — Ray's generic
     parquet sink re-buffers the large chunk rows and is ~3x slower, and
@@ -1320,7 +1324,7 @@ class _MergeBucketGroup:
         if self.docids_ref is not None:
             dm_ids = ray.get(self.docids_ref)
         tomb = ray.get(self.tomb_ref) if self.tomb_ref is not None else None
-        out_bg, out_terms, out_chunks, out_hot = [], [], [], []
+        out_bg, out_terms, out_hot = [], [], []
         for item in work.to_pylist():
             tabs = []
             for path, rgs in zip(item["paths"], item["rgs"]):
@@ -1343,16 +1347,14 @@ class _MergeBucketGroup:
                     if t.num_rows
                     else np.empty(0, np.uint64)
                 )
-            nt, nc, nh = self._merge_one(t, int(item["bg"]), dm_ids, dm_nos)
+            nt, nh = self._merge_one(t, int(item["bg"]), dm_ids, dm_nos)
             out_terms.append(nt)
-            out_chunks.append(nc)
             out_hot.append(nh)
             out_bg.append(int(item["bg"]))
         return pa.table(
             {
                 "bg": pa.array(out_bg, pa.int32()),
                 "n_terms": pa.array(np.asarray(out_terms, dtype=np.int64), pa.int64()),
-                "n_chunks": pa.array(np.asarray(out_chunks, dtype=np.int64), pa.int64()),
                 "n_hot": pa.array(np.asarray(out_hot, dtype=np.int64), pa.int64()),
             }
         )
@@ -1360,9 +1362,9 @@ class _MergeBucketGroup:
     def _merge_one(
         self, t: pa.Table, bg: int, dm_ids: np.ndarray,
         dm_nos: np.ndarray | None = None,
-    ) -> tuple[int, int, int]:
+    ) -> tuple[int, int]:
         if t.num_rows == 0:
-            return 0, 0, 0
+            return 0, 0
         terms = t.column("term")
         de = terms.combine_chunks() if isinstance(terms, pa.ChunkedArray) else terms
         de = de.dictionary_encode()
@@ -1391,9 +1393,6 @@ class _MergeBucketGroup:
         dfs = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
         uniq_hot = dfs > self.hot_threshold
         uniq_bucket = np.array([term_bucket(tm) for tm in uniq], dtype=np.int64)
-        salt = np.where(
-            uniq_hot[codes], (doc_ids % np.uint64(NUM_SALTS)).astype(np.int64), 0
-        )
         # dense-docno substitution (FORMAT_VERSION 9): postings leave this
         # point keyed by each doc's rank in the doc_id-sorted docmeta order —
         # broadcast path: the deduped broadcast IS that order, docno = pos;
@@ -1406,26 +1405,27 @@ class _MergeBucketGroup:
             t.schema.get_field_index("doc_id"), "doc_id",
             pa.array(docnos, pa.uint64()),
         )
-        # (bucket, salt) groups, each sorted by (term, docno)
-        key = uniq_bucket[codes] * (NUM_SALTS + 1) + salt
+        # row groups, each sorted by (term, docno): one per hot term, one
+        # per bucket for its cold terms
+        n = len(uniq)
+        group = uniq_bucket * (n + 1) + np.where(uniq_hot, np.arange(1, n + 1), 0)
+        key = group[codes]
         order = np.lexsort((docnos, codes, key))
         t2 = t.take(pa.array(order))
         key = key[order]
         bounds = np.nonzero(np.diff(key))[0] + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [len(key)]))
-        n_chunks = segments.write_bucket_group(
+        segments.write_bucket_group(
             os.path.join(self.out_root, f"bg-{bg:03d}.parquet"),
             os.path.join(self.dfs_root, f"bg-{bg:03d}.parquet"),
             de.dictionary, dfs,
             (
-                segments.compress_group(
-                    t2.slice(s0, e0 - s0), int(key[s0] % (NUM_SALTS + 1))
-                )
+                segments.compress_group(t2.slice(s0, e0 - s0))
                 for s0, e0 in zip(starts, ends)
             ),
         )
-        return len(uniq), n_chunks, int(uniq_hot.sum())
+        return len(uniq), int(uniq_hot.sum())
 
 
 _EMPTY_LOSERS = pa.table(

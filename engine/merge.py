@@ -37,8 +37,8 @@ Design (all Ray-Data-first machinery is reused, none duplicated):
     checkpointed, grafted partitions validate against their recorded
     fingerprints and skip, dup-affected partitions re-extract, and the
     stats + segments phases run over the union — the segments reduce
-    (read partials, recount df exactly, salt hot terms, recompress with
-    block-max metadata) IS the Lucene merge's read-postings/write-postings
+    (read partials, recount df exactly, rewrite one docno-sorted chunk
+    per term) IS the Lucene merge's read-postings/write-postings
     cost, already partitioned per term-bucket group with no all-to-all.
 
 Scale shape: driver state is O(sources x partitions + dup residue); data

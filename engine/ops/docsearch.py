@@ -1,8 +1,8 @@
 """Full-engine BM25 search over the relational `documents` table.
 
 This is the flagship pipeline run through the driver's correctness gate: the
-whole index build (extract-adapter -> tokenize actor pool -> salted
-groupby(term) merge -> compressed segments) plus exact BM25 top-k, with a
+whole index build (extract-adapter -> tokenize actor pool -> term-bucket
+exchange -> compressed segments) plus exact BM25 top-k, with a
 pure-SQL BM25 oracle on the same table (tokenizer spec and BM25 formula
 mirrored term-for-term; scores compared at 6 decimals because summation
 order differs between a distributed engine and a sequential SQL engine).
@@ -1130,8 +1130,8 @@ def docs_term_occurrences(sf_dir: str) -> pd.DataFrame:
     last occurrence positions, straight off ONE positions-column decode per
     term (`IndexReader.term_occurrences`) — no doc-store fetch, no scoring
     pass, and the absent-term probe emits no rows.  This gates the
-    positional posting layout itself (delta + varint position lists, salt-
-    chunk merge) through the SQL hash: the oracle recomputes positions from
+    positional posting layout itself (delta-encoded position lists, one
+    chunk per term) through the SQL hash: the oracle recomputes positions from
     the token stream with generate_series.  Reference analog: the
     occurrence/offset data its Postgres full-text columns carry
     (rds_schema.sql tsvector positions)."""

@@ -14,9 +14,8 @@ Determinism contract (must match engine/oracle.py exactly):
 Scoring paths (`IndexReader._dispatch`): `_single_term` for one term,
 stopping early on per-block impact maxima; `_sparse` for selective
 multi-term queries; otherwise vectorized MaxScore (`_maxscore`, Turtle &
-Flood 1995), with a dense fallback (`_vectorized`) when nothing prunes.  A
-hot term's salted build chunks merge at load into one docno-sorted run
-(each doc lives in exactly one chunk per term), so every scorer walks one
+Flood 1995), with a dense fallback (`_vectorized`) when nothing prunes.  The
+build stores each term as one docno-sorted chunk, so every scorer walks one
 posting list per term.
 
 `IndexReader` is the stateful query-side cache (SURVEY.md §2.3 T6): stats,
@@ -269,29 +268,8 @@ class _Run(NamedTuple):
 
 
 _EMPTY_RUN = _Run(np.empty(0, np.int64), np.empty(0), np.empty(0), 0.0)
-
-
-def _merge_salted(chunks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """A term's chunks, each a tuple of aligned per-posting arrays (uint64
-    docnos first) sorted by docno, as one docno-sorted run.  A doc lives in
-    exactly one salted chunk of a term, so each docno appears once.  The
-    permutation comes from one in-place sort of (docno << bits | position)
-    keys, ~1.5x faster than np.argsort: an indirect timsort gains little from
-    the chunks' presorted runs, which interleave finely.  A single chunk is
-    returned as it is."""
-    if len(chunks) == 1:
-        return chunks[0]
-    key = np.concatenate([c[0] for c in chunks])
-    bits = max(1, (key.size - 1).bit_length())
-    if max((int(c[0][-1]) for c in chunks if c[0].size), default=0) >> (64 - bits):
-        raise ValueError(f"docnos too large to merge {key.size} postings")
-    key <<= np.uint64(bits)
-    key |= np.arange(key.size, dtype=np.uint64)
-    key.sort()
-    order = (key & np.uint64((1 << bits) - 1)).view(np.int64)
-    key >>= np.uint64(bits)
-    rest = (np.concatenate(col)[order] for col in list(zip(*chunks))[1:])
-    return (key, *rest)
+# `_token_positions` of a term the index lacks: no posting, offsets [0]
+_NO_POSITIONS = (np.empty(0, np.uint64), np.zeros(1, np.int64), np.empty(0, np.int32))
 
 
 def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float]]:
@@ -313,16 +291,16 @@ def _check_k(k: int) -> None:
 class IndexReader:
     """Query-side state of one index directory.
 
-    On-disk layout read here (FORMAT_VERSION 11): ``stats.json``;
+    On-disk layout read here (FORMAT_VERSION 12): ``stats.json``;
     ``dfs/bg-XXX.parquet``, the term lexicon of each of the
-    NUM_BUCKET_GROUPS bucket groups (term, df and each chunk's (row group,
+    NUM_BUCKET_GROUPS bucket groups (term, df and its chunk's (row group,
     row) address); ``segments/bg-XXX.parquet``, that group's posting
-    chunks (docnos and tfs as delta-encoded Parquet list columns);
-    ``docmeta/`` and ``extracted/`` (doc metadata, doclens included, and
-    the doc store).  The lexicon loads term-sorted at open; a term's postings
-    are then one binary search plus one row-group read per chunk, from a
-    ParquetFile whose footer is read once per reader, and are cached as one
-    merged docno-sorted run per term (`_load_chunks`).
+    chunks, one per term (docnos and tfs as delta-encoded Parquet list
+    columns); ``docmeta/`` and ``extracted/`` (doc metadata, doclens
+    included, and the doc store).  The lexicon loads term-sorted at open; a
+    term's postings are then one binary search plus one row-group read, from
+    a ParquetFile whose footer is read once per reader, and are cached as
+    one docno-sorted run per term (`_load_chunks`).
     """
 
     def __init__(self, index_dir: str):
@@ -332,7 +310,7 @@ class IndexReader:
         if self.stats.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"{index_dir}: stats.json predates FORMAT_VERSION "
-                f"{FORMAT_VERSION} (native Parquet posting columns); "
+                f"{FORMAT_VERSION} (one posting chunk per term); "
                 "rebuild the index"
             )
         self.n_docs = self.stats["n_docs"]
@@ -353,7 +331,7 @@ class IndexReader:
         self._doc_norm = None  # per-doc BM25 length normalization, with docmeta
         self._docmeta_order = None
         self._urls = None  # docmeta urls, loaded lazily for url filters
-        self._chunk_cache: _LRU = _LRU(cap=4096)  # term -> merged posting _Run
+        self._chunk_cache: _LRU = _LRU(cap=4096)  # term -> posting _Run
         # (bucket group, row group) -> RowGroup
         self._bucket_tables: _LRU = _LRU(cap=64)
         self._tpos_cache: _LRU = _LRU(cap=512)  # term -> decoded token positions
@@ -398,6 +376,7 @@ class IndexReader:
         """Autocomplete: the top-k indexed terms starting with `prefix`,
         ranked (df DESC, term ASC) — a binary-searched range over the
         sorted vocab (O(log V + range)), same structure as _expand_prefix."""
+        _check_k(k)
         vocab, dfs = self._vocab()
         lo = int(np.searchsorted(vocab, prefix))
         hi = int(np.searchsorted(vocab, prefix + "\U0010ffff"))
@@ -574,17 +553,16 @@ class IndexReader:
     def _term_postings_raw(
         self, term: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(doc_nos, tfs, doclens) for one analyzed term, its (salted)
-        chunks merged into one docno-sorted run, UNDECORATED — the raw
-        columns the impact formula consumes, for scorers whose saturation
-        must run on a COMBINED tf (SynonymQuery) rather than per-term
-        impacts."""
-        rows = self._chunk_rows(term)
-        if not rows:
+        """(doc_nos, tfs, doclens) for one analyzed term's docno-sorted
+        chunk, UNDECORATED — the raw columns the impact formula consumes,
+        for scorers whose saturation must run on a COMBINED tf
+        (SynonymQuery) rather than per-term impacts."""
+        hit = self._chunk_row(term)
+        if hit is None:
             e = np.empty(0, np.int64)
             return e, np.empty(0, np.float64), np.empty(0, np.float64)
         self._load_docmeta()
-        ids, tfs = _merge_salted([g.raw(row) for g, row in rows])
+        ids, tfs = hit[0].raw(hit[1])
         ids = ids.view(np.int64)
         return ids, tfs.astype(np.float64), self._docmeta[3][ids].astype(np.float64)
 
@@ -655,24 +633,13 @@ class IndexReader:
             raise ValueError("term_occurrences needs a positional index")
         self._load_docmeta()
         meta_ids = self._docmeta[0]
-        empty = np.empty(0, np.int64)
-        out = [empty, empty, empty, empty]
-        rows = []
-        for ids, offs, flat in self._token_positions(term):
-            if ids.size == 0:
-                continue
-            lens = np.diff(offs)
-            rows.append(
-                (
-                    meta_ids[ids.astype(np.int64)].astype(np.int64),
-                    lens.astype(np.int64),
-                    flat[offs[:-1]].astype(np.int64),
-                    flat[offs[1:] - 1].astype(np.int64),
-                )
-            )
-        if not rows:
-            return tuple(out)
-        return tuple(np.concatenate(parts) for parts in zip(*rows))
+        ids, offs, flat = self._token_positions(term)
+        return (
+            meta_ids[ids.astype(np.int64)].astype(np.int64),
+            np.diff(offs),
+            flat[offs[:-1]].astype(np.int64),
+            flat[offs[1:] - 1].astype(np.int64),
+        )
 
     def _segment_file(self, bg: int) -> pa.parquet.ParquetFile:
         """The bucket group's segment file, opened once per reader (its
@@ -701,20 +668,27 @@ class IndexReader:
             self._bucket_tables[key] = cached
         return cached
 
-    def _chunk_rows(self, term: str) -> list[tuple[RowGroup, int]]:
-        """(row group, row) of each of the term's chunks, salt order, read
-        through this index's own lexicon.  Each address is checked against
-        the term stored at it: a rebuild of the directory after this reader
+    def _chunk_row(
+        self, term: str, columns: list[str] | None = None
+    ) -> tuple[RowGroup, int] | None:
+        """(row group, row) of the term's chunk, read through this index's
+        own lexicon; None if the index lacks the term.  The scoring columns
+        come through the cached `_bucket_rows`; other ``columns`` (phrase
+        positions) are read uncached.  The address is checked against the
+        term stored at it: a rebuild of the directory after this reader
         loaded its lexicon moves chunks, and decoding another term's chunk
         would return wrong answers without an error."""
-        bg = term_bucket(term) % NUM_BUCKET_GROUPS
-        out = []
-        for rg, row in self._lex.chunks(term):
-            g = self._bucket_rows((bg, rg))
-            if g.term(row) != term:
-                self._changed()
-            out.append((g, row))
-        return out
+        addr = self._lex.chunk(term)
+        if addr is None:
+            return None
+        key = (term_bucket(term) % NUM_BUCKET_GROUPS, addr[0])
+        g = (
+            self._bucket_rows(key) if columns is None
+            else RowGroup(self._read_row_group(*key, columns))
+        )
+        if g.term(addr[1]) != term:
+            self._changed()
+        return g, addr[1]
 
     def _changed(self):
         raise RuntimeError(
@@ -724,25 +698,24 @@ class IndexReader:
         )
 
     def _load_chunks(self, term: str) -> _Run:
-        """A term's postings as ONE docno-sorted `_Run`, cached per term: a
-        hot term's salted chunks merge here once (`_merge_salted`), so every
-        scorer walks one run per term instead of one per salt.  A term with
-        no chunk in this index loads as an empty run.
+        """A term's postings as ONE docno-sorted `_Run` (its one stored
+        chunk), cached per term.  A term with no chunk in this index loads
+        as an empty run.
 
         Impacts are computed here from the stored tfs and each doc's length
         normalization (`_doc_norm`, gathered by docno) with the oracle's
         exact arithmetic (dtype, op order, constants), so scores stay
         float64-bitwise-identical; the block-max metadata is derived from
-        them over the merged run (codec.block_metadata).  Neither is stored
+        them over the run (codec.block_metadata).  Neither is stored
         (schema.py SEGMENT_SCHEMA)."""
         run = self._chunk_cache.get(term)
         if run is not None:
             return run
-        rows = self._chunk_rows(term)
+        hit = self._chunk_row(term)
         run = _EMPTY_RUN
-        if rows:
+        if hit is not None:
             self._load_docmeta()
-            ids, tfs = _merge_salted([g.raw(row) for g, row in rows])
+            ids, tfs = hit[0].raw(hit[1])
             ids = ids.view(np.int64)
             tfs = tfs.astype(np.float64)
             # tf * (k1 + 1) / (tf + norm): the oracle's expression, its
@@ -1180,43 +1153,24 @@ class IndexReader:
         return ok
 
     # ---- positional phrase evaluation (store_positions=True indexes) -----
-    def _token_positions(self, term: str):
-        """[(doc_ids, posting offsets, flat positions)] for a term (empty
-        when the index lacks it): one docno-sorted run, a hot term's salted
-        chunks merged by `_merge_salted` as in `_load_chunks`, so phrase
-        verification probes one run per term.  Read from the segment
-        files' positions column on demand (scoring reads never load it),
-        LRU-cached per term."""
+    def _token_positions(
+        self, term: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(docnos, posting offsets, flat positions) of a term's one
+        docno-sorted chunk, empty when the index lacks it.  Read from the
+        segment files' positions column on demand (scoring reads never load
+        it), LRU-cached per term."""
         data = self._tpos_cache.get(term)
         if data is None:
-            bg = term_bucket(term) % NUM_BUCKET_GROUPS
-            chunks, flats, base = [], [], 0
-            for rg, row in self._lex.chunks(term):
-                # a bucket group with no terms has no segment file: open it
-                # only for a term the lexicon holds
-                g = RowGroup(self._read_row_group(
-                    bg, rg, RowGroup.COLUMNS + ["positions"]
-                ))
-                if g.term(row) != term:
-                    self._changed()
+            # a bucket group with no terms has no segment file: open it
+            # only for a term the lexicon holds
+            hit = self._chunk_row(term, RowGroup.COLUMNS + ["positions"])
+            data = _NO_POSITIONS
+            if hit is not None:
+                g, row = hit
                 ids, lens = g.raw(row)
-                lens = lens.astype(np.int64)
-                # each posting's start in the chunks' concatenated positions
-                chunks.append((ids, lens, np.cumsum(lens) - lens + base))
-                flats.append(g.positions(row))
-                base += flats[-1].size
-            data = []
-            if chunks:
-                ids, lens, starts = _merge_salted(chunks)
-                offs = np.concatenate(([0], np.cumsum(lens)))
-                flat = np.concatenate(flats).astype(np.int32)
-                if len(chunks) > 1:
-                    flat = flat[
-                        np.arange(offs[-1], dtype=np.int64)
-                        - np.repeat(offs[:-1], lens)
-                        + np.repeat(starts, lens)
-                    ]
-                data = [(ids, offs, flat)]
+                offs = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+                data = (ids, offs, g.positions(row).astype(np.int32))
             self._tpos_cache[term] = data
         return data
 
@@ -1230,10 +1184,10 @@ class IndexReader:
         if p >= meta_ids.size or meta_ids[p] != np.uint64(doc):
             return np.empty(0, np.int32)
         d64 = np.uint64(p)
-        for ids, offs, flat in self._token_positions(term):
-            i = int(np.searchsorted(ids, d64))
-            if i < ids.size and ids[i] == d64:
-                return flat[offs[i] : offs[i + 1]]
+        ids, offs, flat = self._token_positions(term)
+        i = int(np.searchsorted(ids, d64))
+        if i < ids.size and ids[i] == d64:
+            return flat[offs[i] : offs[i + 1]]
         return np.empty(0, np.int32)
 
     def _term_positions_for_docs(
@@ -1241,31 +1195,22 @@ class IndexReader:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gather `term`'s positions for every doc in `docs` at once ->
         (doc-index-in-docs repeated per position, flat positions)."""
-        drep_l, vals_l = [], []
-        cand_idx = np.arange(docs.size, dtype=np.int64)
-        for ids, offs, flat in self._token_positions(term):
-            if ids.size == 0:
-                continue
-            idx = np.searchsorted(ids, docs)
-            idx_c = np.minimum(idx, ids.size - 1)
-            found = ids[idx_c] == docs
-            if not found.any():
-                continue
-            fidx = idx_c[found]
-            starts = offs[fidx]
-            ls = offs[fidx + 1] - starts
-            total = int(ls.sum())
-            cum = np.concatenate(([0], np.cumsum(ls)))[:-1]
-            gather = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(cum, ls)
-                + np.repeat(starts, ls)
-            )
-            drep_l.append(np.repeat(cand_idx[found], ls))
-            vals_l.append(flat[gather].astype(np.int64))
-        if not drep_l:
+        ids, offs, flat = self._token_positions(term)
+        if ids.size == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64)
-        return np.concatenate(drep_l), np.concatenate(vals_l)
+        idx_c = np.minimum(np.searchsorted(ids, docs), ids.size - 1)
+        found = ids[idx_c] == docs
+        fidx = idx_c[found]
+        starts = offs[fidx]
+        ls = offs[fidx + 1] - starts
+        cum = np.concatenate(([0], np.cumsum(ls)))[:-1]
+        gather = (
+            np.arange(int(ls.sum()), dtype=np.int64)
+            - np.repeat(cum, ls)
+            + np.repeat(starts, ls)
+        )
+        drep = np.repeat(np.flatnonzero(found), ls)
+        return drep, flat[gather].astype(np.int64)
 
     def _phrase_present_many(
         self, docs: np.ndarray, phrase: tuple[str, ...], slop: int = 0

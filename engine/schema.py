@@ -29,10 +29,9 @@ BLOCK_SIZE = 128
 # fat cold-term groups — one task per core, stragglers, no scaling headroom)
 NUM_TERM_BUCKETS = 128
 
-# a term whose df exceeds this fraction of N is "hot" and gets salted into
-# NUM_SALTS sub-groups in the merge shuffle (SURVEY.md §4 "Skew")
+# a term whose df exceeds this fraction of N is "hot" and gets a segment row
+# group of its own, so reading it reads no other term (SURVEY.md §4 "Skew")
 HOT_TERM_DF_FRACTION = 0.03
-NUM_SALTS = 8
 
 # reduce-task granularity of the build's filesystem exchange: each partials
 # file carries one row group per term-bucket group (bg = bucket % this), and
@@ -124,16 +123,18 @@ PARTIAL_POSTINGS_POS_SCHEMA = PARTIAL_POSTINGS_SCHEMA.append(
 #     decoded by Parquet itself inside the row-group read) instead of
 #     varint/PFor binary cells; the doclens, block_last_doc,
 #     block_max_impact and df_chunk columns are gone (derived at load)
-FORMAT_VERSION = 11
+# v12: one docno-sorted chunk per term (hot terms are no longer split by
+#     doc_id % 8 salts): each hot term is a row group of its own, a bucket's
+#     cold terms share one, and the lexicon holds one address per term
+FORMAT_VERSION = 12
 
-# merged posting chunks — one row per (term, salt) group.  A bucket group's
-# chunks share one file, written in (bucket, salt) order, one row group per
-# (bucket, salt) group: a point read of one term's chunk reads its (bucket,
-# salt) group's row group.  Only ``term`` carries column statistics.
+# posting chunks — one row per term.  A bucket group's chunks share one
+# file, one row group per hot term and one per bucket for its cold terms,
+# so a point read of a term reads its own row group.  Only ``term`` carries
+# column statistics.
 SEGMENT_SCHEMA = pa.schema(
     [
         pa.field("term", pa.string()),
-        pa.field("salt", pa.int32()),
         # ascending dense DOCNOS — each doc's rank in the doc_id-sorted
         # docmeta table — not raw 64-bit url-hash doc_ids: Parquet's delta
         # encoding stores gaps of ~N/df instead of ~2^64/df.  The docno
@@ -157,16 +158,16 @@ SEGMENT_POS_SCHEMA = SEGMENT_SCHEMA.append(
 )
 
 # the term lexicon, one file per bucket group (dfs/bg-XXX.parquet): each
-# term's exact df plus the address of each of its chunks in that group's
-# segment file — (row group, row within it), in salt order.  The reader
-# loads it term-sorted once, so a term's postings are one binary search
-# plus one row-group read per chunk, with no scan of the term's bucket.
+# term's exact df plus the address of its chunk in that group's segment
+# file — (row group, row within it).  The reader loads it term-sorted once,
+# so a term's postings are one binary search plus one row-group read, with
+# no scan of the term's bucket.
 LEXICON_SCHEMA = pa.schema(
     [
         pa.field("term", pa.string()),
         pa.field("df", pa.int64()),
-        pa.field("rg", pa.list_(pa.int32())),
-        pa.field("row", pa.list_(pa.int32())),
+        pa.field("rg", pa.int32()),
+        pa.field("row", pa.int32()),
     ]
 )
 

@@ -1,23 +1,23 @@
-"""The segment format (FORMAT_VERSION 11): what the build's segments phase
+"""The segment format (FORMAT_VERSION 12): what the build's segments phase
 writes per term-bucket group and what IndexReader reads.
 
 Two files per bucket group:
 
-- ``segments/bg-XXX.parquet``: the group's posting chunks, one row per
-  (term, salt) chunk (schema.py SEGMENT_SCHEMA), in (bucket, salt) order,
-  one row group per (bucket, salt) group.  Docnos, tfs and positions are
-  native Parquet list columns whose leaves are DELTA_BINARY_PACKED (zstd on
-  top), so Parquet stores the docno gaps and decodes them in C++ inside
-  ``read_row_group``: a loaded row group is already a set of numpy views.
+- ``segments/bg-XXX.parquet``: the group's posting chunks, one docno-sorted
+  chunk per term (schema.py SEGMENT_SCHEMA).  Each hot term is a row group
+  of its own; the cold terms of a bucket share one.  Docnos, tfs and
+  positions are native Parquet list columns whose leaves are
+  DELTA_BINARY_PACKED (zstd on top), so Parquet stores the docno gaps and
+  decodes them in C++ inside ``read_row_group``: a loaded row group is
+  already a set of numpy views.
 - ``dfs/bg-XXX.parquet``: the group's term lexicon (LEXICON_SCHEMA), each
-  term's exact df and the (row group, row) address of each of its chunks,
-  in salt order.
+  term's exact df and the (row group, row) address of its chunk.
 
-A query term is one binary search in the lexicon plus one row-group read
-per chunk: no scan of its hash bucket, no term dictionary built over a
-bucket's rows.  Doc lengths and block-max metadata are not stored: the
-reader gathers doclens from its docmeta table and derives the blocks from
-the loaded chunk (codec.block_metadata).
+A query term is one binary search in the lexicon plus one row-group read:
+no scan of its hash bucket, no term dictionary built over a bucket's rows.
+Doc lengths and block-max metadata are not stored: the reader gathers
+doclens from its docmeta table and derives the blocks from the loaded
+chunk (codec.block_metadata).
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ from .schema import (
 
 # the list columns of a segment file; each one's leaf is delta-encoded
 _LIST_COLUMNS = ("doc_ids", "tfs", "positions")
+
+# a list column's int32 offsets address at most this many postings per row
+# group; a row group past it would need large_list columns
+MAX_ROW_GROUP_POSTINGS = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -92,35 +96,30 @@ class SortedTermMap:
 
 class Lexicon(SortedTermMap):
     """The index's own term lexicon: a SortedTermMap (term -> df) that also
-    holds, per term, the address of each of its chunks in its bucket
-    group's segment file — (row group, row), in salt order.  Loaded once
-    from dfs/bg-XXX.parquet (schema.py LEXICON_SCHEMA) as flat arrays: the
-    chunks of term i are entries offs[i]:offs[i+1] of rgs/rows."""
+    holds, per term, the address of its chunk in its bucket group's segment
+    file — (row group, row).  Loaded once from dfs/bg-XXX.parquet (schema.py
+    LEXICON_SCHEMA) as arrays aligned with the terms."""
 
-    __slots__ = ("offs", "rgs", "rows")
+    __slots__ = ("rgs", "rows")
 
-    def __init__(self, terms, dfs, offs, rgs, rows):
+    def __init__(self, terms, dfs, rgs, rows):
         super().__init__(terms, dfs)
-        self.offs, self.rgs, self.rows = offs, rgs, rows
+        self.rgs, self.rows = rgs, rows
 
     @classmethod
     def from_arrow(cls, tbl) -> "Lexicon":
         base = SortedTermMap.from_arrow(tbl)
-        rg = tbl["rg"].combine_chunks()
-        row = tbl["row"].combine_chunks()
         return cls(
             base.terms, base.dfs,
-            rg.offsets.to_numpy().astype(np.int64),
-            rg.values.to_numpy(), row.values.to_numpy(),
+            tbl["rg"].to_numpy(), tbl["row"].to_numpy(),
         )
 
-    def chunks(self, term: str) -> list[tuple[int, int]]:
-        """(row group, row) of each of the term's chunks; [] if absent."""
+    def chunk(self, term: str) -> tuple[int, int] | None:
+        """(row group, row) of the term's chunk; None if absent."""
         i = int(np.searchsorted(self.terms, term))
         if i < self.terms.size and self.terms[i] == term:
-            a, b = self.offs[i], self.offs[i + 1]
-            return list(zip(self.rgs[a:b].tolist(), self.rows[a:b].tolist()))
-        return []
+            return int(self.rgs[i]), int(self.rows[i])
+        return None
 
 
 def _array(col) -> pa.Array:
@@ -179,11 +178,11 @@ class RowGroup:
 
 def write_bucket_group(
     seg_path: str, lex_path: str, vocab: pa.Array, dfs: np.ndarray, groups
-) -> int:
-    """Chunk tables (compress_group), one per (bucket, salt) group in
-    (bucket, salt) order -> the group's segment file, one row group each,
-    then its lexicon over ``vocab`` (every term of the group, with its exact
-    df).  Returns the number of chunks written."""
+) -> None:
+    """Chunk tables (compress_group), one per row group -> the group's
+    segment file, one row group each, then its lexicon over ``vocab``
+    (every term of the group, with its exact df and the address of its one
+    chunk)."""
     writer = None
     terms, rgs, rows = [], [], []
     for t in groups:
@@ -204,34 +203,39 @@ def write_bucket_group(
         rows.append(np.arange(t.num_rows, dtype=np.int32))
         terms.extend(t["term"].chunks)
     writer.close()
-    # each term's chunk addresses, in write (= salt) order
+    # each vocab term's chunk address
     codes = pc.index_in(pa.chunked_array(terms, pa.string()), value_set=vocab)
     codes = codes.to_numpy(zero_copy_only=False).astype(np.int64)
-    by_term = np.argsort(codes, kind="stable")
-    offs = np.concatenate(
-        ([0], np.cumsum(np.bincount(codes, minlength=len(vocab))))
-    ).astype(np.int32)
+    if not np.array_equal(np.sort(codes), np.arange(len(vocab))):
+        raise ValueError(f"{seg_path}: not one chunk per vocab term")
+    by_term = np.argsort(codes)
     lex = {
         "term": vocab,
         "df": pa.array(dfs, pa.int64()),
-        "rg": pa.ListArray.from_arrays(offs, np.concatenate(rgs)[by_term]),
-        "row": pa.ListArray.from_arrays(offs, np.concatenate(rows)[by_term]),
+        "rg": pa.array(np.concatenate(rgs)[by_term], pa.int32()),
+        "row": pa.array(np.concatenate(rows)[by_term], pa.int32()),
     }
     pq.write_table(
         pa.table(lex, schema=LEXICON_SCHEMA), lex_path,
         compression="zstd", compression_level=1,
     )
-    return codes.size
 
 
-def compress_group(group: pa.Table, salt: int) -> pa.Table:
-    """Exchange reducer: one (bucket, salt) group of postings (term, docno,
+def compress_group(group: pa.Table) -> pa.Table:
+    """Exchange reducer: one row group's postings (term, docno,
     tf[, positions]), sorted by (term, docno) with no duplicate (term, doc)
     row -> one chunk row per term (SURVEY.md §7.2 step 5).  The posting
     columns become list cells over the same values; Parquet's delta
-    encoding does the compression at write time."""
+    encoding does the compression at write time.  Raises ValueError past
+    MAX_ROW_GROUP_POSTINGS postings (the positions come in as one
+    list<int32> array, whose own int32 offsets already bound them)."""
     terms = _array(group.column("term"))
     n = len(terms)
+    if n > MAX_ROW_GROUP_POSTINGS:
+        raise ValueError(
+            f"a segment row group of {n} postings is past the "
+            f"{MAX_ROW_GROUP_POSTINGS} that int32 list offsets address"
+        )
     new_term = np.ones(n, dtype=bool)
     if n > 1:
         new_term[1:] = pc.not_equal(terms[1:], terms[:-1]).to_numpy(
@@ -241,7 +245,6 @@ def compress_group(group: pa.Table, salt: int) -> pa.Table:
     offs = pa.array(np.append(starts, n).astype(np.int32))
     cols = {
         "term": terms.take(pa.array(starts)),
-        "salt": pa.array(np.full(starts.size, salt, np.int32)),
         "doc_ids": pa.ListArray.from_arrays(
             offs, _array(group.column("doc_id")).cast(pa.uint64())
         ),

@@ -158,7 +158,7 @@ def test_repartition_rebuild_prunes_stale_pids(tmp_path):
     def seg_rows(d):
         t = segment_rows(d)
         return sorted(
-            zip(t["term"].to_pylist(), t["salt"].to_pylist(), t["doc_ids"].to_pylist())
+            zip(t["term"].to_pylist(), t["doc_ids"].to_pylist())
         )
 
     assert seg_rows(idx) == seg_rows(idx_fresh)
@@ -187,7 +187,7 @@ def test_doclen_range_exchange_matches_broadcast(tmp_path, monkeypatch):
         t = segment_rows(d)
         return sorted(
             zip(
-                t["term"].to_pylist(), t["salt"].to_pylist(),
+                t["term"].to_pylist(),
                 t["doc_ids"].to_pylist(), t["tfs"].to_pylist(),
             )
         )

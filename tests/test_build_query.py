@@ -11,7 +11,7 @@ import pyarrow.dataset as pads
 import pytest
 
 from engine import synth
-from engine._testing import force_scorer, segment_rows
+from engine._testing import check_chunk_layout, force_scorer, segment_rows
 from engine.build import build_index
 from engine.oracle import OracleIndex, expected_topk_table
 from engine.query import IndexReader
@@ -39,7 +39,7 @@ def test_build_metrics(built_index):
     assert metrics["n_docs"] == N_DOCS - 1
     assert metrics["n_terms"] > 100
     assert metrics["avgdl"] > 0
-    assert metrics["n_hot_terms"] > 0, "Zipf head should produce salted terms"
+    assert metrics["n_hot_terms"] > 0, "Zipf head should produce hot terms"
 
 
 def test_extracted_byte_identical(built_index):
@@ -182,13 +182,13 @@ def test_segments_store_dense_docnos(built_index):
 
 
 def test_older_format_index_raises_rebuild_error(tmp_path):
-    """A FORMAT_VERSION 10 index (binary varint/PFor posting cells) cannot
-    be read by the v11 reader: opening it raises the rebuild error before
-    any segment file is touched."""
+    """A FORMAT_VERSION 11 index (hot terms split into 8 salted chunks,
+    lexicon lists of addresses) cannot be read by the v12 reader: opening
+    it raises the rebuild error before any segment file is touched."""
     import json
 
     with open(tmp_path / "stats.json", "w") as f:
-        json.dump({"format_version": 10, "n_docs": 1, "avgdl": 1.0}, f)
+        json.dump({"format_version": 11, "n_docs": 1, "avgdl": 1.0}, f)
     with pytest.raises(ValueError, match="rebuild the index"):
         IndexReader(str(tmp_path))
 
@@ -221,7 +221,8 @@ def test_datetime_ts_filters(built_index):
 
 
 def _cold_terms(index_dir, n):
-    """The n most frequent terms that are not hot (one unsalted chunk)."""
+    """The n most frequent terms that are not hot (their chunks share
+    their bucket's row group)."""
     r = IndexReader(index_dir)
     thr = r.stats["hot_df_threshold"]
     cold = [t for t, d in zip(r._lex.terms, r._lex.dfs) if 1 < d <= thr]
@@ -231,7 +232,7 @@ def _cold_terms(index_dir, n):
 def test_lexicon_fresh_reader_rank_identical(built_index):
     """Each query on a FRESH reader (nothing cached: every term is looked
     up in the lexicon and read from its row groups) is rank- and
-    float64-identical to the oracle, for single-term, multi-term and salted
+    float64-identical to the oracle, for single-term, multi-term and
     hot-term queries on every scoring path."""
     _, index_dir, _ = built_index
     oracle = OracleIndex(synth.gen_pages_table(N_DOCS))
@@ -270,9 +271,10 @@ def _count_row_group_reads(monkeypatch) -> list:
 
 
 def test_lexicon_point_reads(built_index, monkeypatch):
-    """A cold term's first _load_chunks is exactly one row-group read; a
-    salted hot term reads only its own row groups, each once, all from its
-    bucket group's one segment file; a second load reads nothing."""
+    """A term's first _load_chunks is exactly one row-group read, of the
+    row group its one lexicon address names, in its bucket group's segment
+    file; a hot term's row group holds that term alone, a cold term's holds
+    its bucket's other cold terms too; a second load reads nothing."""
     from engine.schema import NUM_BUCKET_GROUPS, term_bucket
 
     _, index_dir, _ = built_index
@@ -282,17 +284,15 @@ def test_lexicon_point_reads(built_index, monkeypatch):
     for term, hot in ((cold, False), (synth.HEAD_TERMS[0], True)):
         r = IndexReader(index_dir)
         assert (r.df(term) > thr) == hot
-        addr = r._lex.chunks(term)
+        rg, row = r._lex.chunk(term)
         calls.clear()
         run = r._load_chunks(term)
         assert run.docnos.size == r.df(term)
         bg = term_bucket(term) % NUM_BUCKET_GROUPS
-        assert {pf for pf, _ in calls} == {r._seg_files[bg]}
-        assert sorted(i for _, i in calls) == sorted({rg for rg, _ in addr})
-        if hot:
-            assert len(addr) > 1
-        else:
-            assert len(calls) == 1
+        assert calls == [(r._seg_files[bg], rg)]
+        terms = r._bucket_tables[(bg, rg)].terms.to_pylist()
+        assert terms[row] == term
+        assert (terms == [term]) == hot
         calls.clear()
         r._load_chunks(term)
         assert calls == []
@@ -377,11 +377,11 @@ def test_fetch_docs_keeps_latest_loser_row(built_index, tmp_path):
         assert got["text"].to_pylist() == [want[d] for d in ids], cols
 
 
-def test_salted_term_loads_as_one_merged_run(built_index):
-    """A salted hot term (df > HOT_TERM_DF_FRACTION * N, one stored chunk
-    per salt) loads as ONE docno-sorted run: its docnos are the sorted
-    union of the stored chunks, its impacts the oracle formula over their
-    tfs, its block maxima codec.block_metadata over the merged run."""
+def test_hot_term_loads_as_one_run(built_index):
+    """A hot term (df > HOT_TERM_DF_FRACTION * N) is stored as ONE
+    docno-sorted chunk and loads as one run: its docnos are the stored
+    chunk's, its impacts the oracle formula over its tfs, its block maxima
+    codec.block_metadata over the run."""
     from engine import codec
     from engine.schema import HOT_TERM_DF_FRACTION
 
@@ -392,11 +392,9 @@ def test_salted_term_loads_as_one_merged_run(built_index):
     hot = synth.HEAD_TERMS[0]
     assert r.df(hot) > HOT_TERM_DF_FRACTION * r.n_docs
     rows = segs.filter(pc.equal(segs["term"], hot))
-    assert len(set(rows["salt"].to_pylist())) == rows.num_rows > 1
+    assert rows.num_rows == 1
     ids = pc.list_flatten(rows["doc_ids"]).to_numpy().astype(np.int64)
     tfs = pc.list_flatten(rows["tfs"]).to_numpy().astype(np.float64)
-    order = np.argsort(ids)
-    ids, tfs = ids[order], tfs[order]
 
     run = r._load_chunks(hot)
     assert np.array_equal(run.docnos, ids)
@@ -411,9 +409,10 @@ def test_salted_term_loads_as_one_merged_run(built_index):
     assert r._load_chunks(hot) is run  # cached per term
 
 
-def test_methods_oracle_identical_on_salted_and_unsalted_terms(built_index, tmp_path):
+def test_methods_oracle_identical_on_hot_and_cold_terms(built_index, tmp_path):
     """`auto` and every forced scorer return the oracle's ranking and
-    float64 scores on queries mixing salted and unsalted terms, under
+    float64 scores on queries mixing hot terms (each alone in its row
+    group) and cold terms (sharing their bucket's row group), under
     lang/ts filters and tombstones (deleted docs drop out of the oracle's
     ranking; stats stay as-built until compaction).  Boolean must /
     must-not queries compose the same masks, and never modify the
@@ -427,8 +426,9 @@ def test_methods_oracle_identical_on_salted_and_unsalted_terms(built_index, tmp_
     shutil.copytree(index_dir, copy)
     r = IndexReader(copy)
     terms = sorted(r._lex.terms.tolist())
-    hot = [t for t in terms if len(r._lex.chunks(t)) > 1]
-    cold = [t for t in terms if len(r._lex.chunks(t)) == 1 and r.df(t) >= 5]
+    thr = r.stats["hot_df_threshold"]
+    hot = [t for t in terms if r.df(t) > thr]
+    cold = [t for t in terms if 5 <= r.df(t) <= thr]
     assert len(hot) >= 4 and len(cold) >= 12
     queries = []
     for i in range(4):
@@ -560,6 +560,33 @@ def test_negative_k_is_rejected(built_index):
     for q in (h[0], f"{h[0]} {h[1]}"):
         assert r.search(q, k=0, lang_filter="xx") == []
         assert r.search_boolean(q, k=0, lang_filter="xx") == []
+
+
+def test_complete_rejects_negative_k(built_index):
+    """complete(prefix, k) raises on k < 0 like `search` (k=-1 used to
+    slice from the end and return all but one matching term); k = 0
+    returns no term, and a k past the matches returns them all."""
+    _, index_dir, _ = built_index
+    r = IndexReader(index_dir)
+    prefix = synth.HEAD_TERMS[0][:1]
+    every = r.complete(prefix, k=10**6)
+    assert len(every) > 2
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        r.complete(prefix, k=-1)
+    assert r.complete(prefix, k=0) == []
+    assert r.complete(prefix, k=2) == every[:2]
+
+
+def test_one_chunk_per_term_layout(built_index):
+    """The built index stores one chunk per term: one lexicon address each,
+    every hot term alone in its row group, each bucket's cold terms in one
+    shared row group (check_chunk_layout)."""
+    _, index_dir, metrics = built_index
+    n_hot, n_cold_groups = check_chunk_layout(index_dir)
+    assert n_hot == metrics["n_hot_terms"] > 0
+    assert n_cold_groups > 0
+    r = IndexReader(index_dir)
+    assert segment_rows(index_dir).num_rows == len(r._lex) == metrics["n_terms"]
 
 
 def test_cli_query_prints_oracle_top_k(built_index, capsys):

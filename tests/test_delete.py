@@ -17,6 +17,7 @@ import pyarrow.compute as pc
 import pytest
 
 from engine import synth
+from engine._testing import check_chunk_layout
 from engine.build import build_index, delete_docs
 from engine.oracle import OracleIndex
 from engine.query import IndexReader
@@ -68,6 +69,8 @@ def test_delete_then_compact(tmp_path):
     assert m1["n_docs"] == m0["n_docs"] - 2
     for p, t in mtimes.items():
         assert os.path.getmtime(p) == t, f"partials re-ran: {p}"
+    # the compacted segments keep the one-chunk-per-term layout
+    assert check_chunk_layout(index_dir)[0] == m1["n_hot_terms"] > 0
 
     # post-compaction: rank- and score-identical to an oracle over survivors
     pages = synth.gen_pages_table(N)
@@ -86,7 +89,7 @@ def test_delete_then_compact(tmp_path):
     # another term's postings
     moved = [
         t for t in stale._lex.terms.tolist()
-        if stale._lex.chunks(t) != r3._lex.chunks(t)
+        if stale._lex.chunk(t) != r3._lex.chunk(t)
     ]
     assert moved
     for t in moved:

@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from engine import synth
+from engine._testing import check_chunk_layout, segment_rows
 from engine.analyze import AnalyzerConfig
 from engine.build import build_index
 from engine.merge import merge_indexes
@@ -74,6 +75,23 @@ def test_merge_rerun_is_noop(corpus):
     m = merge_indexes([os.path.join(root, "A"), os.path.join(root, "B")], out)
     assert m["skipped_extract"] == 4 and m["skipped_postings"] == 4
     _assert_identical(out, os.path.join(root, "f1"))
+
+
+def test_merged_index_layout(corpus):
+    """The merge writes its segments through the build's reduce, so the
+    merged index has the build's one-chunk-per-term layout
+    (check_chunk_layout) and the same chunks as a fresh build."""
+    root, _ = corpus
+    out, full = os.path.join(root, "m1"), os.path.join(root, "f1")  # built above
+    n_hot, _ = check_chunk_layout(out)
+    assert n_hot == IndexReader(out).stats["n_hot_terms"] > 0
+
+    def chunks(d):
+        t = segment_rows(d)
+        return sorted(zip(t["term"].to_pylist(), t["doc_ids"].to_pylist(),
+                          t["tfs"].to_pylist()))
+
+    assert chunks(out) == chunks(full)
 
 
 def test_merge_over_an_older_format_dir_rebuilds(corpus):

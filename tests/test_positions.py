@@ -155,16 +155,17 @@ def _synonyms_oracle(oracle, groups, k):
 
 def test_fresh_reader_positions_and_synonyms(pos_index):
     """On the bucket-group layout, a fresh reader per query reads positions
-    (_token_positions: a salted hot term's chunks merge into one sorted
-    run) and raw postings for synonym groups (_term_postings_raw) through
-    the lexicon, and both agree with the oracle."""
+    (_token_positions: a hot term's one docno-sorted chunk, from its own
+    row group) and raw postings for synonym groups (_term_postings_raw)
+    through the lexicon, and both agree with the oracle."""
     pos_reader, _, oracle = pos_index
     d = pos_reader.index_dir
     hot = synth.HEAD_TERMS[0]
     r = IndexReader(d)
-    assert len(r._lex.chunks(hot)) > 1  # salted
-    assert r._token_positions("zzqqoovnothing") == []
-    ((ids, offs, flat),) = r._token_positions(hot)
+    assert r.df(hot) > r.stats["hot_df_threshold"]
+    ids, offs, flat = r._token_positions("zzqqoovnothing")
+    assert ids.size == flat.size == 0 and offs.tolist() == [0]
+    ids, offs, flat = r._token_positions(hot)
     assert ids.size == r.df(hot)
     assert np.all(np.diff(ids.astype(np.int64)) > 0)
     r._load_docmeta()

@@ -28,7 +28,6 @@ def _segment_fingerprint(index_dir):
     rows = sorted(
         zip(
             tbl["term"].to_pylist(),
-            tbl["salt"].to_pylist(),
             tbl["doc_ids"].to_pylist(),
             tbl["tfs"].to_pylist(),
         )

@@ -1,24 +1,27 @@
 """The bucket-group segment format in process (no Ray): chunks written by
-write_bucket_group are found again through the lexicon and read back as the
-postings that went in, with one row group per (bucket, salt) group, and the
-file's footer carries the native list layout (delta-encoded list leaves,
-statistics on ``term`` only)."""
+write_bucket_group are found again through the lexicon, one address per
+term, and read back as the postings that went in, one row group per chunk
+table; the file's footer carries the native list layout (delta-encoded list
+leaves, statistics on ``term`` only); and a row group past the int32
+list-offset cap is refused."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from engine import codec, segments
 from engine.segments import Lexicon, RowGroup, compress_group
 
 
-def _group(postings: dict[str, np.ndarray], salt: int) -> pa.Table:
-    """{term: sorted docnos} -> one (bucket, salt) chunk table; tf and the
-    positions are functions of the docno, so reading can be checked."""
+def _postings(postings: dict[str, np.ndarray]) -> pa.Table:
+    """{term: sorted docnos} -> the (term, doc_id, tf, positions) posting
+    rows of one row group; tf and the positions are functions of the
+    docno, so reading can be checked."""
     terms = [t for t, ids in postings.items() for _ in ids]
     ids = np.concatenate(list(postings.values())).astype(np.uint64)
     tfs = (ids % 5 + 1).astype(np.int32)
-    t = pa.table({
+    return pa.table({
         "term": pa.array(terms, pa.string()),
         "doc_id": pa.array(ids, pa.uint64()),
         "tf": pa.array(tfs, pa.int32()),
@@ -27,7 +30,11 @@ def _group(postings: dict[str, np.ndarray], salt: int) -> pa.Table:
             pa.list_(pa.int32()),
         ),
     })
-    return compress_group(t, salt)
+
+
+def _group(postings: dict[str, np.ndarray]) -> pa.Table:
+    """{term: sorted docnos} -> one row group's chunk table."""
+    return compress_group(_postings(postings))
 
 
 def _positions_of(ids: np.ndarray) -> np.ndarray:
@@ -42,46 +49,59 @@ def test_bucket_group_roundtrip(tmp_path):
     def docs(n):
         return np.sort(rng.choice(50_000, size=n, replace=False))
 
-    # salt 0: many short cold terms plus the hot term's first chunk; salts
-    # 1 and 2: the rest of the hot term, as the build salts a head term
-    salt0 = {f"t{i:03d}": docs(int(rng.integers(1, 40))) for i in range(60)}
-    salt0["hot"] = docs(300)
-    groups = [(salt0, 0), ({"hot": docs(300)}, 1), ({"hot": docs(2)}, 2)]
-    truth: dict[str, list[np.ndarray]] = {}
-    for postings, _salt in groups:
-        for t, ids in postings.items():
-            truth.setdefault(t, []).append(ids)
+    # row group 0: a bucket's many short cold terms; row groups 1 and 2: one
+    # hot term each, as the build lays out a head term
+    cold = {f"t{i:03d}": docs(int(rng.integers(1, 40))) for i in range(60)}
+    groups = [cold, {"hot": docs(600)}, {"hot2": docs(300)}]
+    truth = {t: ids for postings in groups for t, ids in postings.items()}
     vocab = pa.array(sorted(truth), pa.string())
-    dfs = np.array([sum(a.size for a in truth[t]) for t in vocab.to_pylist()])
+    dfs = np.array([truth[t].size for t in vocab.to_pylist()])
     seg, lex = str(tmp_path / "bg-000.parquet"), str(tmp_path / "lex.parquet")
-    n = segments.write_bucket_group(
-        seg, lex, vocab, dfs, (_group(p, s) for p, s in groups)
-    )
-    assert n == sum(len(p) for p, _ in groups)
+    segments.write_bucket_group(seg, lex, vocab, dfs, (_group(p) for p in groups))
 
     pf = pq.ParquetFile(seg)
     assert pf.num_row_groups == len(groups)
-    for rg, (postings, salt) in enumerate(groups):
-        t = pf.read_row_group(rg)
-        assert set(t["salt"].to_pylist()) == {salt}
-        assert sorted(t["term"].to_pylist()) == sorted(postings)
+    for rg, postings in enumerate(groups):
+        assert pf.read_row_group(rg)["term"].to_pylist() == list(postings)
 
     lexicon = Lexicon.from_arrow(pq.read_table(lex).sort_by("term"))
-    for term, parts in truth.items():
-        addr = lexicon.chunks(term)
-        assert len(addr) == len(parts)
-        assert lexicon[term] == sum(p.size for p in parts)
-        for (rg, row), want in zip(addr, parts):  # salt order
-            g = RowGroup(pf.read_row_group(
-                rg, columns=RowGroup.COLUMNS + ["positions"]
-            ))
-            assert g.term(row) == term
-            ids, tfs = g.raw(row)
-            assert ids.dtype == np.uint64 and tfs.dtype == np.uint32
-            assert np.array_equal(ids, want)
-            assert np.array_equal(tfs, want % 5 + 1)
-            assert np.array_equal(g.positions(row), _positions_of(want))
-    assert lexicon.chunks("absent") == []
+    for term, want in truth.items():
+        rg, row = lexicon.chunk(term)
+        assert term in groups[rg]
+        assert lexicon[term] == want.size
+        g = RowGroup(pf.read_row_group(
+            rg, columns=RowGroup.COLUMNS + ["positions"]
+        ))
+        assert g.term(row) == term
+        ids, tfs = g.raw(row)
+        assert ids.dtype == np.uint64 and tfs.dtype == np.uint32
+        assert np.array_equal(ids, want)
+        assert np.array_equal(tfs, want % 5 + 1)
+        assert np.array_equal(g.positions(row), _positions_of(want))
+    assert lexicon.chunk("absent") is None
+
+
+def test_bucket_group_refuses_a_split_term(tmp_path):
+    """A term stored as two chunks (or not stored) cannot be given its one
+    lexicon address: the writer raises instead of writing the lexicon."""
+    vocab = pa.array(["a", "b"], pa.string())
+    groups = [{"a": np.arange(3), "b": np.arange(2)}, {"a": np.arange(5, 8)}]
+    with pytest.raises(ValueError, match="one chunk per vocab term"):
+        segments.write_bucket_group(
+            str(tmp_path / "bg-000.parquet"), str(tmp_path / "lex.parquet"),
+            vocab, np.array([6, 2]), (_group(p) for p in groups),
+        )
+
+
+def test_row_group_posting_cap(monkeypatch):
+    """compress_group refuses a row group with more postings than int32
+    list offsets address (MAX_ROW_GROUP_POSTINGS, lowered here so a tiny
+    table crosses it); a group at the cap is written."""
+    monkeypatch.setattr(segments, "MAX_ROW_GROUP_POSTINGS", 5)
+    at_cap = _postings({"a": np.arange(3), "b": np.arange(2)})
+    assert compress_group(at_cap)["term"].to_pylist() == ["a", "b"]
+    with pytest.raises(ValueError, match="int32 list offsets"):
+        compress_group(_postings({"a": np.arange(6)}))
 
 
 def test_segment_footer_layout(tmp_path):
@@ -89,19 +109,16 @@ def test_segment_footer_layout(tmp_path):
     column_encoding only when keyed by the leaf path; keyed by the column
     name it silently writes PLAIN), only ``term`` carries statistics, and
     none of the columns the reader now derives at load is stored."""
-    groups = [
-        ({"a": np.arange(0, 600, 3), "b": np.array([4, 9])}, 0),
-        ({"a": np.arange(1, 600, 3)}, 1),
-    ]
+    groups = [{"a": np.arange(0, 600, 3)}, {"b": np.array([4, 9])}]
     vocab = pa.array(["a", "b"], pa.string())
     seg = str(tmp_path / "bg-000.parquet")
     segments.write_bucket_group(
-        seg, str(tmp_path / "lex.parquet"), vocab, np.array([400, 2]),
-        (_group(p, s) for p, s in groups),
+        seg, str(tmp_path / "lex.parquet"), vocab, np.array([200, 2]),
+        (_group(p) for p in groups),
     )
     md = pq.ParquetFile(seg).metadata
     assert md.schema.to_arrow_schema().names == [
-        "term", "salt", "doc_ids", "tfs", "positions",
+        "term", "doc_ids", "tfs", "positions",
     ]
     for i in range(md.num_row_groups):
         leaves = {}
@@ -118,7 +135,7 @@ def test_segment_footer_layout(tmp_path):
         for p in lists:
             assert "DELTA_BINARY_PACKED" in leaves[p].encodings, p
             assert "PLAIN" not in leaves[p].encodings, p
-        for gone in ("doclens", "block_last_doc", "block_max_impact", "df_chunk"):
+        for gone in ("doclens", "block_last_doc", "block_max_impact", "df_chunk", "salt"):
             assert not any(p.split(".")[0] == gone for p in leaves), gone
 
 
