@@ -44,6 +44,7 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet  # noqa: F401  (enables pa.parquet.*)
 import ray
 import ray.data as rd
@@ -288,7 +289,6 @@ def build_index(
     index_dir: str,
     *,
     num_partitions: int = 8,
-    extract_batch_size: int | None = None,
     tokenize_batch_size: int | None = None,
     tokenizer_concurrency: int | None = None,
     input_kind: str = "pages",
@@ -506,7 +506,7 @@ def build_index(
                 extract_fn, path_to_pid,
                 rank_of_path if len(loser_ids) else None,
             ),
-            batch_format="pyarrow", batch_size=extract_batch_size,
+            batch_format="pyarrow", batch_size=None,
             zero_copy_batch=True,
         )
         if len(loser_ids):
@@ -1370,8 +1370,15 @@ class _MergeBucketGroup:
         de = de.dictionary_encode()
         if isinstance(de, pa.ChunkedArray):
             de = de.combine_chunks()
-        codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq = de.dictionary.to_pylist()
+        # codes in term order, not in order of first appearance in the
+        # partials: the same corpus then gets the same row groups, rows and
+        # lexicon whatever its build history (incremental or from scratch)
+        by_term = pc.array_sort_indices(de.dictionary).to_numpy()
+        rank = np.empty(len(by_term), np.int64)
+        rank[by_term] = np.arange(len(by_term))
+        codes = rank[de.indices.to_numpy(zero_copy_only=False)]
+        vocab = de.dictionary.take(pa.array(by_term))
+        uniq = vocab.to_pylist()
         # duplicate-(term, doc) guard BEFORE any counting: an exact-duplicate
         # input row split across Ray blocks of one file emits the same
         # (term, doc) twice; counting it in df (or storing it in a chunk)
@@ -1419,7 +1426,7 @@ class _MergeBucketGroup:
         segments.write_bucket_group(
             os.path.join(self.out_root, f"bg-{bg:03d}.parquet"),
             os.path.join(self.dfs_root, f"bg-{bg:03d}.parquet"),
-            de.dictionary, dfs,
+            vocab, dfs,
             (
                 segments.compress_group(t2.slice(s0, e0 - s0))
                 for s0, e0 in zip(starts, ends)

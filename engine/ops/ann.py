@@ -23,6 +23,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .keyed import F64, I64, STR, by_key, collect
+
 QUERY_IDS = (0, 1, 2)
 K = 10
 
@@ -171,7 +173,6 @@ SELECT query_id, rank, vec_id, sim_r FROM ranked WHERE rank <= {K}
 # ---------------------------------------------------------------------------
 _N_PLANES = 6  # bits per table
 _N_TABLES = 16  # independent hash tables (classic LSH amplification)
-_N_PAIR_PARTS = 64  # coarse partitions for bucket/pair reduces
 
 
 class _LshBucketer:
@@ -523,28 +524,17 @@ def lsh_cosine_dup_pairs(sf_dir: str, threshold: float = 0.4):
                 pa.array(offsets, pa.int64()),
                 pa.array(flat_emb.reshape(-1), pa.float64()),
             )
-            # coarse bucket-partition key: one sort group per LSH bucket
-            # costs ~1 ms each in Ray's map_groups; 64 coarse groups do the
-            # same co-location with vectorized per-partition pairing
-            bucket = keys.T.reshape(-1)
             return pa.table(
                 {
-                    "bucket": pa.array(bucket, pa.int64()),
+                    "bucket": pa.array(keys.T.reshape(-1), pa.int64()),
                     "vec_id": pa.array(np.tile(ids, T), pa.int64()),
                     "emb": lists,
-                    "part": pa.array(bucket % _N_PAIR_PARTS, pa.int64()),
                 }
             )
 
     def pairs_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         """Pairs of ALL buckets in one hash partition: sort rows by bucket,
         matmul only the (rare) buckets with >= 2 members."""
-        empty = {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "sim": pd.Series([], dtype="float64"),
-            "ppart": pd.Series([], dtype="int64"),
-        }
         g = g.drop_duplicates(["bucket", "vec_id"])
         bkt = g["bucket"].to_numpy()
         ids = g["vec_id"].to_numpy()
@@ -561,31 +551,27 @@ def lsh_cosine_dup_pairs(sf_dir: str, threshold: float = 0.4):
             ai, bi = np.nonzero(np.triu(sims >= threshold, k=1))
             out.append((sub_ids[ai], sub_ids[bi], sims[ai, bi]))
         if not out:
-            return pd.DataFrame(empty)
+            return pd.DataFrame()
         a = np.concatenate([x[0] for x in out])
         b = np.concatenate([x[1] for x in out])
         sim = np.concatenate([x[2] for x in out])
         df = pd.DataFrame({"a": a, "b": b, "sim": sim})
         # intra-partition combine before the cross-partition distinct
-        df = df.groupby(["a", "b"], sort=False, as_index=False).agg(sim=("sim", "max"))
-        df["ppart"] = (df["a"] * 1_000_003 + df["b"]) % _N_PAIR_PARTS
-        return df
+        return df.groupby(["a", "b"], sort=False, as_index=False).agg(sim=("sim", "max"))
 
     def combine_pairs(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["a", "b"], sort=False, as_index=False).agg(sim=("sim", "max"))
-        out["sim_r"] = out["sim"].round(6)
-        return out[["a", "b", "sim_r"]]
+        return out.assign(sim_r=out["sim"].round(6))
 
-    return (
-        _read_emb(sf_dir)
-        .map_batches(
+    pairs = by_key(
+        _read_emb(sf_dir).map_batches(
             _BucketWithVec, batch_format="pyarrow", concurrency=(1, 4),
             zero_copy_batch=True,
-        )
-        .groupby("part")
-        .map_groups(pairs_of_partition, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(combine_pairs, batch_format="pandas")
+        ),
+        "bucket", pairs_of_partition, pa.schema({"a": I64, "b": I64, "sim": F64}),
+    )
+    return by_key(
+        pairs, ["a", "b"], combine_pairs, pa.schema({"a": I64, "b": I64, "sim_r": F64})
     )
 
 
@@ -749,12 +735,9 @@ def embedding_clusters(sf_dir: str, n_cells: int = _IVF_CELLS):
     """Per-vector spherical k-means assignment -> (vec_id, cluster, sim_r6)
     (cluster = argmax-cosine centroid, deterministic seed; rows-only entry,
     assignments re-derived exactly by the pytest oracle)."""
-    if _emb_nrows(sf_dir) == 0:
-        return pd.DataFrame(
-            {"vec_id": pd.Series([], dtype="int64"),
-             "cluster": pd.Series([], dtype="int64"),
-             "sim_r6": pd.Series([], dtype="float64")}
-        )
+    schema = pa.schema({"vec_id": I64, "cluster": I64, "sim_r6": F64})
+    if _emb_nrows(sf_dir) == 0:  # no vectors to train centroids on
+        return rd.from_arrow(schema.empty_table())
     cent = _sample_and_train(sf_dir, n_cells)
     ref = ray.put(cent)
 
@@ -762,13 +745,7 @@ def embedding_clusters(sf_dir: str, n_cells: int = _IVF_CELLS):
         c = ray.get(ref)
         ids, m = _emb_matrix(t)
         if len(ids) == 0:
-            return pa.table(
-                {
-                    "vec_id": pa.array([], pa.int64()),
-                    "cluster": pa.array([], pa.int64()),
-                    "sim_r6": pa.array([], pa.float64()),
-                }
-            )
+            return schema.empty_table()
         mn = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
         sims = mn @ c.T
         cl = np.argmax(sims, axis=1)
@@ -1140,37 +1117,27 @@ def _lang_embedding_moments(sf_dir: str) -> pd.DataFrame:
     count) per (language, dimension).  Scale shape: the union-marker
     co-location idiom (Ray's hash join rejects list-typed payload
     columns, and exploding d columns would copy every vector) —
-    embeddings and (doc_id, lang) rows ride the SAME coarse id-hash
-    partitions through ONE shuffle, the partition kernel resolves lang by
-    searchsorted and collapses ALL its vectors to langs x d moment rows,
-    so the final reduce is group-grain."""
+    embeddings and (doc_id, lang) rows are keyed by id through ONE
+    shuffle, the partition kernel resolves lang by searchsorted and
+    collapses ALL its vectors to langs x d moment rows, so the final
+    reduce is group-grain."""
     from ray.data.aggregate import Sum
 
-    _N_PARTS = 64
-
-    def _part(ids: np.ndarray) -> np.ndarray:
-        return (ids.astype(np.int64) * 0x9E3779B1 % (1 << 31)) % _N_PARTS
-
     def emb_row(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "id": t["vec_id"],
                 "embedding": t["embedding"],
-                "lang": pa.array([""] * len(ids), pa.string()),
-                "part": pa.array(_part(ids)),
+                "lang": pa.array([""] * t.num_rows, pa.string()),
             }
         )
 
     def doc_row(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        empty = pa.array([[]] * len(ids), pa.list_(pa.float32()))
         return pa.table(
             {
                 "id": t["doc_id"],
-                "embedding": empty,
+                "embedding": pa.array([[]] * t.num_rows, pa.list_(pa.float32())),
                 "lang": t["lang"],
-                "part": pa.array(_part(ids)),
             }
         )
 
@@ -1181,72 +1148,34 @@ def _lang_embedding_moments(sf_dir: str) -> pd.DataFrame:
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang"]
     ).map_batches(doc_row, batch_format="pyarrow", zero_copy_batch=True)
 
-    def moment_partial(t: pa.Table) -> pa.Table:
-        langs_all = np.asarray(t["lang"].to_numpy(zero_copy_only=False))
-        is_doc = langs_all != ""
-        ids = t["id"].to_numpy(zero_copy_only=False)
-        dk = ids[is_doc]
-        order = np.argsort(dk)
-        dk, dl = dk[order], langs_all[is_doc][order]
-        et = t.filter(pa.array(~is_doc)).select(["id", "embedding"])
-        et = et.rename_columns(["vec_id", "embedding"])
-        vids, m = _emb_matrix(et)
-        empty = pa.table(
-            {
-                "lang": pa.array([], pa.string()),
-                "dim": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-                "s2": pa.array([], pa.float64()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-        if m.size == 0 or len(dk) == 0:
-            return empty
+    def moment_partial(g: pd.DataFrame) -> pd.DataFrame:
+        is_doc = (g["lang"] != "").to_numpy()
+        d_ = g[is_doc].sort_values("id")
+        dk, dl = d_["id"].to_numpy(), d_["lang"].to_numpy()
+        ev = g[~is_doc]
+        if ev.empty or len(dk) == 0:
+            return pd.DataFrame()
+        vids = ev["id"].to_numpy()
+        m = np.stack(ev["embedding"].to_numpy()).astype(np.float64)
         pos = np.minimum(np.searchsorted(dk, vids), len(dk) - 1)
         hit = dk[pos] == vids  # inner-join semantics: drop unmatched vectors
         m, vl = m[hit], dl[pos[hit]]
-        if m.size == 0:
-            return empty
-        d = m.shape[1]
-        out_lang, out_dim, out_s, out_s2, out_n = [], [], [], [], []
-        for lg in np.unique(vl):
-            sub = m[vl == lg]
-            out_lang.extend([str(lg)] * d)
-            out_dim.extend(range(1, d + 1))
-            out_s.extend(sub.sum(axis=0))
-            out_s2.extend((sub * sub).sum(axis=0))
-            out_n.extend([sub.shape[0]] * d)
-        return pa.table(
-            {
-                "lang": pa.array(out_lang, pa.string()),
-                "dim": pa.array(out_dim, pa.int64()),
-                "s": pa.array(out_s, pa.float64()),
-                "s2": pa.array(out_s2, pa.float64()),
-                "n": pa.array(out_n, pa.int64()),
-            }
-        )
+        dims = np.arange(1, m.shape[1] + 1)
+        rows = [
+            pd.DataFrame({"lang": lg, "dim": dims, "s": sub.sum(axis=0),
+                          "s2": (sub * sub).sum(axis=0), "n": sub.shape[0]})
+            for lg in np.unique(vl) for sub in (m[vl == lg],)
+        ]
+        return pd.concat(rows, ignore_index=True) if rows else pd.DataFrame()
 
-    out = (
-        emb.union(docs)
-        .groupby("part")
-        .map_groups(moment_partial, batch_format="pyarrow")
+    schema = pa.schema({"lang": STR, "dim": I64, "s": F64, "s2": F64, "n": I64})
+    return collect(  # langs x d rows
+        by_key(emb.union(docs), "id", moment_partial, schema)
         .groupby(["lang", "dim"])
         .aggregate(Sum("s", alias_name="s"), Sum("s2", alias_name="s2"),
-                   Sum("n", alias_name="n"))
-        .to_pandas()  # langs x d rows
+                   Sum("n", alias_name="n")),
+        schema,
     )
-    if out.empty:  # 0-row corpus: Ray's empty groupby drops the schema
-        out = pd.DataFrame(
-            {
-                "lang": pd.Series([], dtype="object"),
-                "dim": pd.Series([], dtype="int64"),
-                "s": pd.Series([], dtype="float64"),
-                "s2": pd.Series([], dtype="float64"),
-                "n": pd.Series([], dtype="int64"),
-            }
-        )
-    out["n"] = out["n"].astype(np.int64)
-    return out
 
 
 def lang_embedding_centroids(sf_dir: str):
@@ -1417,7 +1346,10 @@ def embeddings_pca_evr(sf_dir: str, n_components: int = _PCA_TOP):
             }
         )
 
-    parts = ds.map_batches(moments, batch_format="pyarrow").to_pandas()
+    parts = collect(
+        ds.map_batches(moments, batch_format="pyarrow"),
+        pa.schema({"n": I64, "s1": pa.binary(), "s2": pa.binary()}),
+    )
     parts = parts[parts["n"] > 0]
     if parts.empty:
         return pd.DataFrame(

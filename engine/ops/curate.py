@@ -34,6 +34,7 @@ import ray.data as rd
 
 from ..analyze import ngram_from_stream, token_array_stream
 from .decontam import _BENCH_MOD, _BENCH_REM, _DECON_N, _bench_mask, benchmark_ngrams
+from .keyed import F64, I64, STR, collect
 
 MAX_TOP2_FRAC = 0.07
 MIN_TOKENS = 16
@@ -673,18 +674,17 @@ def docs_dsir_weights(sf_dir: str):
             }
         )
 
-    counts = (
+    counts = collect(  # <= 256 rows
         _read_docs(sf_dir, columns=["lang", "text"])
         .map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bidx")
-        .sum(["c_raw", "c_tgt"])
-        .to_pandas()  # <= 256 rows
+        .sum(["c_raw", "c_tgt"]),
+        pa.schema({"bidx": I64, "sum(c_raw)": I64, "sum(c_tgt)": I64}),
     )
     c_raw = np.zeros(_DSIR_BUCKETS, np.int64)
     c_tgt = np.zeros(_DSIR_BUCKETS, np.int64)
-    if len(counts) and "sum(c_raw)" in counts.columns:
-        c_raw[counts["bidx"].to_numpy()] = counts["sum(c_raw)"].to_numpy()
-        c_tgt[counts["bidx"].to_numpy()] = counts["sum(c_tgt)"].to_numpy()
+    c_raw[counts["bidx"].to_numpy()] = counts["sum(c_raw)"].to_numpy()
+    c_tgt[counts["bidx"].to_numpy()] = counts["sum(c_tgt)"].to_numpy()
     t_raw = float(int(c_raw.sum()))
     t_tgt = float(int(c_tgt.sum()))
     logratio = np.log(
@@ -798,21 +798,13 @@ def curate_funnel(sf_dir: str):
 
     import pandas as pd
 
-    agg = (
+    agg = collect(  # <= 4 rows
         _read_docs(sf_dir, columns=["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("reason")
-        .sum("n")
-        .to_pandas()  # <= 4 rows
+        .sum("n"),
+        pa.schema({"reason": STR, "sum(n)": I64}),
     )
-    if "sum(n)" not in agg.columns or len(agg) == 0:  # empty corpus
-        return pd.DataFrame(
-            {
-                "reason": pd.Series([], dtype="object"),
-                "n": pd.Series([], dtype="int64"),
-                "pct_r6": pd.Series([], dtype="float64"),
-            }
-        )
     agg = (
         agg.rename(columns={"sum(n)": "n"})
         .sort_values("reason", kind="mergesort")
@@ -974,12 +966,12 @@ def export_training_shards(sf_dir: str, out_dir: str | None = None,
         return pd.DataFrame({"shard": [shard], "n_rows": [len(g)]})
 
     n_seen = _read_docs(sf_dir, columns=["doc_id"]).count()
-    manifest = (
+    manifest = collect(  # <= n_shards rows
         _read_docs(sf_dir)
         .map_batches(keep_and_key, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("shard")
-        .map_groups(write_shard, batch_format="pandas")
-        .to_pandas()  # <= n_shards rows
+        .map_groups(write_shard, batch_format="pandas"),
+        pa.schema({"shard": I64, "n_rows": I64}),
     )
     shutil.rmtree(out_dir, ignore_errors=True)
     os.replace(tmp_dir, out_dir)
@@ -1026,8 +1018,10 @@ def docs_reservoir_sample(sf_dir: str, k: int = _RESERVOIR_K):
         return tt.take(idx)
 
     out = (
-        ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()  # <= n_blocks * k rows
+        collect(  # <= n_blocks * k rows
+            ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True),
+            pa.schema({"doc_id": I64, "source": STR, "rk": STR}),
+        )
         .sort_values(["rk", "doc_id"])
         .head(k)
         .reset_index(drop=True)
@@ -1089,8 +1083,10 @@ def docs_weighted_sample(sf_dir: str, k: int = _WSAMPLE_K):
         return tt.take(idx)
 
     out = (
-        ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()  # <= n_blocks * k rows
+        collect(  # <= n_blocks * k rows
+            ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True),
+            pa.schema({"doc_id": I64, "n_chars": I64, "key": F64}),
+        )
         .sort_values(["key", "doc_id"])
         .head(k)
         .reset_index(drop=True)

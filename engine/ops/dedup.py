@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ..analyze import SPLIT_PATTERN, tokenize, tokenize_counts_arrow
+from .keyed import F64, I64, STR, by_key, collect
 
 _MERSENNE = (1 << 61) - 1
 
@@ -40,34 +41,25 @@ def exact_dedup(sf_dir: str):
 
     The reduce key (content hash) is corpus-cardinality, so the combine is
     NOT one Ray group per hash (per-group dispatch cost grows with group
-    count): map-side partials carry a coarse hash-prefix partition key and
+    count): map-side partials ride one hash-keyed shuffle (keyed.by_key) and
     one vectorized pandas groupby per partition finishes the reduce."""
 
     def hash_batch(t: pa.Table) -> pa.Table:
         hs = [hashlib.md5(x.encode("utf-8")).hexdigest() for x in t["text"].to_pylist()]
         t2 = pa.table({"h": pa.array(hs, pa.string()), "doc_id": t["doc_id"]})
         g = t2.group_by("h").aggregate([("doc_id", "min"), ("doc_id", "count")])
-        part = [int(x[:8], 16) % _N_CAND_PARTS for x in g["h"].to_pylist()]
-        return pa.table(
-            {
-                "h": g["h"],
-                "keep_part": g["doc_id_min"],
-                "n_part": g["doc_id_count"],
-                "part": pa.array(part, pa.int64()),
-            }
-        )
+        return g.rename_columns(["h", "keep_part", "n_part"])
 
     def dedup_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("h", sort=False, as_index=False).agg(
+        return g.groupby("h", sort=False, as_index=False).agg(
             keep_id=("keep_part", "min"), n_dups=("n_part", "sum")
         )
-        return out[["h", "keep_id", "n_dups"]]
 
-    return (
+    return by_key(
         _read_docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(hash_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(dedup_of_partition, batch_format="pandas")
+        .map_batches(hash_batch, batch_format="pyarrow", zero_copy_batch=True),
+        "h", dedup_of_partition,
+        pa.schema({"h": STR, "keep_id": I64, "n_dups": I64}),
     )
 
 
@@ -78,35 +70,24 @@ FROM documents GROUP BY md5(text)
 
 
 # ---------------------------------------------------------------------------
-_N_JACCARD_PARTS = 32
-
-
 def _shingle_rows(t: pa.Table) -> pa.Table:
-    """Distinct (doc_id, shingle, doc-set-size, partition) rows per batch.
+    """Distinct (doc_id, tk, n) rows per batch: tk one of the doc's 3-token
+    shingles (the joined token-triple string, mirroring the SQL oracle
+    exactly), n the doc's shingle-set size (known at emit time — a doc is
+    one input row, never split) so Jaccard needs no corpus-scale size
+    broadcast later."""
+    from ..analyze import ngram_stream_arrow
 
-    Shingles are the joined token-triple string, mirroring the SQL oracle
-    exactly.  Each row carries its doc's set size `n` (known at emit time —
-    a doc is one input row, never split) so Jaccard needs no corpus-scale
-    size broadcast later, and a stable crc32 partition key so all rows of a
-    shingle co-locate under a coarse `groupby("part")` (32 groups) instead
-    of one sort group per distinct shingle (~1 group per row)."""
-    import zlib
-
-    doc_ids, shingles, ns, parts = [], [], [], []
-    for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-        toks = tokenize(text)
-        ss = {f"{toks[i]} {toks[i + 1]} {toks[i + 2]}" for i in range(len(toks) - 2)}
-        for s in ss:
-            doc_ids.append(did)
-            shingles.append(s)
-            ns.append(len(ss))
-            parts.append(zlib.crc32(s.encode()) % _N_JACCARD_PARTS)
+    codes, parents, vocab = ngram_stream_arrow(t["text"], 3)
+    nv = max(len(vocab), 1)
+    pairs = np.unique(parents.astype(np.int64) * nv + codes)
+    di, ci = pairs // nv, pairs % nv
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
     return pa.table(
         {
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "tk": pa.array(shingles, pa.string()),
-            "n": pa.array(ns, pa.int64()),
-            "part": pa.array(parts, pa.int64()),
+            "doc_id": pa.array(ids[di], pa.int64()),
+            "tk": vocab.take(pa.array(ci)).cast(pa.string()),
+            "n": pa.array(np.bincount(di, minlength=len(t))[di], pa.int64()),
         }
     )
 
@@ -114,9 +95,9 @@ def _shingle_rows(t: pa.Table) -> pa.Table:
 def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.8):
     """Exact 3-gram-shingle Jaccard similar pairs (a < b, jaccard >= threshold).
 
-    Plan: distinct (doc, shingle, set-size) rows -> ONE coarse shuffle on a
-    32-way crc32(shingle) partition key (a shingle's whole posting co-locates
-    in one partition, so global df is visible there) -> per-partition
+    Plan: distinct (doc, shingle, set-size) rows -> ONE shuffle keyed by
+    shingle (a shingle's whole posting co-locates in one partition, so
+    global df is visible there) -> per-partition
     vectorized pair generation over ALL its shingle groups at once -> a tiny
     groupby(pair) sums intersection counts; set sizes ride the pair rows, so
     nothing corpus-scale is ever broadcast or driver-collected.  Quadratic in
@@ -155,14 +136,6 @@ def _exact_jaccard_pairs(
         """All candidate pairs of ALL shingle groups in one hash partition,
         vectorized: factorize shingles, stable-sort rows by group code, walk
         only the (rare) groups with 2..hot_cap members."""
-        empty = {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "i_part": pd.Series([], dtype="int64"),
-            "na": pd.Series([], dtype="int64"),
-            "nb": pd.Series([], dtype="int64"),
-            "ppart": pd.Series([], dtype="int64"),
-        }
         codes, uniq = pd.factorize(g["tk"], sort=False)
         order = np.argsort(codes, kind="stable")
         codes_s = codes[order]
@@ -206,26 +179,20 @@ def _exact_jaccard_pairs(
                 pd.DataFrame({"a": [-1], "b": [-1], "i_part": [n_hot],
                               "na": [0], "nb": [0]}).astype("int64")
             )
-        if not frames:
-            return pd.DataFrame(empty)
-        df = pd.concat(frames, ignore_index=True)
-        # coarse pair-partition key: Ray's per-group Aggregate costs ~1 ms per
-        # distinct group; a 32-way partition + one vectorized pandas combine
-        # per partition does the same reduce at C speed
-        df["ppart"] = (df["a"] * 1_000_003 + df["b"]) % _N_JACCARD_PARTS
-        return df
+        return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
 
     def combine_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["a", "b"], sort=False, as_index=False).agg(
+        return g.groupby(["a", "b"], sort=False, as_index=False).agg(
             i=("i_part", "sum"), na=("na", "max"), nb=("nb", "max")
         )
-        return out[["a", "b", "i", "na", "nb"]]
 
-    inter = (
-        tok.groupby("part")
-        .map_groups(pairs_of_partition, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(combine_pairs, batch_format="pandas")
+    pairs = by_key(
+        tok, "tk", pairs_of_partition,
+        pa.schema({"a": I64, "b": I64, "i_part": I64, "na": I64, "nb": I64}),
+    )
+    inter = by_key(
+        pairs, ["a", "b"], combine_pairs,
+        pa.schema({"a": I64, "b": I64, "i": I64, "na": I64, "nb": I64}),
     )
 
     def jaccard_final(t: pa.Table) -> pa.Table:
@@ -302,15 +269,15 @@ def ngram_jaccard_prefix(
     public literature): under ANY fixed global order on shingles, two sets
     with Jaccard >= t must share at least one element inside both of their
     prefixes of length |S| - ceil(t*|S|) + 1 (rarest-first ordering is only
-    an optimization; we use the stable crc32 order so no global-df pass is
+    an optimization; we use a fixed hash order so no global-df pass is
     needed).  So the candidate join touches only ~(1-t) of each doc's
     shingle rows, plus a length filter (min(n) >= t*max(n)) that kills
     cross-size pairs before they materialize.
 
     Plan: shingle rows annotated map-side with a per-doc prefix flag (the
     prefix is a property of the doc's own set — no shuffle needed to mark
-    it) -> candidate pairs from PREFIX rows only via one coarse
-    crc32(shingle) shuffle -> distinct candidates -> the candidate doc_id
+    it) -> candidate pairs from PREFIX rows only via one shingle-keyed
+    shuffle -> distinct candidates -> the candidate doc_id
     set prunes the corpus read by predicate pushdown (adaptive: over
     `pushdown_budget_ids` the pruning is skipped and the kernel degrades to
     the exact whole-corpus join rather than building a corpus-scale driver
@@ -329,54 +296,30 @@ def ngram_jaccard_prefix(
     prefixes, so candidates from cold prefix shingles stay complete.
 
     Crossover (measured, BENCH round 5): at sf0.1 (100k docs, ~0.03% dup
-    rate) this path is ~2x SLOWER than the exact join (3.4 s vs 1.6 s) —
-    stage A re-tokenizes the corpus, so the prefix pass only pays off once
-    pair ENUMERATION dominates tokenization.  That is exactly the
+    rate) this path was ~2x SLOWER than the exact join (3.4 s vs 1.6 s) —
+    stage A tokenizes the corpus a second time, so the prefix pass only
+    pays off once pair ENUMERATION dominates tokenization.  That is exactly the
     100-TB-shaped regime (shared-shingle groups grow with corpus size;
     non-candidate docs then never enter the quadratic kernel), and the
     regime where the exact join is the published baseline against which
     PPJoin reports its wins; at low dup rates and toy scale, use
     ngram_jaccard_pairs directly."""
-    import math
-    import zlib
-
     if pushdown_budget_ids is None:
         pushdown_budget_ids = _PUSHDOWN_BUDGET_IDS
     docs = _read_docs(sf_dir, columns=["doc_id", "text"])
     hot_cap = max(64.0, 0.1 * docs.count())
 
     def prefix_rows(t: pa.Table) -> pa.Table:
-        """(doc_id, tk, n, part, pre) rows for every shingle of each doc;
-        `pre` flags its PREFIX: its shingle set sorted by (crc32, shingle)
-        — the same global order in every task — truncated to
-        n - ceil(t*n) + 1 entries."""
-        doc_ids, shingles, ns, parts, pres = [], [], [], [], []
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            toks = tokenize(text)
-            ss = {
-                f"{toks[i]} {toks[i + 1]} {toks[i + 2]}"
-                for i in range(len(toks) - 2)
-            }
-            n = len(ss)
-            if n == 0:
-                continue
-            p = n - int(math.ceil(threshold * n - 1e-9)) + 1
-            crcs = {s: zlib.crc32(s.encode()) for s in ss}
-            for rank, s in enumerate(sorted(ss, key=lambda s: (crcs[s], s))):
-                doc_ids.append(did)
-                shingles.append(s)
-                ns.append(n)
-                parts.append(crcs[s] % _N_JACCARD_PARTS)
-                pres.append(rank < p)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "tk": pa.array(shingles, pa.string()),
-                "n": pa.array(ns, pa.int64()),
-                "part": pa.array(parts, pa.int64()),
-                "pre": pa.array(pres, pa.bool_()),
-            }
-        )
+        """_shingle_rows plus `pre`, the flag of each doc's PREFIX: its
+        shingle set sorted by (hash, shingle) — the same global order in
+        every task — truncated to n - ceil(t*n) + 1 entries."""
+        d = _shingle_rows(t).to_pandas()
+        d["h"] = pd.util.hash_array(d["tk"].to_numpy())
+        d = d.sort_values(["doc_id", "h", "tk"])
+        n = d["n"].to_numpy()
+        p = n - np.ceil(threshold * n - 1e-9).astype(np.int64) + 1
+        d["pre"] = d.groupby("doc_id", sort=False).cumcount().to_numpy() < p
+        return pa.Table.from_pandas(d.drop(columns="h"), preserve_index=False)
 
     def cand_of_partition(g: pd.DataFrame) -> pa.Table:
         """Pairs co-occurring on a cold prefix shingle, with the Jaccard
@@ -412,25 +355,19 @@ def ngram_jaccard_prefix(
             {"a": np.concatenate(a_parts), "b": np.concatenate(b_parts)}
         ).drop_duplicates()
         hot = np.full(hot_tk.size, -1, dtype=np.int64)
-        a = np.r_[hot, pairs["a"].to_numpy()]
-        b = np.r_[hot, pairs["b"].to_numpy()]
-        return pa.table({
-            "a": a,
-            "b": b,
-            # typed: tk stays a string column in partitions without hot rows
-            "tk": pa.array([*hot_tk, *[""] * len(pairs)], pa.string()),
-            "ppart": (a * 1_000_003 + b) % _N_JACCARD_PARTS,
+        return pd.DataFrame({
+            "a": np.r_[hot, pairs["a"].to_numpy()],
+            "b": np.r_[hot, pairs["b"].to_numpy()],
+            "tk": [*hot_tk, *[""] * len(pairs)],
         })
 
-    cands = (
-        docs.map_batches(prefix_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(cand_of_partition, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(  # a pair can co-occur on several prefix shingles
-            lambda g: g.drop_duplicates(["a", "b", "tk"])[["a", "b", "tk"]],
-            batch_format="pandas",
-        )
+    schema = pa.schema({"a": I64, "b": I64, "tk": STR})
+    cands = by_key(  # a pair can co-occur on several prefix shingles
+        by_key(
+            docs.map_batches(prefix_rows, batch_format="pyarrow", zero_copy_batch=True),
+            "tk", cand_of_partition, schema,
+        ),
+        ["a", "b"], lambda g: g.drop_duplicates(["a", "b", "tk"]), schema,
     ).materialize()
     hot = [
         r["tk"]
@@ -444,20 +381,12 @@ def ngram_jaccard_prefix(
     if n_cands == 0:
         # prefix filtering is complete: zero candidates proves zero pairs
         return rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], pa.int64()),
-                    "b": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
+            pa.schema({"a": I64, "b": I64, "jaccard": F64}).empty_table()
         )
     if 2 * n_cands > pushdown_budget_ids:
         return _exact_jaccard_pairs(docs, hot_cap, threshold)
-    cand_ids = sorted(
-        ({int(x) for x in cands.unique("a")} | {int(x) for x in cands.unique("b")})
-        - {-1}
-    )
+    c = collect(cands, schema)
+    cand_ids = np.setdiff1d(np.union1d(c["a"], c["b"]), [-1]).tolist()
     pruned = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text"],
@@ -471,7 +400,6 @@ def ngram_jaccard_prefix(
 # ---------------------------------------------------------------------------
 _SPAN_N = 8  # span length in tokens (Lee et al. use 50; sized to the corpus)
 _SPAN_MIN_DOCS = 2
-_N_SPAN_PARTS = 64
 
 
 def dup_spans(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_DOCS):
@@ -488,10 +416,8 @@ def dup_spans(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_DOCS):
     Scale shape (mirrors exact_dedup): the map side aggregates each batch to
     one row per DISTINCT span carrying summable partials — a doc is exactly
     one input row, so per-batch distinct-doc counts sum exactly across
-    batches — keyed by the span string on a coarse 64-way partition from
-    pandas' vectorized siphash (fixed default key, so partitions agree
-    across workers); one vectorized pandas groupby per partition finishes
-    the reduce and applies the HAVING, and only the few SURVIVING spans are
+    batches — keyed by the span string; one vectorized pandas groupby per
+    partition finishes the reduce and applies the HAVING, and only the few SURVIVING spans are
     md5-hashed (the expensive per-string digest never runs corpus-wide on
     the map side).  Nothing vocabulary- or corpus-scale touches the driver;
     the n-gram windowing is the shared zero-copy-slice kernel
@@ -507,7 +433,6 @@ def dup_spans(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_DOCS):
                 "n_docs_p": pa.array([], pa.int64()),
                 "n_occ_p": pa.array([], pa.int64()),
                 "keep_p": pa.array([], pa.int64()),
-                "part": pa.array([], pa.int64()),
             }
         )
         doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -523,17 +448,12 @@ def dup_spans(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_DOCS):
         dd = np.r_[True, (c_s[1:] != c_s[:-1]) | (p_s[1:] != p_s[:-1])]
         n_docs_arr = np.add.reduceat(dd.astype(np.int64), starts)
         keep = np.minimum.reduceat(doc_ids[p_s], starts)
-        spans = vocab.take(pa.array(c_s[starts]))
-        part = pd.util.hash_array(
-            spans.to_numpy(zero_copy_only=False)
-        ) % _N_SPAN_PARTS
         return pa.table(
             {
-                "g": spans,
+                "g": vocab.take(pa.array(c_s[starts])),
                 "n_docs_p": pa.array(n_docs_arr, pa.int64()),
                 "n_occ_p": pa.array(n_occ, pa.int64()),
                 "keep_p": pa.array(keep, pa.int64()),
-                "part": pa.array(part.astype(np.int64)),
             }
         )
 
@@ -547,13 +467,13 @@ def dup_spans(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_DOCS):
         out["h"] = [
             hashlib.md5(s.encode("utf-8")).hexdigest() for s in out["g"]
         ]
-        return out[["h", "n_docs", "n_occ", "keep_id"]]
+        return out
 
-    return (
+    return by_key(
         _read_docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(of_partition, batch_format="pandas")
+        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "g", of_partition,
+        pa.schema({"h": STR, "n_docs": I64, "n_occ": I64, "keep_id": I64}),
     )
 
 
@@ -582,7 +502,6 @@ FROM sp GROUP BY g HAVING count(DISTINCT doc_id) >= {_SPAN_MIN_DOCS}
 # ---------------------------------------------------------------------------
 _N_PERM = 64
 _N_BANDS = 16  # 16 bands x 4 rows
-_N_CAND_PARTS = 64  # coarse partitions for bucket/pair reduces
 # candidate-id cap for the driver-built shingle-store pushdown filter
 # (~28 B/int as a Python list => ~1.4 GB at the default); above it the
 # reduce-side doc_id join filters instead — distributed full scan, nothing
@@ -739,17 +658,11 @@ class _MinHasher:
         bh = (bh >> np.uint64(1)).astype(np.int64)  # int64-safe
         doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
         band_col = np.repeat(np.arange(_N_BANDS, dtype=np.int64), n_docs)
-        bh_col = bh.reshape(-1)
-        # coarse bucket-partition key: all rows of one (band, bh) bucket
-        # co-locate under a ~64-way groupby instead of one sort group per
-        # bucket (Ray's map_groups costs ~1 ms per group)
-        part = (bh_col ^ (band_col << np.int64(13))) % _N_CAND_PARTS
         return pa.table(
             {
                 "band": pa.array(band_col.astype(np.int32), pa.int32()),
-                "bh": pa.array(bh_col, pa.int64()),
+                "bh": pa.array(bh.reshape(-1), pa.int64()),
                 "doc_id": pa.array(np.tile(doc_ids, _N_BANDS), pa.int64()),
-                "part": pa.array(part, pa.int64()),
             }
         )
 
@@ -812,11 +725,6 @@ def minhash_lsh_pairs(
         """Candidate pairs of ALL (band, bh) buckets in one hash partition:
         lexsort rows by bucket, walk only buckets with >= 2 rows (rare —
         buckets are near-unique away from true near-dups)."""
-        empty = {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "ppart": pd.Series([], dtype="int64"),
-        }
         band = g["band"].to_numpy().astype(np.int64)
         bh = g["bh"].to_numpy()
         doc = g["doc_id"].to_numpy()
@@ -833,21 +741,15 @@ def minhash_lsh_pairs(
             ai, bi = np.triu_indices(ids.size, k=1)
             out.append((ids[ai], ids[bi]))
         if not out:
-            return pd.DataFrame(empty)
+            return pd.DataFrame()
         a = np.concatenate([x[0] for x in out])
         b = np.concatenate([x[1] for x in out])
-        df = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
-        df["ppart"] = (df["a"] * 1_000_003 + df["b"]) % _N_CAND_PARTS
-        return df
+        return pd.DataFrame({"a": a, "b": b}).drop_duplicates()
 
-    cands = (
-        bands.groupby("part")
-        .map_groups(cand_of_partition, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(  # global distinct (a pair can surface in many buckets)
-            lambda g: g.drop_duplicates(["a", "b"])[["a", "b"]],
-            batch_format="pandas",
-        )
+    schema = pa.schema({"a": I64, "b": I64})
+    cands = by_key(  # global distinct (a pair can surface in many buckets)
+        by_key(bands, ["band", "bh"], cand_of_partition, schema),
+        ["a", "b"], lambda g: g.drop_duplicates(["a", "b"]), schema,
     ).materialize()
 
     # ids only — per-doc fixed 8 bytes, never the shingle sets; and only
@@ -855,15 +757,10 @@ def minhash_lsh_pairs(
     # budget — otherwise skip the driver-side collection entirely
     cand_filter = None
     if 2 * cands.count() <= pushdown_budget_ids:
-        ids_a = cands.unique("a")
-        ids_b = cands.unique("b")
-        cand_ids = sorted({int(x) for x in ids_a} | {int(x) for x in ids_b})
-        cand_filter = pc.field("doc_id").isin(cand_ids)
+        c = collect(cands, schema)
+        cand_filter = pc.field("doc_id").isin(np.union1d(c["a"], c["b"]).tolist())
 
     _SH_TYPE = pa.list_(pa.uint64())
-
-    def _docpart(ids: np.ndarray) -> np.ndarray:
-        return (ids.astype(np.int64) * 0x9E3779B1 % (1 << 31)) % _N_CAND_PARTS
 
     def pair_sides(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False)
@@ -876,7 +773,6 @@ def minhash_lsh_pairs(
                 "a": pa.array(np.concatenate([a, a]), pa.int64()),
                 "b": pa.array(np.concatenate([b, b]), pa.int64()),
                 "shingles": pa.nulls(2 * n, _SH_TYPE),
-                "docpart": pa.array(_docpart(doc), pa.int64()),
             }
         )
 
@@ -890,9 +786,6 @@ def minhash_lsh_pairs(
                 "a": pa.array(np.full(n, -1, np.int64), pa.int64()),
                 "b": pa.array(np.full(n, -1, np.int64), pa.int64()),
                 "shingles": sh["shingles"],
-                "docpart": pa.array(
-                    _docpart(doc.to_numpy(zero_copy_only=False)), pa.int64()
-                ),
             }
         )
 
@@ -914,31 +807,13 @@ def minhash_lsh_pairs(
         store_rows = g[is_store][["doc_id", "shingles"]]
         side = g[~is_store]
         if side.empty or store_rows.empty:
-            return pd.DataFrame(
-                {
-                    "a": pd.Series([], dtype="int64"),
-                    "b": pd.Series([], dtype="int64"),
-                    "shingles": pd.Series([], dtype="object"),
-                    "ppart": pd.Series([], dtype="int64"),
-                }
-            )
-        out = side[["doc_id", "a", "b"]].merge(store_rows, on="doc_id", how="inner")
-        out["ppart"] = (out["a"] * 1_000_003 + out["b"]) % _N_CAND_PARTS
-        return out[["a", "b", "shingles", "ppart"]]
+            return pd.DataFrame()
+        return side[["doc_id", "a", "b"]].merge(store_rows, on="doc_id", how="inner")
 
     def check_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         """Exact Jaccard for ALL pairs of one pair-hash partition: sort by
         (a, b) so each pair's two side rows are adjacent, then one numpy
         intersect per pair (no per-pair DataFrame or Ray group)."""
-        empty = pd.DataFrame(
-            {
-                "a": pd.Series([], dtype="int64"),
-                "b": pd.Series([], dtype="int64"),
-                "jaccard": pd.Series([], dtype="float64"),
-            }
-        )
-        if g.empty:
-            return empty
         g = g.sort_values(["a", "b"])
         a = g["a"].to_numpy()
         b = g["b"].to_numpy()
@@ -959,22 +834,15 @@ def minhash_lsh_pairs(
                 out_a.append(a[s])
                 out_b.append(b[s])
                 out_j.append(round(j, 6))
-        if not out_a:
-            return empty
-        return pd.DataFrame(
-            {
-                "a": np.array(out_a, dtype=np.int64),
-                "b": np.array(out_b, dtype=np.int64),
-                "jaccard": np.array(out_j, dtype=np.float64),
-            }
-        )
+        return pd.DataFrame({"a": out_a, "b": out_b, "jaccard": out_j})
 
-    return (
-        sides.union(store)
-        .groupby("docpart")
-        .map_groups(attach_of_partition, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(check_of_partition, batch_format="pandas")
+    attached = by_key(
+        sides.union(store), "doc_id", attach_of_partition,
+        pa.schema({"a": I64, "b": I64, "shingles": _SH_TYPE}),
+    )
+    return by_key(
+        attached, ["a", "b"], check_of_partition,
+        pa.schema({"a": I64, "b": I64, "jaccard": F64}),
     )
 
 
@@ -1032,28 +900,17 @@ def simhash_pairs(sf_dir: str, max_hamming: int = 3):
         shifts = np.uint64(16) * np.arange(4, dtype=np.uint64)
         keys = ((s[None, :] >> shifts[:, None]) & np.uint64(0xFFFF)).astype(np.int64)
         band = np.repeat(np.arange(4, dtype=np.int64), len(d))
-        key = keys.reshape(-1)
-        # coarse bucket-partition key (see minhash): one sort group per
-        # (band, key) bucket costs ~1 ms each in Ray's map_groups
-        part = (key ^ (band << np.int64(13))) % _N_CAND_PARTS
         return pa.table(
             {
                 "band": pa.array(band.astype(np.int32), pa.int32()),
-                "key": pa.array(key, pa.int64()),
+                "key": pa.array(keys.reshape(-1), pa.int64()),
                 "doc_id": pa.array(np.tile(d, 4), pa.int64()),
                 "simhash": pa.array(np.tile(s.astype(np.int64), 4), pa.int64()),
-                "part": pa.array(part, pa.int64()),
             }
         )
 
     def pairs_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         """Verified pairs of ALL (band, key) buckets in one hash partition."""
-        empty = {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "hamming": pd.Series([], dtype="int64"),
-            "ppart": pd.Series([], dtype="int64"),
-        }
         band = g["band"].to_numpy().astype(np.int64)
         key = g["key"].to_numpy()
         doc = g["doc_id"].to_numpy()
@@ -1076,41 +933,33 @@ def simhash_pairs(sf_dir: str, max_hamming: int = 3):
             keep = ham <= max_hamming
             out.append((ids[ai][keep], ids[bi][keep], ham[keep]))
         if not out:
-            return pd.DataFrame(empty)
+            return pd.DataFrame()
         a = np.concatenate([x[0] for x in out])
         b = np.concatenate([x[1] for x in out])
         ham = np.concatenate([x[2] for x in out])
-        df = pd.DataFrame({"a": a, "b": b, "hamming": ham}).drop_duplicates(["a", "b"])
-        df["ppart"] = (df["a"] * 1_000_003 + df["b"]) % _N_CAND_PARTS
-        return df
+        return pd.DataFrame({"a": a, "b": b, "hamming": ham}).drop_duplicates(["a", "b"])
 
-    return (
-        sh.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs_of_partition, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(  # a pair can agree on bands hashed to different parts
-            lambda g: g.drop_duplicates(["a", "b"])[["a", "b", "hamming"]],
-            batch_format="pandas",
-        )
+    schema = pa.schema({"a": I64, "b": I64, "hamming": I64})
+    return by_key(  # a pair can agree on bands hashed to different parts
+        by_key(
+            sh.map_batches(explode, batch_format="pyarrow"),
+            ["band", "key"], pairs_of_partition, schema,
+        ),
+        ["a", "b"], lambda g: g.drop_duplicates(["a", "b"]), schema,
     )
 
 
 # ---------------------------------------------------------------------------
-_N_CC_PARTS = 32
-
-
 def _connected_components(edges, max_iters: int = 64):
     """Connected components over an (a, b) edge Dataset: every node gets
     cluster_id = the smallest node id reachable from it.
 
     Scale shape: iterative min-label propagation, the groupby-only analog of
-    large-star contraction.  Each round is two coarse hash shuffles —
+    large-star contraction.  Each round is two node-keyed shuffles —
     (1) co-locate label rows with edge rows keyed by the edge's source
     endpoint and emit (neighbor, lbl) candidates via one vectorized pandas
-    merge per partition, (2) min-reduce candidates per node on a coarse
-    node-hash partition — so per-round traffic is O(edges + nodes) rows and
-    nothing is ever driver-collected.  Labels are monotone non-increasing
+    merge per partition, (2) min-reduce candidates per node — so per-round
+    traffic is O(edges + nodes) rows and nothing is ever driver-collected.  Labels are monotone non-increasing
     and bounded by the component minimum, so sum(lbl) strictly decreases
     until the fixpoint; the driver watches that one scalar per round
     (converges in graph-diameter rounds; dup clusters are near-cliques, so
@@ -1128,7 +977,6 @@ def _connected_components(edges, max_iters: int = 64):
                 "key": pa.array(src, pa.int64()),
                 "other": pa.array(dst, pa.int64()),
                 "lbl": pa.array(np.full(src.size, -1), pa.int64()),
-                "part": pa.array(src % _N_CC_PARTS, pa.int64()),
             }
         )
 
@@ -1141,35 +989,22 @@ def _connected_components(edges, max_iters: int = 64):
                 "key": pa.array(n, pa.int64()),
                 "other": pa.array(np.full(n.size, -1), pa.int64()),
                 "lbl": pa.array(n, pa.int64()),
-                "part": pa.array(n % _N_CC_PARTS, pa.int64()),
             }
         )
 
-    _CC_SCHEMA = pa.schema(
-        [("key", pa.int64()), ("other", pa.int64()),
-         ("lbl", pa.int64()), ("part", pa.int64())]
-    )
+    # one schema for edge and label rows, so union(sym, labels) concatenates
+    schema = pa.schema({"key": I64, "other": I64, "lbl": I64})
 
-    def _to_arrow(out: pd.DataFrame) -> pa.Table:
-        # keep blocks Arrow so union(sym, labels) sees one block type
-        return pa.Table.from_pandas(out, schema=_CC_SCHEMA, preserve_index=False)
-
-    def min_per_node(t: pa.Table) -> pa.Table:
-        g = t.to_pandas()
+    def min_per_node(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("key", sort=False, as_index=False).agg(lbl=("lbl", "min"))
-        out["other"] = -1
-        out["part"] = out["key"] % _N_CC_PARTS
-        return _to_arrow(out[["key", "other", "lbl", "part"]])
+        return out.assign(other=-1)
 
-    labels = (
-        sym.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(min_per_node, batch_format="pyarrow")
-        .materialize()
-    )
+    labels = by_key(
+        sym.map_batches(init_labels, batch_format="pyarrow"),
+        "key", min_per_node, schema,
+    ).materialize()
 
-    def propagate(t: pa.Table) -> pa.Table:
-        g = t.to_pandas()
+    def propagate(g: pd.DataFrame) -> pd.DataFrame:
         lab = g[g["other"] == -1][["key", "lbl"]]
         edg = g[g["other"] != -1][["key", "other"]]
         cand = edg.merge(lab, on="key", how="inner")  # (other <- lbl of key)
@@ -1177,21 +1012,14 @@ def _connected_components(edges, max_iters: int = 64):
             lbl=("lbl", "min")
         )
         cand = cand.rename(columns={"other": "key"})
-        out = pd.concat([lab, cand], ignore_index=True)
-        out["other"] = -1
-        out["part"] = out["key"] % _N_CC_PARTS
-        return _to_arrow(out[["key", "other", "lbl", "part"]])
+        return pd.concat([lab, cand], ignore_index=True).assign(other=-1)
 
     prev_sum = labels.sum("lbl") or 0
     for _ in range(max_iters):
-        labels = (
-            sym.union(labels)
-            .groupby("part")
-            .map_groups(propagate, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(min_per_node, batch_format="pyarrow")
-            .materialize()
-        )
+        labels = by_key(
+            by_key(sym.union(labels), "key", propagate, schema),
+            "key", min_per_node, schema,
+        ).materialize()
         s = labels.sum("lbl") or 0
         if s == prev_sum:  # labels are monotone; equal sum == fixpoint
             break
@@ -1258,34 +1086,26 @@ def dup_span_fraction(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_D
     on; `dup_spans` reports the span view, this reports the doc view.
 
     Scale shape: ONE corpus pass emits (a) one row per distinct
-    (span, doc) pair per batch with its occurrence count, keyed by a
-    coarse span-hash partition, and (b) one per-doc span-total marker row
-    keyed into a DISJOINT partition-id range (span parts occupy
-    [0, P), markers [P, 2P)) so both ride the SAME shuffle.  Span
-    partitions decide survivors locally (a span's rows all land in one
-    partition) and emit per-doc PARTIAL duplicated counts; a second
-    coarse doc-hash shuffle sums partials with the markers into the exact
-    fraction.  Nothing span- or corpus-scale touches the driver."""
+    (span, doc) pair per batch with its occurrence count, keyed by the
+    span, and (b) one per-doc span-total marker row (is_tot = 1) keyed by
+    the doc id's decimal string, so both ride the SAME shuffle.  A span's
+    rows all land in one partition, which decides survivors locally and
+    emits per-doc PARTIAL duplicated counts; a second doc-keyed shuffle
+    sums partials with the markers into the exact fraction.  Nothing
+    span- or corpus-scale touches the driver."""
     from ..analyze import ngram_stream_arrow
 
     def partials(t: pa.Table) -> pa.Table:
         doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        docpart = pd.util.hash_array(doc_ids) % _N_SPAN_PARTS
         codes, parents, vocab = ngram_stream_arrow(t["text"], n)
-        if codes.size:
-            tot = np.bincount(parents, minlength=len(t)).astype(np.int64)
-        else:
-            tot = np.zeros(len(t), np.int64)
-        # marker rows: one per doc, routed to partition P + hash(doc)
+        tot = np.bincount(parents, minlength=len(t)).astype(np.int64)
         tables = [
             pa.table(
                 {
-                    "part": pa.array(
-                        (_N_SPAN_PARTS + docpart).astype(np.int64), pa.int64()
-                    ),
-                    "g": pa.array([""] * len(t), pa.string()),
+                    "g": pc.cast(pa.array(doc_ids), pa.string()),
                     "doc_id": pa.array(doc_ids, pa.int64()),
                     "occ": pa.array(tot, pa.int64()),
+                    "is_tot": pa.array(np.ones(len(t), np.int64)),
                 }
             )
         ]
@@ -1295,39 +1115,27 @@ def dup_span_fraction(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_D
             brk = np.r_[True, (c_s[1:] != c_s[:-1]) | (p_s[1:] != p_s[:-1])]
             starts = np.nonzero(brk)[0]
             occ = np.diff(np.r_[starts, c_s.size])
-            spans = vocab.take(pa.array(c_s[starts]))
-            part = pd.util.hash_array(
-                spans.to_numpy(zero_copy_only=False)
-            ) % _N_SPAN_PARTS
             tables.append(
                 pa.table(
                     {
-                        "part": pa.array(part.astype(np.int64), pa.int64()),
-                        "g": spans,
+                        "g": vocab.take(pa.array(c_s[starts])).cast(pa.string()),
                         "doc_id": pa.array(doc_ids[p_s[starts]], pa.int64()),
                         "occ": pa.array(occ.astype(np.int64), pa.int64()),
+                        "is_tot": pa.array(np.zeros(starts.size, np.int64)),
                     }
                 )
             )
         return pa.concat_tables(tables)
 
     def reduce_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        """Span partitions ([0, P)): survivors -> per-doc partial dup
-        counts.  Marker partitions ([P, 2P)): pass through as totals."""
-        if g["part"].iat[0] >= _N_SPAN_PARTS:
-            tot = g.groupby("doc_id", sort=False, as_index=False).agg(
-                v=("occ", "sum")
-            )
-            tot["is_tot"] = np.int64(1)
-            return tot[["doc_id", "v", "is_tot"]]
-        nd = g.groupby("g", sort=False)["doc_id"].nunique()
-        keep = set(nd[nd >= min_docs].index)
-        m = g[g["g"].isin(keep)]
-        out = m.groupby("doc_id", sort=False, as_index=False).agg(
-            v=("occ", "sum")
-        )
-        out["is_tot"] = np.int64(0)
-        return out[["doc_id", "v", "is_tot"]]
+        """Span rows -> per-doc partial dup counts of the surviving spans;
+        marker rows pass through as totals."""
+        tot = g[g["is_tot"] == 1].rename(columns={"occ": "v"})
+        s = g[g["is_tot"] == 0]
+        nd = s.groupby("g", sort=False)["doc_id"].nunique()
+        m = s[s["g"].isin(nd.index[nd >= min_docs])]
+        dup = m.groupby("doc_id", sort=False, as_index=False).agg(v=("occ", "sum"))
+        return pd.concat([tot, dup.assign(is_tot=0)], ignore_index=True)
 
     def frac_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         tot = g[g["is_tot"] == 1].groupby("doc_id", sort=False, as_index=False).agg(
@@ -1348,24 +1156,15 @@ def dup_span_fraction(sf_dir: str, n: int = _SPAN_N, min_docs: int = _SPAN_MIN_D
             }
         )
 
-    stage1 = (
+    stage1 = by_key(
         _read_docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(reduce_of_partition, batch_format="pandas")
+        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "g", reduce_of_partition,
+        pa.schema({"doc_id": I64, "v": I64, "is_tot": I64}),
     )
-
-    def add_docpart(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["docpart"] = (
-            pd.util.hash_array(b["doc_id"].to_numpy(np.int64)) % _N_SPAN_PARTS
-        ).astype(np.int64)
-        return b
-
-    return (
-        stage1.map_batches(add_docpart, batch_format="pandas")
-        .groupby("docpart")
-        .map_groups(frac_of_partition, batch_format="pandas")
+    return by_key(
+        stage1, "doc_id", frac_of_partition,
+        pa.schema({"doc_id": I64, "n_spans": I64, "n_dup": I64, "dup_frac_r6": F64}),
     )
 
 
@@ -1419,17 +1218,13 @@ def docs_snapshot_delta(sf_dir: str):
     partials."""
     from ray.data.aggregate import Sum
 
-    from .relational import _keypart
-
     def a_rows(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         hs = [hashlib.md5(x.encode()).hexdigest() for x in t["text"].to_pylist()]
         return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "h": pa.array(hs, pa.string()),
-                "src": pa.array(np.zeros(len(ids), np.int8)),
-                "part": pa.array(_keypart(ids)),
+                "src": pa.array(np.zeros(t.num_rows, np.int8)),
             }
         )
 
@@ -1452,7 +1247,6 @@ def docs_snapshot_delta(sf_dir: str):
                 "doc_id": pa.array(arr),
                 "h": pa.array(out_h, pa.string()),
                 "src": pa.array(np.ones(len(arr), np.int8)),
-                "part": pa.array(_keypart(arr)),
             }
         )
 
@@ -1485,12 +1279,12 @@ def docs_snapshot_delta(sf_dir: str):
         )
         return out[out["n_part"] > 0]
 
-    out = (
-        both.groupby("part")
-        .map_groups(delta_of_partition, batch_format="pandas")
+    out = collect(  # <= 4 rows
+        by_key(both, "doc_id", delta_of_partition,
+               pa.schema({"status": STR, "n_part": I64}))
         .groupby("status")
-        .aggregate(Sum("n_part", alias_name="n"))
-        .to_pandas()  # <= 4 rows
+        .aggregate(Sum("n_part", alias_name="n")),
+        pa.schema({"status": STR, "n": I64}),
     )
     out["n"] = out["n"].astype(np.int64)
     return out.sort_values("status").reset_index(drop=True)
@@ -1528,9 +1322,9 @@ def dedup_by_source_priority(sf_dir: str):
     doc under the (source priority, doc_id) keep rule — priority is the
     source's numeric suffix ascending (src0 outranks src1).  Scale shape:
     identical to exact_dedup (per-batch per-hash winner partials + counts
-    -> ONE coarse hash-prefix shuffle -> vectorized per-partition
-    re-argmin); the winner rule composes lexicographically, so partials
-    lose no information."""
+    -> ONE hash-keyed shuffle -> vectorized per-partition re-argmin); the
+    winner rule composes lexicographically, so partials lose no
+    information."""
 
     def hash_batch(t: pa.Table) -> pd.DataFrame:
         hs = [hashlib.md5(x.encode("utf-8")).hexdigest() for x in t["text"].to_pylist()]
@@ -1556,29 +1350,19 @@ def dedup_by_source_priority(sf_dir: str):
         df = df.sort_values(["h", "prio", "doc_id"], kind="mergesort")
         counts = df.groupby("h", sort=False)["n"].transform("sum")
         df["n"] = counts
-        df = df.drop_duplicates("h", keep="first")
-        df["part"] = [int(x[:8], 16) % _N_CAND_PARTS for x in df["h"]]
-        return df[["h", "prio", "doc_id", "source", "n", "part"]]
+        return df.drop_duplicates("h", keep="first")
 
     def dedup_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {"h": pd.Series([], dtype="object"),
-                 "keep_id": pd.Series([], dtype="int64"),
-                 "keep_source": pd.Series([], dtype="object"),
-                 "n_dups": pd.Series([], dtype="int64")}
-            )
         g = g.sort_values(["h", "prio", "doc_id"], kind="mergesort")
         n = g.groupby("h", sort=False)["n"].transform("sum")
         g = g.assign(n_dups=n).drop_duplicates("h", keep="first")
-        g = g.rename(columns={"doc_id": "keep_id", "source": "keep_source"})
-        return g[["h", "keep_id", "keep_source", "n_dups"]]
+        return g.rename(columns={"doc_id": "keep_id", "source": "keep_source"})
 
-    return (
+    return by_key(
         _read_docs(sf_dir, columns=["doc_id", "text", "source"])
-        .map_batches(hash_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(dedup_of_partition, batch_format="pandas")
+        .map_batches(hash_batch, batch_format="pyarrow", zero_copy_batch=True),
+        "h", dedup_of_partition,
+        pa.schema({"h": STR, "keep_id": I64, "keep_source": STR, "n_dups": I64}),
     )
 
 

@@ -22,6 +22,7 @@ from ..analyze import tokenize
 from ..build import build_index
 from ..query import IndexReader
 from ..schema import B, K1
+from .keyed import I64, STR, collect, frame
 
 DOC_QUERIES = [
     "window agg partition",
@@ -31,6 +32,10 @@ DOC_QUERIES = [
     "spark data column batch",
 ]
 K = 10
+
+_HIT_DTYPES = {"query_id": "int64", "rank": "int64", "doc_id": "int64",
+               "score_r6": "float64"}
+
 
 _reader_cache: dict[str, IndexReader] = {}
 _pool_cache: dict = {}
@@ -99,7 +104,7 @@ def bm25_docs_topk(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 AUTOCOMPLETE_PREFIXES = ["s", "c", "b", "w", "xyz"]
@@ -119,7 +124,9 @@ def docs_autocomplete(sf_dir: str, k: int = AUTOCOMPLETE_K) -> pd.DataFrame:
     for p in AUTOCOMPLETE_PREFIXES:
         for rank, term in enumerate(reader.complete(p, k=k), 1):
             rows.append((p, rank, term, reader.df(term)))
-    return pd.DataFrame(rows, columns=["prefix", "rank", "term", "df"])
+    return frame(
+        rows, {"prefix": "object", "rank": "int64", "term": "object", "df": "int64"}
+    )
 
 
 def _autocomplete_sql() -> str:
@@ -173,7 +180,8 @@ def docs_more_like_this(sf_dir: str, k: int = K) -> pd.DataFrame:
     n = reader.n_docs
     queries = []
     for pid in MLT_DOC_IDS:
-        tf = Counter(tokenize(texts[pid]))
+        # a probe missing from the corpus has no keywords, so no related docs
+        tf = Counter(tokenize(texts.get(pid, "")))
         scored = sorted(
             ((round(c * math.log(n / reader.df(t)), 6), t) for t, c in tf.items()),
             key=lambda x: (-x[0], x[1]),
@@ -193,7 +201,8 @@ def docs_more_like_this(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((pid, rank, did, s))
-    return pd.DataFrame(rows, columns=["probe_doc", "rank", "doc_id", "score_r6"])
+    return frame(rows, {"probe_doc": "int64", "rank": "int64", "doc_id": "int64",
+                        "score_r6": "float64"})
 
 
 def _mlt_chain() -> str:
@@ -296,7 +305,8 @@ def docs_spell_suggest(sf_dir: str) -> pd.DataFrame:
         if got is not None:
             sugg, dist, df = got
             rows.append((qt, sugg, dist, df))
-    return pd.DataFrame(rows, columns=["qterm", "suggestion", "dist", "df"])
+    return frame(rows, {"qterm": "object", "suggestion": "object", "dist": "int64",
+                        "df": "int64"})
 
 
 def _spell_sql() -> str:
@@ -359,15 +369,14 @@ def bm25_docs_facets(sf_dir: str, pool: int = FACET_POOL) -> pd.DataFrame:
     def pick(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(t["doc_id"], value_set=wanted))
 
-    meta = (
+    meta = collect(
         rd.read_parquet(
             os.path.join(sf_dir, "documents.parquet"),
             columns=["doc_id", *FACET_COLS],
-        )
-        .map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
+        ).map_batches(pick, batch_format="pyarrow", zero_copy_batch=True),
+        pa.schema({"doc_id": I64, **{c: STR for c in FACET_COLS}}),
     )
-    pool_df = pd.DataFrame(pools, columns=["query_id", "doc_id"])
+    pool_df = frame(pools, {"query_id": "int64", "doc_id": "int64"})
     joined = pool_df.merge(meta, on="doc_id", how="left")
     outs = []
     for col in FACET_COLS:
@@ -414,7 +423,7 @@ def bm25_docs_boolean(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 def _bool_docs_sql(query_set: list[str]) -> str:
@@ -617,7 +626,7 @@ def bm25_docs_proximity(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 WILDCARD_DOC_QUERIES = [
@@ -641,7 +650,7 @@ def bm25_docs_wildcard(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 # deterministic victim rule for the delete+compaction gate (SQL-expressible)
@@ -733,7 +742,7 @@ def docs_merged_topk(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 def bm25_docs_after_delete(sf_dir: str, k: int = K) -> pd.DataFrame:
@@ -747,7 +756,7 @@ def bm25_docs_after_delete(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +793,7 @@ def bm25_docs_fuzzy(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 def _fuzzy_docs_sql(k: int = K) -> str:
@@ -877,9 +886,8 @@ def docs_search_after(sf_dir: str, page_size: int = SEARCH_AFTER_PAGE,
                 rank += 1
                 rows.append((qid, page, rank, did, s))
             cursor = (got[-1][1], got[-1][0])
-    return pd.DataFrame(
-        rows, columns=["query_id", "page", "rank", "doc_id", "score_r6"]
-    )
+    return frame(rows, {"query_id": "int64", "page": "int64", "rank": "int64",
+                        "doc_id": "int64", "score_r6": "float64"})
 
 
 def _search_after_sql() -> str:
@@ -1056,7 +1064,7 @@ def bm25_docs_stopword(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r6"])
+    return frame(rows, _HIT_DTYPES)
 
 
 def _stopword_docs_sql(k: int = K) -> str:
@@ -1085,7 +1093,7 @@ def docs_match_counts(sf_dir: str) -> pd.DataFrame:
     scoring pass; the oracle counts DISTINCT matching docs over the
     token CTE."""
     reader = _index_for(sf_dir)
-    return pd.DataFrame(
+    out = pd.DataFrame(
         {
             "query_id": np.arange(len(DOC_QUERIES), dtype=np.int64),
             "n_matches": np.array(
@@ -1093,6 +1101,7 @@ def docs_match_counts(sf_dir: str) -> pd.DataFrame:
             ),
         }
     )
+    return out[out["n_matches"] > 0].reset_index(drop=True)  # SQL inner join
 
 
 def _match_counts_sql() -> str:
@@ -1209,10 +1218,7 @@ def bm25_docs_synonyms(sf_dir: str, k: int = K) -> pd.DataFrame:
             reader.search_synonyms(groups, k=k), start=1
         ):
             rows.append((qid, rank, doc_id, round(score, 6)))
-    return pd.DataFrame(
-        rows, columns=["query_id", "rank", "doc_id", "score_r6"]
-    ).astype({"query_id": "int64", "rank": "int64", "doc_id": "int64",
-              "score_r6": "float64"})
+    return frame(rows, _HIT_DTYPES)
 
 
 def _synonyms_sql(k: int = K) -> str:
@@ -1305,14 +1311,13 @@ def index_df_histogram(sf_dir: str) -> pd.DataFrame:
 
     from ray.data.aggregate import Max, Sum
 
-    out = (
+    out = collect(  # <= 64 buckets
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("df_bucket")
         .aggregate(Sum("n_terms", alias_name="n_terms"),
-                   Max("max_df", alias_name="max_df"))
-        .to_pandas()  # <= 64 buckets
+                   Max("max_df", alias_name="max_df")),
+        pa.schema({"df_bucket": I64, "n_terms": I64, "max_df": I64}),
     )
-    out = out.astype({"df_bucket": "int64", "n_terms": "int64", "max_df": "int64"})
     return out.sort_values("df_bucket").reset_index(drop=True)[
         ["df_bucket", "n_terms", "max_df"]
     ]
@@ -1364,10 +1369,7 @@ def bm25_docs_regex(sf_dir: str, k: int = K) -> pd.DataFrame:
         res.sort(key=lambda t: (-t[1], t[0]))
         for rank, (did, s) in enumerate(res[:k], 1):
             rows.append((qid, rank, did, s))
-    return pd.DataFrame(
-        rows, columns=["query_id", "rank", "doc_id", "score_r6"]
-    ).astype({"query_id": "int64", "rank": "int64", "doc_id": "int64",
-              "score_r6": "float64"})
+    return frame(rows, _HIT_DTYPES)
 
 
 def _regex_docs_sql(k: int = K) -> str:
@@ -1451,12 +1453,9 @@ def docs_score_explain(sf_dir: str) -> pd.DataFrame:
             rows.append(
                 (qid, top_doc, term, tf, df, round(idf, 6), round(contrib, 6))
             )
-    return pd.DataFrame(
-        rows,
-        columns=["query_id", "doc_id", "term", "tf", "df", "idf_r6",
-                 "contrib_r6"],
-    ).astype({"query_id": "int64", "doc_id": "int64", "tf": "int64",
-              "df": "int64", "idf_r6": "float64", "contrib_r6": "float64"})
+    return frame(rows, {"query_id": "int64", "doc_id": "int64", "term": "object",
+                        "tf": "int64", "df": "int64", "idf_r6": "float64",
+                        "contrib_r6": "float64"})
 
 
 def _score_explain_sql() -> str:

@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..analyze import SPLIT_PATTERN
+from .keyed import F64, I64, collect
 
 # ---------------------------------------------------------------------------
 # registry (reference: embedders.py's name -> class map)
@@ -258,6 +259,8 @@ def doc_embed_knn(sf_dir: str, model: str = "hashed-256", k: int = 5):
     ).astype(np.float64)
     ref = ray.put((q_ids, q_m))
 
+    schema = pa.schema({"query_doc": I64, "doc_id": I64, "sim_r": F64})
+
     class _TopK:
         def __init__(self):
             self.q_ids, self.q_m = ray.get(ref)
@@ -265,13 +268,7 @@ def doc_embed_knn(sf_dir: str, model: str = "hashed-256", k: int = 5):
         def __call__(self, t: pa.Table) -> pa.Table:
             ids = t["doc_id"].to_numpy(zero_copy_only=False)
             if not len(ids):
-                return pa.table(
-                    {
-                        "query_doc": pa.array([], pa.int64()),
-                        "doc_id": pa.array([], pa.int64()),
-                        "sim_r": pa.array([], pa.float64()),
-                    }
-                )
+                return schema.empty_table()
             col = t["embedding"]
             arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
             m = arr.flatten().to_numpy(zero_copy_only=False).astype(
@@ -303,9 +300,12 @@ def doc_embed_knn(sf_dir: str, model: str = "hashed-256", k: int = 5):
                 }
             )
 
-    parts = embed_documents(sf_dir, model=model).map_batches(
-        _TopK, batch_format="pyarrow", concurrency=(1, 4)
-    ).to_pandas()
+    parts = collect(
+        embed_documents(sf_dir, model=model).map_batches(
+            _TopK, batch_format="pyarrow", concurrency=(1, 4)
+        ),
+        schema,
+    )
     # global reduce: per-query exact top-k over the per-batch top-ks
     parts = parts.sort_values(
         ["query_doc", "sim_r", "doc_id"], ascending=[True, False, True]

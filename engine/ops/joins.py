@@ -59,3 +59,18 @@ def broadcast_join(
 
 
 _BROADCAST_MEMO: dict[str, pa.Table] = {}
+
+
+def hash_join(left, right, on: str, right_on: str, num_partitions: int = 8):
+    """Inner ``Dataset.join`` (hash-partitioned) that also takes a side with
+    no rows.  Ray 2.49's join builds each partition's side from the blocks
+    that side sends, and a side with no rows sends none (typed empty blocks
+    included), so the Arrow join finds no key column and raises.  An empty
+    side makes an inner join empty, so the join is skipped and
+    ``left.limit(0)`` returned; the check reads one row of each side."""
+    if left.limit(1).count() and right.limit(1).count():
+        return left.join(
+            right, "inner", num_partitions=num_partitions,
+            on=(on,), right_on=(right_on,),
+        )
+    return left.limit(0)

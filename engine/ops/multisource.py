@@ -34,17 +34,17 @@ def write_split_sources(sf_dir: str, root: str) -> tuple[str, str]:
     docs = pq.read_table(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text", "lang"]
     )
-    ids = docs["doc_id"].to_pylist()
+    ids = docs["doc_id"].to_numpy()
     pq_dir, zip_dir = os.path.join(root, "pq"), os.path.join(root, "zips")
     os.makedirs(pq_dir, exist_ok=True)
     os.makedirs(zip_dir, exist_ok=True)
-    even = docs.filter(pa.array([i % 2 == 0 for i in ids]))
+    # numpy masks stay boolean-typed also over an empty table
+    even = docs.filter(pa.array(ids % 2 == 0))
+    even_ids = even["doc_id"].to_numpy()
     for k in range(NUM_PQ_FILES):
-        mask = pa.array(
-            [(i // 2) % NUM_PQ_FILES == k for i in even["doc_id"].to_pylist()]
-        )
+        mask = pa.array((even_ids // 2) % NUM_PQ_FILES == k)
         pq.write_table(even.filter(mask), os.path.join(pq_dir, f"part-{k}.parquet"))
-    odd = docs.filter(pa.array([i % 2 == 1 for i in ids])).to_pylist()
+    odd = docs.filter(pa.array(ids % 2 == 1)).to_pylist()
     for z in range(NUM_ZIPS):
         rows_z = [r for r in odd if (r["doc_id"] // 2) % NUM_ZIPS == z]
         with zipfile.ZipFile(

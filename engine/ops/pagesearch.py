@@ -38,6 +38,7 @@ import pyarrow.parquet as pq
 from ..analyze import tokenize
 from ..build import build_index
 from ..query import IndexReader
+from .keyed import frame
 from ..schema import B, K1, ts_to_us
 
 EPOCH = dt.datetime(2024, 1, 1)
@@ -178,8 +179,11 @@ def pages_bm25_topk(sf_dir: str, k: int = K) -> pd.DataFrame:
         rows.sort(key=lambda t: (-t[1], t[0]))
         for rank, (url, s) in enumerate(rows[:k], 1):
             out.append((qid, rank, url, s))
-    return pd.DataFrame(out, columns=["query_id", "rank", "url", "score_r6"])
+    return frame(out, _HIT_DTYPES)
 
+
+_HIT_DTYPES = {"query_id": "int64", "rank": "int64", "url": "object",
+               "score_r6": "float64"}
 
 URL_PATTERN = "7"  # ILIKE '%7%' over http://docs.example/<id>
 
@@ -199,7 +203,7 @@ def pages_bm25_urlfilter(sf_dir: str, k: int = K) -> pd.DataFrame:
         rows.sort(key=lambda t: (-t[1], t[0]))
         for rank, (url, s) in enumerate(rows[:k], 1):
             out.append((qid, rank, url, s))
-    return pd.DataFrame(out, columns=["query_id", "rank", "url", "score_r6"])
+    return frame(out, _HIT_DTYPES)
 
 
 def _pages_bm25_sql() -> str:

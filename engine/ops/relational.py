@@ -22,22 +22,15 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-from .joins import broadcast_join
+from .joins import broadcast_join, hash_join
+from .keyed import F64, I64, STR, TS, by_key, collect
 
 US_PER_DAY = 86_400_000_000
 
-# High-cardinality reduces do NOT use one Ray sort-group per key: Ray's
-# groupby().map_groups / .aggregate() cost grows with the number of groups
-# (measured ~17 s for 100k groups over 2M trivial rows on this box), because
-# each group is sliced and dispatched separately.  Instead, keys hash into
-# _N_KEY_PARTS coarse partitions (one shuffle, same co-location guarantee)
-# and ONE vectorized pandas/numpy kernel reduces ALL keys of a partition at
-# C speed.  At cluster scale, raise _N_KEY_PARTS toward the task-slot count.
-_N_KEY_PARTS = 64
-
-
-def _keypart(ids: np.ndarray) -> np.ndarray:
-    return (ids.astype(np.int64) * 0x9E3779B1 % (1 << 31)) % _N_KEY_PARTS
+def _round(x, ndigits: int) -> float:
+    """round() of a global aggregate; NaN (SQL NULL) for the None that
+    Dataset.sum() returns over no rows."""
+    return np.nan if x is None else round(x, ndigits)
 
 
 def _read(sf_dir: str, table: str, columns=None, filter=None) -> rd.Dataset:
@@ -102,7 +95,11 @@ def q1_pricing_summary(sf_dir: str):
             Sum("qty_count", alias_name="count_order"),
         )
     )
-    df = agg.to_pandas()
+    df = collect(agg, pa.schema(
+        {"l_returnflag": STR, "l_linestatus": STR, "sum_qty": F64,
+         "sum_base_price": F64, "sum_disc_price": F64, "sum_charge": F64,
+         "s_disc": F64, "count_order": I64}
+    ))
     n = df["count_order"].astype("int64")
     out = pd.DataFrame(
         {
@@ -225,34 +222,26 @@ def q3_top_orders(sf_dir: str):
         df["o_orderdate"] = df["o_orderkey"].map(date_of).astype("datetime64[us]")
         return df[["o_orderkey", "o_orderdate", "revenue"]].reset_index(drop=True)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["l_orderkey"].to_numpy(zero_copy_only=False)))
-        )
-
     def combine_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         ids = g["l_orderkey"].to_numpy()
         sums = g["rev_sum"].to_numpy()
         order = np.argsort(ids, kind="stable")
         ids, sums = ids[order], sums[order]
-        starts = np.nonzero(np.r_[True, ids[1:] != ids[:-1]])[0] if ids.size else np.empty(0, np.int64)
+        starts = np.nonzero(np.r_[True, ids[1:] != ids[:-1]])[0]
         return pd.DataFrame(
             {
                 "l_orderkey": ids[starts],
-                "revenue": np.round(np.add.reduceat(sums, starts), 2)
-                if ids.size
-                else np.empty(0),
+                "revenue": np.round(np.add.reduceat(sums, starts), 2),
             }
         )
 
-    rev = (
-        parts.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(combine_of_partition, batch_format="pandas")
+    rev = by_key(
+        parts, "l_orderkey", combine_of_partition,
+        pa.schema({"l_orderkey": I64, "revenue": F64}),
     )
-    joined = rev.join(
-        orders.select_columns(["o_orderkey", "o_orderdate"]),
-        "inner", num_partitions=8, on=("l_orderkey",), right_on=("o_orderkey",),
+    joined = hash_join(
+        rev, orders.select_columns(["o_orderkey", "o_orderdate"]),
+        "l_orderkey", "o_orderkey",
     )
 
     def local_top(t: pa.Table) -> pa.Table:
@@ -262,7 +251,10 @@ def q3_top_orders(sf_dir: str):
             preserve_index=False,
         )
 
-    df = joined.map_batches(local_top, batch_format="pyarrow").to_pandas()
+    df = collect(
+        joined.map_batches(local_top, batch_format="pyarrow"),
+        pa.schema({"l_orderkey": I64, "revenue": F64, "o_orderdate": TS}),
+    )
     df = df.rename(columns={"l_orderkey": "o_orderkey"})
     df = df.sort_values(["revenue", "o_orderkey"], ascending=[False, True]).head(10)
     return df[["o_orderkey", "o_orderdate", "revenue"]].reset_index(drop=True)
@@ -308,8 +300,11 @@ def q5_nation_revenue(sf_dir: str):
     # partial row matches its order like a total would) and the only global
     # aggregate is the 5-row nation sum.
     rev = li.map_batches(rev_partial, batch_format="pyarrow", zero_copy_batch=True)
-    joined = rev.join(orders, "inner", num_partitions=8, on=("l_orderkey",), right_on=("o_orderkey",))
-    out = joined.groupby("n_name").aggregate(Sum("rev_sum", alias_name="revenue")).to_pandas()
+    joined = hash_join(rev, orders, "l_orderkey", "o_orderkey")
+    out = collect(
+        joined.groupby("n_name").aggregate(Sum("rev_sum", alias_name="revenue")),
+        pa.schema({"n_name": STR, "revenue": F64}),
+    )
     out["revenue"] = out["revenue"].round(2)
     return out[["n_name", "revenue"]]
 
@@ -345,7 +340,7 @@ def q6_revenue(sf_dir: str):
         return pa.table({"rev": pa.array([rev], pa.float64())})
 
     total = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).sum("rev")
-    return pd.DataFrame({"revenue": [round(total, 2)]})
+    return pd.DataFrame({"revenue": [_round(total, 2)]})
 
 
 Q6_SQL = """
@@ -382,7 +377,6 @@ def events_latest_per_user(sf_dir: str):
         # map-side combine: keep the latest (ts, event_id) row per user
         df = t.to_pandas()
         idx = df.sort_values(["ts", "event_id"]).groupby("user_id", sort=False).tail(1)
-        idx["part"] = _keypart(idx["user_id"].to_numpy())
         return pa.Table.from_pandas(idx, preserve_index=False)
 
     def latest_of_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -400,10 +394,10 @@ def events_latest_per_user(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(latest_in_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(latest_of_partition, batch_format="pandas")
+    return by_key(
+        ds.map_batches(latest_in_batch, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", latest_of_partition,
+        pa.schema({"user_id": I64, "last_type": STR, "last_ts": TS, "last_value": F64}),
     )
 
 
@@ -426,9 +420,7 @@ def events_pivot(sf_dir: str):
             res[f"max_{et}"] = m
         res["n_events"] = df.groupby("user_id").size()
         res.index.name = "user_id"
-        res = res.reset_index()
-        res["part"] = _keypart(res["user_id"].to_numpy())
-        return pa.Table.from_pandas(res, preserve_index=False)
+        return pa.Table.from_pandas(res.reset_index(), preserve_index=False)
 
     def pivot_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("user_id", sort=False, as_index=False).agg(
@@ -437,10 +429,11 @@ def events_pivot(sf_dir: str):
             n_events=("n_events", "sum"),
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(pivot_of_partition, batch_format="pandas")
+    return by_key(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", pivot_of_partition,
+        pa.schema({"user_id": I64, "max_click": F64, "max_purchase": F64,
+                   "n_events": I64}),
     )
 
 
@@ -474,7 +467,7 @@ def events_tumbling_daily(sf_dir: str):
             Sum("value_count", alias_name="n"),
         )
     )
-    df = agg.to_pandas()
+    df = collect(agg, pa.schema({"event_type": STR, "day": TS, "s": F64, "n": I64}))
     df["sum_value"] = df["s"].round(4)
     return df[["event_type", "day", "n", "sum_value"]]
 
@@ -543,7 +536,9 @@ def orders_topk(sf_dir: str):
         return t.take(idx)
 
     top = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-    df = top.to_pandas().sort_values(
+    df = collect(
+        top, pa.schema({"o_orderkey": I64, "o_custkey": I64, "o_totalprice": F64})
+    ).sort_values(
         ["o_totalprice", "o_orderkey"], ascending=[False, True]
     ).head(10)
     return df.reset_index(drop=True)
@@ -572,7 +567,7 @@ def orders_by_year(sf_dir: str):
         .groupby("yr")
         .aggregate(Sum("price_sum", alias_name="s"), Sum("price_count", alias_name="n"))
     )
-    df = agg.to_pandas()
+    df = collect(agg, pa.schema({"yr": I64, "s": F64, "n": I64}))
     df["total"] = df["s"].round(2)
     return df[["yr", "n", "total"]]
 
@@ -705,8 +700,13 @@ GROUP BY r_name
 # K4 analog: keyset-paginated ordered scan (ec2/rds/paginate.py:5-68).
 # The engine equivalent of OFFSET pagination is a deterministic sort with a
 # keyset cursor; the oracle uses LIMIT/OFFSET over the same total order.
+_PAGE_SCHEMA = pa.schema(
+    {"event_id": I64, "ts": TS, "user_id": I64, "event_type": STR}
+)
+
+
 def events_page3(sf_dir: str, page_size: int = 100):
-    ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
+    ds = _read(sf_dir, "events", columns=_PAGE_SCHEMA.names)
 
     def local_topk(t: pa.Table) -> pa.Table:
         idx = pc.select_k_unstable(
@@ -718,7 +718,7 @@ def events_page3(sf_dir: str, page_size: int = 100):
     # per-batch local head keeps the driver merge tiny (pages are read from
     # the front of the (ts, event_id) order)
     head = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-    df = head.to_pandas().sort_values(["ts", "event_id"]).head(3 * page_size)
+    df = collect(head, _PAGE_SCHEMA).sort_values(["ts", "event_id"]).head(3 * page_size)
     return df.iloc[2 * page_size : 3 * page_size].reset_index(drop=True)
 
 
@@ -743,13 +743,12 @@ def paginate_events(
     next_cursor is None when the scan is exhausted."""
     import pyarrow.dataset as pads
 
-    cols = ["event_id", "ts", "user_id", "event_type"]
     expr = None
     if after is not None:
         a_ts, a_id = after
         f = pads.field
         expr = (f("ts") > a_ts) | ((f("ts") == a_ts) & (f("event_id") > a_id))
-    ds = _read(sf_dir, "events", columns=cols, filter=expr)
+    ds = _read(sf_dir, "events", columns=_PAGE_SCHEMA.names, filter=expr)
 
     def local_head(t: pa.Table) -> pa.Table:
         if t.num_rows <= page_size:
@@ -762,7 +761,7 @@ def paginate_events(
 
     head = ds.map_batches(local_head, batch_format="pyarrow", zero_copy_batch=True)
     df = (
-        head.to_pandas()
+        collect(head, _PAGE_SCHEMA)
         .sort_values(["ts", "event_id"])
         .head(page_size)
         .reset_index(drop=True)
@@ -778,11 +777,11 @@ def events_keyset_page8(sf_dir: str, page_size: int = 100):
     a restarted consumer would — each hop pushes its cursor into the read
     filter, so no hop ships more than n_batches * page_size rows."""
     after = None
-    for _ in range(8):
+    for page in range(1, 9):
         df, after = paginate_events(sf_dir, after=after, page_size=page_size)
         if after is None:
             break
-    return df
+    return df if page == 8 else df.iloc[:0]  # the scan ended before page 8
 
 
 EVENTS_KEYSET_PAGE8_SQL = """
@@ -819,13 +818,16 @@ def events_sample_stats(sf_dir: str):
             }
         )
 
-    parts = sampled.map_batches(partial, batch_format="pyarrow").to_pandas()
+    parts = collect(
+        sampled.map_batches(partial, batch_format="pyarrow"),
+        pa.schema({"n": I64, "s": F64, "s2": F64}),
+    )
     n = int(parts["n"].sum())
-    s = float(parts["s"].sum())
-    s2 = float(parts["s2"].sum())
-    mean = s / n
-    var = s2 / n - mean * mean
-    half = 1.96 * (var / n) ** 0.5
+    s, s2 = np.float64(parts["s"].sum()), np.float64(parts["s2"].sum())
+    with np.errstate(invalid="ignore"):  # an empty sample gives NaN (SQL NULL)
+        mean = s / n
+        var = s2 / n - mean * mean
+        half = 1.96 * (var / n) ** 0.5
     return pd.DataFrame(
         {
             "n": [n],
@@ -864,26 +866,11 @@ _SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 minutes
 def events_sessionize(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def sessions_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         """ALL users of one partition in one vectorized pass: sort by
         (user, ts, event_id); a session opens at a user boundary or a gap;
         per-user session numbers come from the global cumsum minus a
         forward-filled per-user base."""
-        if g.empty:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "session_no": pd.Series([], dtype="int64"),
-                    "session_start": pd.Series([], dtype="datetime64[us]"),
-                    "session_end": pd.Series([], dtype="datetime64[us]"),
-                    "n_events": pd.Series([], dtype="int64"),
-                }
-            )
         g = g.sort_values(["user_id", "ts", "event_id"])
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy()
@@ -906,10 +893,10 @@ def events_sessionize(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(sessions_of_partition, batch_format="pandas")
+    return by_key(
+        ds, "user_id", sessions_of_partition,
+        pa.schema({"user_id": I64, "session_no": I64, "session_start": TS,
+                   "session_end": TS, "n_events": I64}),
     )
 
 
@@ -950,7 +937,6 @@ def orders_topn_per_customer(sf_dir: str, n: int = 2):
             ascending=[True, False, True],
         )
         df = df.groupby("o_custkey", sort=False).head(n)
-        df["part"] = _keypart(df["o_custkey"].to_numpy())
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def topn_of_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -971,10 +957,10 @@ def orders_topn_per_customer(sf_dir: str, n: int = 2):
         out["rn"] = rn[keep]
         return out[["o_custkey", "rn", "o_orderkey", "o_totalprice"]]
 
-    return (
-        ds.map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(topn_of_partition, batch_format="pandas")
+    return by_key(
+        ds.map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True),
+        "o_custkey", topn_of_partition,
+        pa.schema({"o_custkey": I64, "rn": I64, "o_orderkey": I64, "o_totalprice": F64}),
     )
 
 
@@ -1009,27 +995,11 @@ def events_attribution_asof(sf_dir: str):
         filter=pc.field("event_type").isin(["click", "purchase"]),
     )
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def asof_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         """ALL users of one partition in one vectorized pass: sort by
         (user, ts, clicks-before-purchases); the matching click for every
         row is the forward-max of click indices (ASOF's `>=` is inclusive,
         hence clicks first at equal ts), guarded to the same user."""
-        empty = pd.DataFrame(
-            {
-                "purchase_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "purchase_ts": pd.Series([], dtype="datetime64[us]"),
-                "click_ts": pd.Series([], dtype="datetime64[us]"),
-                "gap_s": pd.Series([], dtype="float64"),
-            }
-        )
-        if g.empty:
-            return empty
         g = g.assign(_p=(g["event_type"] == "purchase").astype(np.int8))
         g = g.sort_values(["user_id", "ts", "_p", "event_id"])
         u = g["user_id"].to_numpy()
@@ -1041,8 +1011,6 @@ def events_attribution_asof(sf_dir: str):
         li = last_click[is_p]
         ok = li >= 0
         ok[ok] = u[li[ok]] == u[is_p][ok]  # click must be the same user's
-        if not ok.any():
-            return empty
         li = li[ok]
         pts = tsus[is_p][ok]
         return pd.DataFrame(
@@ -1055,10 +1023,10 @@ def events_attribution_asof(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(asof_of_partition, batch_format="pandas")
+    return by_key(
+        ds, "user_id", asof_of_partition,
+        pa.schema({"purchase_id": I64, "user_id": I64, "purchase_ts": TS,
+                   "click_ts": TS, "gap_s": F64}),
     )
 
 
@@ -1212,7 +1180,7 @@ def events_hopping_daily(sf_dir: str):
             Sum("value_count", alias_name="n"),
         )
     )
-    df = agg.to_pandas()
+    df = collect(agg, pa.schema({"window_start": TS, "s": F64, "n": I64}))
     df["sum_value"] = df["s"].round(4)
     return df[["window_start", "n", "sum_value"]]
 
@@ -1234,23 +1202,9 @@ GROUP BY window_start
 def events_user_deltas(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "value"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def deltas_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         """ALL users of one partition in one vectorized pass: sort by
         (user, ts, event_id), diff, and drop each user's first row."""
-        if len(g) < 2:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "event_id": pd.Series([], dtype="int64"),
-                    "gap_s": pd.Series([], dtype="float64"),
-                    "value_delta": pd.Series([], dtype="float64"),
-                }
-            )
         g = g.sort_values(["user_id", "ts", "event_id"])
         u = g["user_id"].to_numpy()
         tsus = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -1267,10 +1221,9 @@ def events_user_deltas(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(deltas_of_partition, batch_format="pandas")
+    return by_key(
+        ds, "user_id", deltas_of_partition,
+        pa.schema({"user_id": I64, "event_id": I64, "gap_s": F64, "value_delta": F64}),
     )
 
 
@@ -1298,21 +1251,17 @@ def events_distinct_users(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id"])
 
     def uniq_partial(t: pa.Table) -> pa.Table:
-        u = np.unique(t["user_id"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {"user_id": pa.array(u, pa.int64()), "part": pa.array(_keypart(u))}
-        )
+        return pa.table({"user_id": pc.unique(t["user_id"])})
 
     def count_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         n = int(pd.unique(g["user_id"]).size)
         return pd.DataFrame({"n_part": np.array([n], dtype=np.int64)})
 
-    parts = (
-        ds.map_batches(uniq_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(count_of_partition, batch_format="pandas")
-        .to_pandas()
-    )
+    schema = pa.schema({"n_part": I64})
+    parts = collect(by_key(
+        ds.map_batches(uniq_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", count_of_partition, schema,
+    ), schema)
     return pd.DataFrame({"n_users": np.array([parts["n_part"].sum()], dtype=np.int64)})
 
 
@@ -1333,19 +1282,7 @@ def events_type_distinct_users(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table({"event_type": t["event_type"], "user_id": t["user_id"]})
-            .group_by(["event_type", "user_id"])
-            .aggregate([])
-        )
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "user_id": g["user_id"],
-                "part": pa.array(_keypart(u)),
-            }
-        )
+        return t.group_by(["event_type", "user_id"]).aggregate([])
 
     def count_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["event_type", "user_id"])
@@ -1353,12 +1290,11 @@ def events_type_distinct_users(sf_dir: str):
         out.columns = ["event_type", "n_part"]
         return out
 
-    parts = (
-        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(count_of_partition, batch_format="pandas")
-        .to_pandas()
-    )
+    schema = pa.schema({"event_type": STR, "n_part": I64})
+    parts = collect(by_key(
+        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", count_of_partition, schema,
+    ), schema)
     out = (
         parts.groupby("event_type", as_index=False)["n_part"].sum()
         .rename(columns={"n_part": "n_users"})
@@ -1419,12 +1355,12 @@ def events_distinct_users_hll(sf_dir: str, p: int = _HLL_P):
             }
         )
 
-    regs = (
+    regs = collect(  # <= 4096 rows however large the input
         ds.map_batches(hll_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("reg")
-        .max("rank")
-        .to_pandas()
-    )  # <= 4096 rows however large the input
+        .max("rank"),
+        pa.schema({"reg": I64, "max(rank)": I64}),
+    )
     M = np.zeros(m, np.int64)
     M[regs["reg"].to_numpy()] = regs["max(rank)"].to_numpy()
     alpha = 0.7213 / (1 + 1.079 / m)
@@ -1464,12 +1400,12 @@ def events_type_distinct_users_hll(sf_dir: str, p: int = _HLL_P):
             }
         )
 
-    regs = (
+    regs = collect(  # <= n_types * 4096 rows
         ds.map_batches(hll_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["event_type", "reg"])
-        .max("rank")
-        .to_pandas()
-    )  # <= n_types * 4096 rows
+        .max("rank"),
+        pa.schema({"event_type": STR, "reg": I64, "max(rank)": I64}),
+    )
     alpha = 0.7213 / (1 + 1.079 / m)
     rows = []
     for et, g in regs.groupby("event_type"):
@@ -1574,11 +1510,6 @@ def events_funnel(sf_dir: str):
     final reduce — nothing user-cardinality leaves the partitions."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def funnel_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         prev = None  # completion time per user for the previous step
         counts = []
@@ -1600,18 +1531,17 @@ def events_funnel(sf_dir: str):
             }
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["step", "event_type"], sort=False, as_index=False).agg(
-            n_users=("n_users_p", "sum")
-        )
-        return out[["step", "event_type", "n_users"]]
-
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(funnel_of_partition, batch_format="pandas")
-        .groupby("step")
-        .map_groups(combine, batch_format="pandas")
+    schema = pa.schema({"step": I64, "event_type": STR, "n_users_p": I64})
+    parts = collect(by_key(ds, "user_id", funnel_of_partition, schema), schema)
+    # every step has a row, 0 users included (<= N_PARTS x 3 partial rows)
+    n = parts.groupby("step")["n_users_p"].sum()
+    steps = np.arange(1, len(_FUNNEL_STEPS) + 1, dtype=np.int64)
+    return pd.DataFrame(
+        {
+            "step": steps,
+            "event_type": list(_FUNNEL_STEPS),
+            "n_users": n.reindex(steps, fill_value=0).to_numpy(np.int64),
+        }
     )
 
 
@@ -1662,21 +1592,7 @@ def events_retention(sf_dir: str):
     reduce."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def retention_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "cohort_day": pd.Series([], dtype="int64"),
-                "day_k": pd.Series([], dtype="int64"),
-                "n_p": pd.Series([], dtype="int64"),
-            }
-        )
-        if g.empty:
-            return empty
         day = (
             g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64) // _DAY_US
         )
@@ -1703,9 +1619,10 @@ def events_retention(sf_dir: str):
         return out[["cohort", "day_k", "n_active"]]
 
     return (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(retention_of_partition, batch_format="pandas")
+        by_key(
+            ds, "user_id", retention_of_partition,
+            pa.schema({"cohort_day": I64, "day_k": I64, "n_p": I64}),
+        )
         .groupby("cohort_day")
         .map_groups(combine, batch_format="pandas")
     )
@@ -1824,44 +1741,23 @@ def events_markov_transitions(sf_dir: str):
     (rds_schema.sql) — upgraded to sequence analytics."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "event_type"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def trans_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "from_type": pd.Series([], dtype="object"),
-                "to_type": pd.Series([], dtype="object"),
-                "n": pd.Series([], dtype="int64"),
-            }
-        )
-        if g.empty:
-            return empty
         g = g.sort_values(["user_id", "ts", "event_id"])
         u = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
         same = u[1:] == u[:-1]
-        if not same.any():
-            return empty
         pairs = pd.DataFrame(
             {"from_type": et[:-1][same], "to_type": et[1:][same]}
         )
-        out = (
+        return (
             pairs.groupby(["from_type", "to_type"], as_index=False)
             .size()
             .rename(columns={"size": "n"})
         )
-        out["n"] = out["n"].astype(np.int64)
-        return out
 
-    partials = (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(trans_of_partition, batch_format="pandas")
-        .to_pandas()  # <= n_partitions * T^2 rows
-    )
+    schema = pa.schema({"from_type": STR, "to_type": STR, "n": I64})
+    # <= N_PARTS * T^2 partial rows
+    partials = collect(by_key(ds, "user_id", trans_of_partition, schema), schema)
     agg = partials.groupby(["from_type", "to_type"], as_index=False).agg(
         n=("n", "sum")
     )
@@ -1945,8 +1841,11 @@ def q14_promo_revenue(sf_dir: str):
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .sum(["promo_rev", "total_rev"])
     )
-    share = 100.0 * agg["sum(promo_rev)"] / agg["sum(total_rev)"]
-    return pd.DataFrame({"promo_revenue_r6": [round(share, 6)]})
+    share = (
+        100.0 * agg["sum(promo_rev)"] / agg["sum(total_rev)"]
+        if agg and agg["sum(total_rev)"] else None
+    )
+    return pd.DataFrame({"promo_revenue_r6": [_round(share, 6)]})
 
 
 Q14_SQL = """
@@ -2064,22 +1963,15 @@ def q10_returned_items(sf_dir: str, k: int = 20):
         )
 
     rev = li.map_batches(rev_partial, batch_format="pyarrow", zero_copy_batch=True)
-    joined = rev.join(
-        orders, "inner", num_partitions=8,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    joined = hash_join(rev, orders, "l_orderkey", "o_orderkey")
 
     def cust_partial(t: pa.Table) -> pa.Table:
         # batch-local customer partials (c_name/n_name ride along: they are
         # functionally dependent on the customer key, which the broadcast
-        # join carries as o_custkey), keyed by a coarse customer-hash
-        # partition so the finisher sees whole customers
-        g = t.group_by(["o_custkey", "c_name", "n_name"]).aggregate(
+        # join carries as o_custkey)
+        return t.group_by(["o_custkey", "c_name", "n_name"]).aggregate(
             [("rev_sum", "sum")]
         ).rename_columns(["c_custkey", "c_name", "n_name", "rev_part"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["c_custkey"].to_numpy(zero_copy_only=False)))
-        )
 
     def top_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         # one coarse partition of customers: finish the sums, keep its top-k
@@ -2091,12 +1983,13 @@ def q10_returned_items(sf_dir: str, k: int = 20):
             ["revenue", "c_custkey"], ascending=[False, True], kind="mergesort"
         ).head(k)
 
+    schema = pa.schema({"c_custkey": I64, "c_name": STR, "n_name": STR, "revenue": F64})
     cand = (
-        joined.map_batches(cust_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(top_of_partition, batch_format="pandas")
-        .to_pandas()  # <= n_key_partitions * k rows
+        collect(by_key(
+            joined.map_batches(cust_partial, batch_format="pyarrow",
+                               zero_copy_batch=True),
+            "c_custkey", top_of_partition, schema,
+        ), schema)  # <= N_PARTS * k rows
         .sort_values(["revenue", "c_custkey"], ascending=[False, True],
                      kind="mergesort")
         .head(k)
@@ -2164,11 +2057,11 @@ def q15_top_suppliers(sf_dir: str, k: int = 10):
             .aggregate([("rev", "sum")])
         )
 
-    agg = (
+    agg = collect(  # supplier-grain: 1/10000th of lineitem by construction
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("l_suppkey")
-        .aggregate(Sum("rev_sum", alias_name="revenue"))
-        .to_pandas()  # supplier-grain: 1/10000th of lineitem by construction
+        .aggregate(Sum("rev_sum", alias_name="revenue")),
+        pa.schema({"l_suppkey": I64, "revenue": F64}),
     )
     agg["revenue"] = agg["revenue"].round(2)
     top = (
@@ -2184,7 +2077,9 @@ def q15_top_suppliers(sf_dir: str, k: int = 10):
         )
     )
     top.insert(0, "rank", np.arange(1, len(top) + 1, dtype=np.int64))
-    top["s_name"] = [names[int(s)] for s in top["l_suppkey"]]
+    top["s_name"] = pd.Series(
+        [names[int(s)] for s in top["l_suppkey"]], index=top.index, dtype=object
+    )
     top = top.rename(columns={"l_suppkey": "s_suppkey"})
     return top[["rank", "s_suppkey", "s_name", "revenue"]]
 
@@ -2239,18 +2134,15 @@ def q4_priority_counts(sf_dir: str):
                 "okey": pa.array(keys, pa.int64()),
                 "o_orderpriority": pa.array([""] * len(keys), pa.string()),
                 "is_order": pa.array(np.zeros(len(keys), bool)),
-                "part": pa.array(_keypart(keys)),
             }
         )
 
     def order_row(t: pa.Table) -> pa.Table:
-        keys = t["o_orderkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "okey": t["o_orderkey"],
                 "o_orderpriority": t["o_orderpriority"],
-                "is_order": pa.array(np.ones(len(keys), bool)),
-                "part": pa.array(_keypart(keys)),
+                "is_order": pa.array(np.ones(t.num_rows, bool)),
             }
         )
 
@@ -2269,8 +2161,8 @@ def q4_priority_counts(sf_dir: str):
         return out
 
     return (
-        both.groupby("part")
-        .map_groups(semi_of_partition, batch_format="pandas")
+        by_key(both, "okey", semi_of_partition,
+               pa.schema({"o_orderpriority": STR, "n_part": I64}))
         .groupby("o_orderpriority")
         .aggregate(Sum("n_part", alias_name="n"))
     )
@@ -2308,24 +2200,20 @@ def q13_custdist(sf_dir: str):
             pa.table({"ckey": t["o_custkey"]})
             .group_by("ckey").aggregate([("ckey", "count")])
         )
-        keys = g["ckey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "ckey": g["ckey"],
                 "n_orders": g["ckey_count"].cast(pa.int64()),
-                "is_cust": pa.array(np.zeros(len(keys), bool)),
-                "part": pa.array(_keypart(keys)),
+                "is_cust": pa.array(np.zeros(g.num_rows, bool)),
             }
         )
 
     def cust_marker(t: pa.Table) -> pa.Table:
-        keys = t["c_custkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "ckey": t["c_custkey"],
-                "n_orders": pa.array(np.zeros(len(keys), np.int64)),
-                "is_cust": pa.array(np.ones(len(keys), bool)),
-                "part": pa.array(_keypart(keys)),
+                "n_orders": pa.array(np.zeros(t.num_rows, np.int64)),
+                "is_cust": pa.array(np.ones(t.num_rows, bool)),
             }
         )
 
@@ -2338,14 +2226,11 @@ def q13_custdist(sf_dir: str):
         have = g.loc[g["is_cust"], "ckey"].to_numpy()
         counts = g.groupby("ckey")["n_orders"].sum()
         counts = counts.loc[counts.index.isin(have)]
-        out = counts.value_counts().rename_axis("c_count").reset_index(name="n_part")
-        out["c_count"] = out["c_count"].astype(np.int64)
-        out["n_part"] = out["n_part"].astype(np.int64)
-        return out
+        return counts.value_counts().rename_axis("c_count").reset_index(name="n_part")
 
     return (
-        both.groupby("part")
-        .map_groups(dist_of_partition, batch_format="pandas")
+        by_key(both, "ckey", dist_of_partition,
+               pa.schema({"c_count": I64, "n_part": I64}))
         .groupby("c_count")
         .aggregate(Sum("n_part", alias_name="custdist"))
     )
@@ -2384,35 +2269,24 @@ def q18_large_orders(sf_dir: str, k: int = 20,
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def qty_partial(t: pa.Table) -> pa.Table:
-        g = (
+        return (
             pa.table({"okey": t["l_orderkey"], "qty": t["l_quantity"]})
             .group_by("okey").aggregate([("qty", "sum")])
         )
-        return g.append_column(
-            "part", pa.array(_keypart(g["okey"].to_numpy(zero_copy_only=False)))
-        )
 
     def survivors(g: pd.DataFrame) -> pd.DataFrame:
+        # a survivor-free partition emits a typed empty block (by_key), so
+        # the downstream hash join always infers the key column
         agg = g.groupby("okey", as_index=False)["qty_sum"].sum()
         agg = agg[agg["qty_sum"] > _Q18_QTY]
-        out = pd.DataFrame(
-            {"okey": agg["okey"].astype(np.int64),
-             "total_qty": np.round(agg["qty_sum"].to_numpy(), 2)}
+        return pd.DataFrame(
+            {"okey": agg["okey"], "total_qty": np.round(agg["qty_sum"].to_numpy(), 2)}
         )
-        if out.empty:
-            # typed sentinel: a survivor-free partition would otherwise emit
-            # a SCHEMA-LESS empty block (map_groups default), which poisons
-            # the downstream hash join's schema inference; okey=-1 matches
-            # no order, so the inner join drops it (the broadcast path
-            # filters it explicitly)
-            out = pd.DataFrame({"okey": np.array([-1], np.int64),
-                                "total_qty": np.array([0.0])})
-        return out
 
-    big = (
-        li.map_batches(qty_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(survivors, batch_format="pandas")
+    big_schema = pa.schema({"okey": I64, "total_qty": F64})
+    big = by_key(
+        li.map_batches(qty_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "okey", survivors, big_schema,
     )
     order_cols = ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
 
@@ -2427,8 +2301,7 @@ def q18_large_orders(sf_dir: str, k: int = 20,
         # survivor keys broadcast once; the orders read is pruned by the
         # pushed-down isin filter, total_qty rides back via a searchsorted
         # probe against the broadcast — no all-to-all anywhere
-        sdf = big.to_pandas()  # <= join_budget rows by the guard above
-        sdf = sdf[sdf["okey"] >= 0]  # drop partition sentinels
+        sdf = collect(big, big_schema)  # <= join_budget rows by the guard above
         skeys = np.sort(sdf["okey"].to_numpy())
         sqty = sdf.set_index("okey")["total_qty"].reindex(skeys).to_numpy()
         bcast = ray.put((skeys, sqty))
@@ -2461,16 +2334,18 @@ def q18_large_orders(sf_dir: str, k: int = 20,
         # needs; in a small test session it stays modest so the shuffle
         # aggregators don't starve the 4-cpu pool)
         nparts = max(4, int(ray.cluster_resources().get("CPU", 8)))
-        joined = big.join(
-            _read(sf_dir, "orders", columns=order_cols), "inner",
-            num_partitions=nparts, on=("okey",), right_on=("o_orderkey",),
+        joined = hash_join(
+            big, _read(sf_dir, "orders", columns=order_cols), "okey", "o_orderkey",
+            num_partitions=nparts,
         )
         cand = joined.map_batches(
             local_topk, batch_format="pyarrow", zero_copy_batch=True
         )
 
     cand = (
-        cand.to_pandas()  # <= n_blocks * k rows
+        collect(cand, pa.schema({"okey": I64, "o_custkey": I64, "o_orderdate": TS,
+                                 "o_totalprice": F64, "total_qty": F64}))
+        # <= n_blocks * k rows
         .sort_values(["o_totalprice", "okey"], ascending=[False, True],
                      kind="mergesort")
         .head(k)
@@ -2482,7 +2357,9 @@ def q18_large_orders(sf_dir: str, k: int = 20,
     )
     nmap = dict(zip(names["c_custkey"].to_pylist(), names["c_name"].to_pylist()))
     cand.insert(0, "rank", np.arange(1, len(cand) + 1, dtype=np.int64))
-    cand["c_name"] = [nmap[int(c)] for c in cand["o_custkey"]]
+    cand["c_name"] = pd.Series(
+        [nmap[int(c)] for c in cand["o_custkey"]], index=cand.index, dtype=object
+    )
     cand = cand.rename(columns={"okey": "o_orderkey"})
     return cand[["rank", "c_name", "o_custkey", "o_orderkey", "o_orderdate",
                  "o_totalprice", "total_qty"]]
@@ -2558,7 +2435,7 @@ def q19_bracket_revenue(sf_dir: str):
 
     agg = ds.map_batches(partial, batch_format="pyarrow",
                          zero_copy_batch=True).sum("rev")
-    return pd.DataFrame({"revenue_r2": [round(agg, 2)]})
+    return pd.DataFrame({"revenue_r2": [round(agg or 0.0, 2)]})  # SQL coalesce
 
 
 def _q19_sql() -> str:
@@ -2605,7 +2482,8 @@ def q22_idle_balance(sf_dir: str):
     tot = cust_bal.map_batches(
         bal_partial, batch_format="pyarrow", zero_copy_batch=True
     ).sum(["s", "n"])
-    avg_bal = tot["sum(s)"] / tot["sum(n)"]
+    # SQL's avg over no positive balance is NULL, which no balance exceeds
+    avg_bal = tot["sum(s)"] / tot["sum(n)"] if tot and tot["sum(n)"] else np.inf
 
     orders = _read(
         sf_dir, "orders", columns=["o_custkey"],
@@ -2627,19 +2505,16 @@ def q22_idle_balance(sf_dir: str):
                 "c_nationkey": pa.array(z.astype(np.int64)),
                 "c_acctbal": pa.array(z),
                 "is_cust": pa.array(z.astype(bool)),
-                "part": pa.array(_keypart(keys)),
             }
         )
 
     def cust_row(t: pa.Table) -> pa.Table:
-        keys = t["c_custkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "ckey": t["c_custkey"],
                 "c_nationkey": t["c_nationkey"].cast(pa.int64()),
                 "c_acctbal": t["c_acctbal"],
-                "is_cust": pa.array(np.ones(len(keys), bool)),
-                "part": pa.array(_keypart(keys)),
+                "is_cust": pa.array(np.ones(t.num_rows, bool)),
             }
         )
 
@@ -2653,17 +2528,13 @@ def q22_idle_balance(sf_dir: str):
         active = np.unique(g["ckey"].to_numpy()[~is_c])
         c = g[is_c]
         keep = c[~np.isin(c["ckey"].to_numpy(), active)]
-        out = keep.groupby("c_nationkey", as_index=False).agg(
+        return keep.groupby("c_nationkey", as_index=False).agg(
             n_part=("ckey", "size"), bal_part=("c_acctbal", "sum")
         )
-        out["n_part"] = out["n_part"].astype(np.int64)
-        return out
 
-    parts = (
-        both.groupby("part")
-        .map_groups(anti_of_partition, batch_format="pandas")
-        .to_pandas()  # nation-grain partials: <= 25 * n_partitions rows
-    )
+    schema = pa.schema({"c_nationkey": I64, "n_part": I64, "bal_part": F64})
+    # nation-grain partials: <= 25 * N_PARTS rows
+    parts = collect(by_key(both, "ckey", anti_of_partition, schema), schema)
     out = parts.groupby("c_nationkey", as_index=False).agg(
         numcust=("n_part", "sum"), totacctbal=("bal_part", "sum")
     )
@@ -2699,20 +2570,7 @@ def events_user_rolling_mean(sf_dir: str):
     round-6 equality holds bitwise."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "value"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def roll_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "event_id": pd.Series([], dtype="int64"),
-                    "rmean4": pd.Series([], dtype="float64"),
-                }
-            )
         g = g.sort_values(["user_id", "ts", "event_id"])
         u = g["user_id"].to_numpy()
         v = g["value"].to_numpy()
@@ -2736,10 +2594,9 @@ def events_user_rolling_mean(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(roll_of_partition, batch_format="pandas")
+    return by_key(
+        ds, "user_id", roll_of_partition,
+        pa.schema({"user_id": I64, "event_id": I64, "rmean4": F64}),
     )
 
 
@@ -2772,13 +2629,10 @@ def q17_small_order_revenue(sf_dir: str):
     li1 = _read(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
 
     def qty_partial(t: pa.Table) -> pa.Table:
-        g = (
+        return (
             pa.table({"pkey": t["l_partkey"], "qty": t["l_quantity"]})
             .group_by("pkey")
             .aggregate([("qty", "sum"), ("qty", "count")])
-        )
-        return g.append_column(
-            "part", pa.array(_keypart(g["pkey"].to_numpy(zero_copy_only=False)))
         )
 
     def thresholds(g: pd.DataFrame) -> pd.DataFrame:
@@ -2786,17 +2640,15 @@ def q17_small_order_revenue(sf_dir: str):
             s=("qty_sum", "sum"), n=("qty_count", "sum")
         )
         return pd.DataFrame(
-            {"pkey": agg["pkey"].astype(np.int64),
+            {"pkey": agg["pkey"],
              "lim": 0.2 * (agg["s"].to_numpy() / agg["n"].to_numpy())}
         )
 
-    lim_df = (
-        li1.map_batches(qty_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(thresholds, batch_format="pandas")
-        .to_pandas()  # part-grain (the broadcast-small side, q14 idiom)
-        .sort_values("pkey")
-    )
+    schema = pa.schema({"pkey": I64, "lim": F64})
+    lim_df = collect(by_key(  # part-grain (the broadcast-small side, q14 idiom)
+        li1.map_batches(qty_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "pkey", thresholds, schema,
+    ), schema).sort_values("pkey")
     bcast = ray.put((lim_df["pkey"].to_numpy(), lim_df["lim"].to_numpy()))
 
     li2 = _read(
@@ -2816,7 +2668,7 @@ def q17_small_order_revenue(sf_dir: str):
     agg = li2.map_batches(
         rev_partial, batch_format="pyarrow", zero_copy_batch=True
     ).sum("rev")
-    return pd.DataFrame({"avg_yearly_r2": [round(agg / 7.0, 2)]})
+    return pd.DataFrame({"avg_yearly_r2": [round((agg or 0.0) / 7.0, 2)]})
 
 
 Q17_SQL = """
@@ -2898,10 +2750,7 @@ def q7_nation_trade(sf_dir: str):
             & (pc.field("l_shipdate") <= pc.scalar(np.datetime64("1997-12-31", "us")))
         ),
     )
-    joined = li.join(
-        osmall, "inner", num_partitions=8,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    joined = hash_join(li, osmall, "l_orderkey", "o_orderkey")
 
     def pair_partial(t: pa.Table) -> pa.Table:
         _, _, keys, names = ray.get(bcast)
@@ -2930,12 +2779,13 @@ def q7_nation_trade(sf_dir: str):
             .rename_columns(["supp_nation", "cust_nation", "yr", "rev", "n"])
         )
 
-    out = (
+    out = collect(  # pairs x years rows
         joined.map_batches(pair_partial, batch_format="pyarrow",
                            zero_copy_batch=True)
         .groupby(["supp_nation", "cust_nation", "yr"])
-        .aggregate(Sum("rev", alias_name="revenue"), Sum("n", alias_name="n"))
-        .to_pandas()  # pairs x years rows
+        .aggregate(Sum("rev", alias_name="revenue"), Sum("n", alias_name="n")),
+        pa.schema({"supp_nation": STR, "cust_nation": STR, "yr": I64,
+                   "revenue": F64, "n": I64}),
     )
     out["revenue"] = out["revenue"].round(2)
     out["n"] = out["n"].astype(np.int64)
@@ -3035,10 +2885,7 @@ def q8_market_share(sf_dir: str):
             & (pc.field("l_shipdate") <= pc.scalar(np.datetime64("1997-12-31", "us")))
         ),
     )
-    joined = li.join(
-        osmall, "inner", num_partitions=8,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    joined = hash_join(li, osmall, "l_orderkey", "o_orderkey")
 
     def share_partial(t: pa.Table) -> pa.Table:
         _, keys, tgt = ray.get(bcast)
@@ -3062,13 +2909,13 @@ def q8_market_share(sf_dir: str):
             .rename_columns(["yr", "target_rev", "total_rev"])
         )
 
-    out = (
+    out = collect(  # year-grain
         joined.map_batches(share_partial, batch_format="pyarrow",
                            zero_copy_batch=True)
         .groupby("yr")
         .aggregate(Sum("target_rev", alias_name="t"),
-                   Sum("total_rev", alias_name="tot"))
-        .to_pandas()  # year-grain
+                   Sum("total_rev", alias_name="tot")),
+        pa.schema({"yr": I64, "t": F64, "tot": F64}),
     )
     out["mkt_share_r6"] = np.round(out["t"] / out["tot"], 6)
     return out.sort_values("yr").reset_index(drop=True)[["yr", "mkt_share_r6"]]
@@ -3129,28 +2976,19 @@ def events_rollup(sf_dir: str):
             .rename_columns(["event_type", "dday", "n", "v"])
         )
 
-    finest = (
+    finest = collect(  # types x days rows
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["event_type", "dday"])
-        .aggregate(Sum("n", alias_name="n"), Sum("v", alias_name="v"))
-        .to_pandas()  # types x days rows
+        .aggregate(Sum("n", alias_name="n"), Sum("v", alias_name="v")),
+        pa.schema({"event_type": STR, "dday": STR, "n": I64, "v": F64}),
     )
-    if finest.empty:  # 0-row input: keep the schema so the levels compose
-        finest = pd.DataFrame(
-            {
-                "event_type": pd.Series([], dtype="object"),
-                "dday": pd.Series([], dtype="object"),
-                "n": pd.Series([], dtype="int64"),
-                "v": pd.Series([], dtype="float64"),
-            }
-        )
     by_type = finest.groupby("event_type", as_index=False).agg(
         n=("n", "sum"), v=("v", "sum")
     )
     by_type["dday"] = "ALL"
-    total = pd.DataFrame(
+    total = pd.DataFrame(  # SQL's sum over no rows is NULL
         {"event_type": ["ALL"], "dday": ["ALL"],
-         "n": [finest["n"].sum()], "v": [finest["v"].sum()]}
+         "n": [finest["n"].sum()], "v": [finest["v"].sum(min_count=1)]}
     )
     out = pd.concat([finest, by_type, total], ignore_index=True)
     out["n"] = out["n"].astype(np.int64)
@@ -3202,6 +3040,9 @@ def lineitem_price_qty_corr(sf_dir: str):
     a = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).sum(
         ["n", "sx", "sy", "sxy", "sxx", "syy"]
     )
+    if not a or not a["sum(n)"]:  # no rows: count 0, NULL moments (as SQL)
+        return pd.DataFrame({"n": np.zeros(1, np.int64), "covar_r4": [np.nan],
+                             "corr_r6": [np.nan]})
     n = a["sum(n)"]
     mx, my = a["sum(sx)"] / n, a["sum(sy)"] / n
     cov = a["sum(sxy)"] / n - mx * my
@@ -3304,20 +3145,7 @@ def events_user_cumsum(sf_dir: str):
     schema tracks (rds_schema.sql usage tables)."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "value"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False)))
-        )
-
     def cum_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "event_id": pd.Series([], dtype="int64"),
-                    "cum_cents": pd.Series([], dtype="int64"),
-                }
-            )
         g = g.sort_values(["user_id", "ts", "event_id"])
         u = g["user_id"].to_numpy()
         cents = np.rint(g["value"].to_numpy() * 100.0).astype(np.int64)
@@ -3335,10 +3163,9 @@ def events_user_cumsum(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(cum_of_partition, batch_format="pandas")
+    return by_key(
+        ds, "user_id", cum_of_partition,
+        pa.schema({"user_id": I64, "event_id": I64, "cum_cents": I64}),
     )
 
 
@@ -3663,20 +3490,9 @@ def events_user_entropy(sf_dir: str):
             }
         )
         g = tt.group_by(["user_id", "event_type"]).aggregate([("n", "sum")])
-        g = g.rename_columns(["user_id", "event_type", "n"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["user_id"].to_numpy(zero_copy_only=False)))
-        )
+        return g.rename_columns(["user_id", "event_type", "n"])
 
     def entropy_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "n_events": pd.Series([], dtype="int64"),
-                    "entropy_r6": pd.Series([], dtype="float64"),
-                }
-            )
         c = g.groupby(["user_id", "event_type"], sort=False, as_index=False).agg(
             n=("n", "sum")
         )
@@ -3694,10 +3510,10 @@ def events_user_entropy(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(entropy_of_partition, batch_format="pandas")
+    return by_key(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", entropy_of_partition,
+        pa.schema({"user_id": I64, "n_events": I64, "entropy_r6": F64}),
     )
 
 
@@ -3795,29 +3611,11 @@ def orders_basket_pairs(sf_dir: str, n_out: int = _BASKET_TOP):
     ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def op_partial(t: pa.Table) -> pa.Table:
-        tt = pa.table(
+        return pa.table(
             {"o": t["l_orderkey"], "p": t["l_partkey"]}
         ).group_by(["o", "p"]).aggregate([])
-        return tt.append_column(
-            "part", pa.array(_keypart(tt["o"].to_numpy(zero_copy_only=False)))
-        )
-
-    grouped = (
-        ds.map_batches(op_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-    )
 
     def pairs_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "kind": pd.Series([], dtype="int64"),
-                "pa_": pd.Series([], dtype="int64"),
-                "pb_": pd.Series([], dtype="int64"),
-                "c": pd.Series([], dtype="int64"),
-            }
-        )
-        if g.empty:
-            return empty
         # exact distinct (order, part) pairs within the partition
         d = g.drop_duplicates(["o", "p"]).sort_values(["o", "p"])
         o = d["o"].to_numpy(np.int64)
@@ -3855,9 +3653,11 @@ def orders_basket_pairs(sf_dir: str, n_out: int = _BASKET_TOP):
             )
         return pd.concat(rows, ignore_index=True)
 
-    partials = grouped.map_groups(
-        pairs_of_partition, batch_format="pandas"
-    ).materialize()  # pair-grain; consumed for totals, pairs and counts
+    partials = by_key(  # pair-grain; consumed for totals, pairs and counts
+        ds.map_batches(op_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "o", pairs_of_partition,
+        pa.schema({"kind": I64, "pa_": I64, "pb_": I64, "c": I64}),
+    ).materialize()
 
     pdf_marks = partials.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], 2)), batch_format="pyarrow"
@@ -3870,13 +3670,8 @@ def orders_basket_pairs(sf_dir: str, n_out: int = _BASKET_TOP):
              for c in out_cols}
         )
 
-    def pair_rekey(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["kind"], 1))
-        key = (
-            t["pa_"].to_numpy(zero_copy_only=False) * np.int64(1_000_003)
-            + t["pb_"].to_numpy(zero_copy_only=False)
-        )
-        return t.append_column("part2", pa.array(_keypart(key)))
+    def pairs_only(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["kind"], 1))
 
     def top_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["pa_", "pb_"], sort=False, as_index=False).agg(
@@ -3887,12 +3682,11 @@ def orders_basket_pairs(sf_dir: str, n_out: int = _BASKET_TOP):
             kind="mergesort",
         ).head(n_out)
 
-    top = (
-        partials.map_batches(pair_rekey, batch_format="pyarrow")
-        .groupby("part2")
-        .map_groups(top_of_partition, batch_format="pandas")
-        .to_pandas()  # <= _N_KEY_PARTS * n_out rows
-    )
+    schema = pa.schema({"pa_": I64, "pb_": I64, "c_ab": I64})
+    top = collect(by_key(  # <= N_PARTS * n_out rows
+        partials.map_batches(pairs_only, batch_format="pyarrow"),
+        ["pa_", "pb_"], top_of_partition, schema,
+    ), schema)
     if top.empty:
         return pd.DataFrame(
             {c: pd.Series([], dtype="float64" if c == "lift_r6" else "int64")
@@ -4007,10 +3801,7 @@ def q9_profit_by_nation_year(sf_dir: str):
 
     pruned = li.map_batches(part_prune, batch_format="pyarrow", zero_copy_batch=True)
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
-    joined = pruned.join(
-        orders, "inner", num_partitions=8,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    joined = hash_join(pruned, orders, "l_orderkey", "o_orderkey")
 
     def profit_partial(t: pa.Table) -> pa.Table:
         _, keys, nk = ray.get(bcast)
@@ -4097,10 +3888,10 @@ def q11_important_parts(sf_dir: str):
     lineitems), never the raw scan; the HAVING filter streams over part
     grain and only qualifying parts reach the driver."""
     nation = _pa(sf_dir, "nation", columns=["n_nationkey", "n_name"])
-    nk = {
+    nk = {  # -1: no such nation, so no supplier qualifies
         n: int(k) for k, n in zip(nation["n_nationkey"].to_pylist(),
                                   nation["n_name"].to_pylist())
-    }[_Q11_NATION]
+    }.get(_Q11_NATION, -1)
     sup = _pa(
         sf_dir, "supplier", columns=["s_suppkey"],
         filter=(pc.field("s_nationkey") == pc.scalar(nk)),
@@ -4137,22 +3928,19 @@ def q11_important_parts(sf_dir: str):
         )
         tt = pa.table({"p": t["l_partkey"], "cents": cents})
         g = tt.group_by("p").aggregate([("cents", "sum")])
-        g = g.rename_columns(["p", "cents"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["p"].to_numpy(zero_copy_only=False)))
-        )
+        return g.rename_columns(["p", "cents"])
 
     def sum_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("p", sort=False, as_index=False).agg(
             value_cents=("cents", "sum")
         )
-        return out.rename(columns={"p": "p_partkey"})[["p_partkey", "value_cents"]]
+        return out.rename(columns={"p": "p_partkey"})
 
-    parts_val = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(sum_of_partition, batch_format="pandas")
-    ).materialize()  # part grain — small relative to the scan
+    schema = pa.schema({"p_partkey": I64, "value_cents": I64})
+    parts_val = by_key(  # part grain — small relative to the scan
+        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "p", sum_of_partition, schema,
+    ).materialize()
     total = parts_val.sum("value_cents") or 0
     cut = _Q11_FRACTION * total
 
@@ -4161,14 +3949,10 @@ def q11_important_parts(sf_dir: str):
             pc.greater(t["value_cents"], pa.scalar(cut, pa.float64()))
         )
 
-    out = parts_val.map_batches(
-        keep, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()  # qualifying parts only (result scale)
-    if out.empty:
-        return pd.DataFrame(
-            {"p_partkey": pd.Series([], dtype="int64"),
-             "value_cents": pd.Series([], dtype="int64")}
-        )
+    out = collect(  # qualifying parts only (result scale)
+        parts_val.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True),
+        schema,
+    )
     return (
         out.sort_values(["value_cents", "p_partkey"], ascending=[False, True])
         .reset_index(drop=True)[["p_partkey", "value_cents"]]
@@ -4255,37 +4039,24 @@ def q16_supplier_counts(sf_dir: str):
                 "sk": t["l_suppkey"].filter(pa.array(hit)),
             }
         )
-        g = tt.group_by(["b", "t", "s", "sk"]).aggregate([])
-        key = (
-            g["b"].to_numpy(zero_copy_only=False) * 1_000_003
-            + g["t"].to_numpy(zero_copy_only=False) * 8191
-            + g["s"].to_numpy(zero_copy_only=False) * 131
-            + g["sk"].to_numpy(zero_copy_only=False)
-        )
-        return g.append_column("part", pa.array(_keypart(key)))
+        return tt.group_by(["b", "t", "s", "sk"]).aggregate([])
 
     def count_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["b", "t", "s", "sk"])
-        out = d.groupby(["b", "t", "s"], sort=False, as_index=False).agg(
+        return d.groupby(["b", "t", "s"], sort=False, as_index=False).agg(
             supplier_cnt=("sk", "size")
         )
-        return out
 
-    out = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(count_of_partition, batch_format="pandas")
-        .groupby(["b", "t", "s"])
-        .aggregate(Sum("supplier_cnt", alias_name="supplier_cnt"))
-        .to_pandas()  # profile grain (brand x type x size)
-    )
-    if out.empty:
-        return pd.DataFrame(
-            {"p_brand": pd.Series([], dtype="object"),
-             "p_type": pd.Series([], dtype="object"),
-             "p_size": pd.Series([], dtype="int64"),
-             "supplier_cnt": pd.Series([], dtype="int64")}
+    schema = pa.schema({"b": I64, "t": I64, "s": I64, "supplier_cnt": I64})
+    out = collect(  # profile grain (brand x type x size)
+        by_key(
+            li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            ["b", "t", "s", "sk"], count_of_partition, schema,
         )
+        .groupby(["b", "t", "s"])
+        .aggregate(Sum("supplier_cnt", alias_name="supplier_cnt")),
+        schema,
+    )
     out["p_brand"] = bvals[out["b"].to_numpy()]
     out["p_type"] = tvals[out["t"].to_numpy()]
     out = out.rename(columns={"s": "p_size"})
@@ -4347,28 +4118,18 @@ def suppliers_pareto(sf_dir: str):
         tt = pa.table({"sk": t["l_suppkey"], "cents": cents})
         g = tt.group_by("sk").aggregate([("cents", "sum")])
         g = g.rename_columns(["sk", "cents"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["sk"].to_numpy(zero_copy_only=False)))
-        )
+        return g
 
     def sum_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("sk", sort=False, as_index=False).agg(
             rev_cents=("cents", "sum")
         )
 
-    out = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(sum_of_partition, batch_format="pandas")
-        .to_pandas()  # supplier grain == result grain
-    )
-    if out.empty:
-        return pd.DataFrame(
-            {"s_suppkey": pd.Series([], dtype="int64"),
-             "rev_cents": pd.Series([], dtype="int64"),
-             "cum_share_r6": pd.Series([], dtype="float64"),
-             "pareto_class": pd.Series([], dtype="object")}
-        )
+    schema = pa.schema({"sk": I64, "rev_cents": I64})
+    out = collect(by_key(  # supplier grain == result grain
+        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "sk", sum_of_partition, schema,
+    ), schema)
     out = out.sort_values(
         ["rev_cents", "sk"], ascending=[False, True]
     ).reset_index(drop=True)
@@ -4429,20 +4190,9 @@ def events_dau_mau(sf_dir: str):
                 "u": t["user_id"],
             }
         )
-        g = tt.group_by(["m", "d", "e", "u"]).aggregate([])
-        return g.append_column(
-            "part", pa.array(_keypart(g["u"].to_numpy(zero_copy_only=False)))
-        )
+        return tt.group_by(["m", "d", "e", "u"]).aggregate([])
 
     def counts_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = {
-            "kind": pd.Series([], dtype="int64"),
-            "key": pd.Series([], dtype="object"),
-            "e": pd.Series([], dtype="object"),
-            "n": pd.Series([], dtype="int64"),
-        }
-        if g.empty:
-            return pd.DataFrame(empty)
         du = g.drop_duplicates(["d", "e", "u"])
         day = du.groupby(["d", "e"], sort=False, as_index=False).agg(
             n=("u", "size")
@@ -4455,24 +4205,18 @@ def events_dau_mau(sf_dir: str):
         )
         mon = mon.rename(columns={"m": "key"})
         mon["kind"] = 1
-        return pd.concat([day, mon], ignore_index=True)[["kind", "key", "e", "n"]]
+        return pd.concat([day, mon], ignore_index=True)
 
-    red = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(counts_of_partition, batch_format="pandas")
-        .groupby(["kind", "key", "e"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # (day + month) x type grain
-    )
-    if red.empty:
-        return pd.DataFrame(
-            {"emonth": pd.Series([], dtype="object"),
-             "event_type": pd.Series([], dtype="object"),
-             "mau": pd.Series([], dtype="int64"),
-             "dau_avg_r6": pd.Series([], dtype="float64"),
-             "stickiness_r6": pd.Series([], dtype="float64")}
+    schema = pa.schema({"kind": I64, "key": STR, "e": STR, "n": I64})
+    red = collect(  # (day + month) x type grain
+        by_key(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "u", counts_of_partition, schema,
         )
+        .groupby(["kind", "key", "e"])
+        .aggregate(Sum("n", alias_name="n")),
+        schema,
+    )
     days = red[red["kind"] == 0].copy()
     days["emonth"] = days["key"].str.slice(0, 7)
     dau = days.groupby(["emonth", "e"], as_index=False).agg(
@@ -4534,19 +4278,7 @@ def events_top_paths(sf_dir: str, n_out: int = _PATHS_TOP):
     tiny regardless of corpus size."""
     ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part",
-            pa.array(_keypart(t["user_id"].to_numpy(zero_copy_only=False))),
-        )
-
     def paths_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = {
-            "path": pd.Series([], dtype="object"),
-            "n": pd.Series([], dtype="int64"),
-        }
-        if len(g) < 3:
-            return pd.DataFrame(empty)
         u = g["user_id"].to_numpy(np.int64)
         ts = g["ts"].to_numpy()
         eid = g["event_id"].to_numpy(np.int64)
@@ -4554,29 +4286,19 @@ def events_top_paths(sf_dir: str, n_out: int = _PATHS_TOP):
         order = np.lexsort((eid, ts, u))
         u_s, et_s = u[order], et[order]
         same3 = (u_s[:-2] == u_s[1:-1]) & (u_s[1:-1] == u_s[2:])
-        if not same3.any():
-            return pd.DataFrame(empty)
         a = et_s[:-2][same3]
         b = et_s[1:-1][same3]
         c = et_s[2:][same3]
         paths = pd.Series(a).str.cat([pd.Series(b), pd.Series(c)], sep=">")
-        out = paths.value_counts().rename_axis("path").reset_index(name="n")
-        out["n"] = out["n"].astype("int64")
-        return out[["path", "n"]]
+        return paths.value_counts().rename_axis("path").reset_index(name="n")
 
-    red = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(paths_of_partition, batch_format="pandas")
+    schema = pa.schema({"path": STR, "n": I64})
+    red = collect(  # |types|^3-bounded grain
+        by_key(ds, "user_id", paths_of_partition, schema)
         .groupby("path")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # |types|^3-bounded grain
+        .aggregate(Sum("n", alias_name="n")),
+        schema,
     )
-    if red.empty:
-        return pd.DataFrame(
-            {"path": pd.Series([], dtype="object"),
-             "n": pd.Series([], dtype="int64")}
-        )
     red["n"] = red["n"].astype("int64")
     return (
         red.sort_values(["n", "path"], ascending=[False, True])
@@ -4737,31 +4459,19 @@ def q2_min_cost_supplier(sf_dir: str):
         cost = pc.divide(t["l_extendedprice"], t["l_quantity"])
         tt = pa.table({"p": t["l_partkey"], "s": t["l_suppkey"], "cost": cost})
         g = tt.group_by(["p", "s"]).aggregate([("cost", "min")])
-        g = g.rename_columns(["p", "s", "cost"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["p"].to_numpy(zero_copy_only=False)))
-        )
+        return g.rename_columns(["p", "s", "cost"])
 
     def winners_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = {
-            "p": pd.Series([], dtype="int64"),
-            "s": pd.Series([], dtype="int64"),
-            "cost": pd.Series([], dtype="float64"),
-        }
-        if g.empty:
-            return pd.DataFrame(empty)
         c = g.groupby(["p", "s"], sort=False, as_index=False).agg(
             cost=("cost", "min")
         )
         mc = c.groupby("p")["cost"].transform("min")
-        return c[c["cost"] == mc][["p", "s", "cost"]]
+        return c[c["cost"] == mc]
 
-    out = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(winners_of_partition, batch_format="pandas")
-        .to_pandas()  # winner rows only (<= filtered part count + ties)
-    )
+    out = by_key(  # winner rows only (<= filtered part count + ties)
+        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "p", winners_of_partition, pa.schema({"p": I64, "s": I64, "cost": F64}),
+    ).to_pandas()
     if out.empty:
         return pd.DataFrame(
             {"s_acctbal": pd.Series([], dtype="float64"),
@@ -4829,10 +4539,7 @@ def q12_priority_counts(sf_dir: str):
     block."""
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    joined = li.join(
-        orders, "inner", num_partitions=8,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    joined = hash_join(li, orders, "l_orderkey", "o_orderkey")
 
     def partial(t: pa.Table) -> pa.Table:
         hi = pc.is_in(
@@ -4853,12 +4560,12 @@ def q12_priority_counts(sf_dir: str):
             .rename_columns(["l_returnflag", "high_count", "low_count"])
         )
 
-    out = (
+    out = collect(  # flag grain
         joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("l_returnflag")
         .aggregate(Sum("high_count", alias_name="high_count"),
-                   Sum("low_count", alias_name="low_count"))
-        .to_pandas()  # flag grain
+                   Sum("low_count", alias_name="low_count")),
+        pa.schema({"l_returnflag": STR, "high_count": I64, "low_count": I64}),
     )
     out["high_count"] = out["high_count"].astype("int64")
     out["low_count"] = out["low_count"].astype("int64")
@@ -4937,33 +4644,22 @@ def q20_excess_suppliers(sf_dir: str):
             }
         )
         g = tt.group_by(["p", "s"]).aggregate([("q", "sum")])
-        g = g.rename_columns(["p", "s", "q"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["p"].to_numpy(zero_copy_only=False)))
-        )
+        return g.rename_columns(["p", "s", "q"])
 
     def excess_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = {"s": pd.Series([], dtype="int64")}
-        if g.empty:
-            return pd.DataFrame(empty)
         c = g.groupby(["p", "s"], sort=False, as_index=False).agg(q=("q", "sum"))
         aq = c.groupby("p")["q"].transform("mean")  # integral sums -> exact
         return c[c["q"].to_numpy(np.float64) > _Q20_FACTOR * aq.to_numpy()][["s"]]
 
-    out = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(excess_of_partition, batch_format="pandas")
-        .to_pandas()  # qualifying (part, supplier) winners only
-    )
-    if out.empty:
-        return pd.DataFrame(
-            {"s_suppkey": pd.Series([], dtype="int64"),
-             "s_name": pd.Series([], dtype="object")}
-        )
+    schema = pa.schema({"s": I64})
+    out = collect(by_key(  # qualifying (part, supplier) winners only
+        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "p", excess_of_partition, schema,
+    ), schema)
     ids = np.unique(out["s"].to_numpy(np.int64))
     return pd.DataFrame(
-        {"s_suppkey": ids, "s_name": [names[int(i)] for i in ids]}
+        {"s_suppkey": ids,
+         "s_name": pd.Series([names[int(i)] for i in ids], dtype=object)}
     )
 
 
@@ -5011,28 +4707,19 @@ def q21_sole_supplier_orders(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         tt = pa.table({"o": t["l_orderkey"], "s": t["l_suppkey"]})
-        g = tt.group_by(["o", "s"]).aggregate([])
-        return g.append_column(
-            "part", pa.array(_keypart(g["o"].to_numpy(zero_copy_only=False)))
-        )
+        return tt.group_by(["o", "s"]).aggregate([])
 
     def sole_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = {
-            "s": pd.Series([], dtype="int64"),
-            "n": pd.Series([], dtype="int64"),
-        }
-        if g.empty:
-            return pd.DataFrame(empty)
         d = g.drop_duplicates(["o", "s"])
         ns = d.groupby("o")["s"].transform("size")
         sole = d[ns == 1]
-        out = sole.groupby("s", sort=False, as_index=False).agg(n=("o", "size"))
-        return out[["s", "n"]]
+        return sole.groupby("s", sort=False, as_index=False).agg(n=("o", "size"))
 
     red = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(sole_of_partition, batch_format="pandas")
+        by_key(
+            li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "o", sole_of_partition, pa.schema({"s": I64, "n": I64}),
+        )
         .groupby("s")
         .aggregate(Sum("n", alias_name="sole_orders"))
         .to_pandas()  # supplier grain (only suppliers with sole orders)
@@ -5292,28 +4979,17 @@ def events_conversion_lag(sf_dir: str):
         )
         # per-batch min ts per (user, type): partials compose under min
         g = tt.group_by(["u", "e"]).aggregate([("ts", "min")])
-        g = g.rename_columns(["u", "e", "ts"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["u"].to_numpy(zero_copy_only=False)))
-        )
+        return g.rename_columns(["u", "e", "ts"])
 
     def lags_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = {
-            "cohort_day": pd.Series([], dtype="object"),
-            "lag_us": pd.Series([], dtype="int64"),
-        }
-        if g.empty:
-            return pd.DataFrame(empty)
         c = g.groupby(["u", "e"], sort=False, as_index=False).agg(ts=("ts", "min"))
         p = c.pivot_table(index="u", columns="e", values="ts", aggfunc="min")
         if "view" not in p.columns or "purchase" not in p.columns:
-            return pd.DataFrame(empty)
+            return pd.DataFrame()
         p = p.dropna(subset=["view", "purchase"])
         v = p["view"].to_numpy(np.int64)
         b = p["purchase"].to_numpy(np.int64)
         conv = b > v  # purchase strictly after the first view
-        if not conv.any():
-            return pd.DataFrame(empty)
         v, b = v[conv], b[conv]
         day = pd.to_datetime(v, unit="us").strftime("%Y-%m-%d")
         return pd.DataFrame({"cohort_day": day, "lag_us": b - v})
@@ -5331,9 +5007,10 @@ def events_conversion_lag(sf_dir: str):
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(lags_of_partition, batch_format="pandas")
+        by_key(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "u", lags_of_partition, pa.schema({"cohort_day": STR, "lag_us": I64}),
+        )
         .groupby("cohort_day")
         .map_groups(quantiles_of_day, batch_format="pandas")
     )
@@ -5385,30 +5062,18 @@ def events_churned_users(sf_dir: str):
              "n": pa.array(np.ones(t.num_rows, np.int64))}
         )
         g = tt.group_by("u").aggregate([("ts", "max"), ("n", "sum")])
-        g = g.rename_columns(["u", "ts", "n"])
-        return g.append_column(
-            "part", pa.array(_keypart(g["u"].to_numpy(zero_copy_only=False)))
-        )
+        return g.rename_columns(["u", "ts", "n"])
 
     def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("u", sort=False, as_index=False).agg(
+        return g.groupby("u", sort=False, as_index=False).agg(
             last_us=("ts", "max"), n_events=("n", "sum")
         )
-        return out
 
-    users = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(reduce_partition, batch_format="pandas")
-    ).materialize()  # user grain
-    mx = users.max("last_us")
-    if mx is None:
-        return pd.DataFrame(
-            {"user_id": pd.Series([], dtype="int64"),
-             "last_seen": pd.Series([], dtype="datetime64[us]"),
-             "n_events": pd.Series([], dtype="int64")}
-        )
-    cutoff = int(mx) - _CHURN_DAYS * US_PER_DAY
+    users = by_key(  # user grain
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "u", reduce_partition, pa.schema({"u": I64, "last_us": I64, "n_events": I64}),
+    ).materialize()
+    cutoff = int(users.max("last_us") or 0) - _CHURN_DAYS * US_PER_DAY
 
     def churned(t: pa.Table) -> pa.Table:
         keep = pc.less(t["last_us"], pa.scalar(cutoff, pa.int64()))
@@ -5421,15 +5086,10 @@ def events_churned_users(sf_dir: str):
             }
         )
 
-    out = users.map_batches(
-        churned, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()  # churned users only (result scale)
-    if out.empty:
-        return pd.DataFrame(
-            {"user_id": pd.Series([], dtype="int64"),
-             "last_seen": pd.Series([], dtype="datetime64[us]"),
-             "n_events": pd.Series([], dtype="int64")}
-        )
+    out = collect(  # churned users only (result scale)
+        users.map_batches(churned, batch_format="pyarrow", zero_copy_batch=True),
+        pa.schema({"user_id": I64, "last_seen": TS, "n_events": I64}),
+    )
     out["n_events"] = out["n_events"].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
 

@@ -23,6 +23,7 @@ from ..analyze import (
     tokenize,
     tokenize_counts_arrow,
 )
+from .keyed import F64, I64, STR, by_key, collect, typed
 
 
 def _read_docs(sf_dir: str, columns=None) -> rd.Dataset:
@@ -329,27 +330,6 @@ def redact_pii(sf_dir: str):
 # spotting).  Exact path + a mergeable Misra-Gries sketch as the
 # bounded-memory scale path.
 _TOP_TERMS_N = 50
-_N_TERM_PARTS = 32
-
-
-def _term_parts(terms: pa.Array) -> pa.Array:
-    """Coarse partition key per term row.  Only the batch's UNIQUE terms are
-    hashed in Python (dictionary-encoded; vocab-bounded, same budget class
-    as exact_dedup's per-hash loop) — the row stream is a numpy gather."""
-    if isinstance(terms, pa.ChunkedArray):
-        terms = terms.combine_chunks()
-    de = terms.dictionary_encode()
-    codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniq = np.fromiter(
-        (
-            int.from_bytes(hashlib.blake2b(t.encode(), digest_size=4).digest(), "big")
-            % _N_TERM_PARTS
-            for t in de.dictionary.to_pylist()
-        ),
-        dtype=np.int64,
-        count=len(de.dictionary),
-    )
-    return pa.array(uniq[codes], pa.int64())
 
 
 def top_terms(sf_dir: str, n_out: int = _TOP_TERMS_N):
@@ -371,7 +351,6 @@ def top_terms(sf_dir: str, n_out: int = _TOP_TERMS_N):
                 "term": g["term"],
                 "df_part": g["tf_count"].cast(pa.int64()),
                 "tf_part": g["tf_sum"],
-                "part": _term_parts(g["term"]),
             }
         )
 
@@ -379,18 +358,16 @@ def top_terms(sf_dir: str, n_out: int = _TOP_TERMS_N):
         agg = g.groupby("term", sort=False, as_index=False).agg(
             df=("df_part", "sum"), tf_total=("tf_part", "sum")
         )
-        agg = agg.sort_values(
+        return agg.sort_values(
             ["df", "term"], ascending=[False, True], kind="mergesort"
         ).head(n_out)
-        return agg[["term", "df", "tf_total"]]
 
-    parts = (
+    schema = pa.schema({"term": STR, "df": I64, "tf_total": I64})
+    out = collect(by_key(  # <= N_PARTS * n_out rows
         _read_docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(top_of_partition, batch_format="pandas")
-    )
-    out = parts.to_pandas()  # <= _N_TERM_PARTS * n_out rows
+        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "term", top_of_partition, schema,
+    ), schema)
     out = out.sort_values(
         ["df", "term"], ascending=[False, True], kind="mergesort"
     ).head(n_out).reset_index(drop=True)
@@ -454,7 +431,6 @@ def _mg_summary_batch(t: pa.Table, k: int) -> pa.Table:
             "term": terms_out,
             "est": pa.array(est_out, pa.int64()),
             "n_tokens": pa.array(ntok_col, pa.int64()),
-            "part": _term_parts(terms_out),
         }
     )
 
@@ -484,17 +460,14 @@ def top_terms_sketch(sf_dir: str, k: int = _MG_K, n_out: int = _TOP_TERMS_N):
         ntok = np.zeros(len(out), np.int64)
         ntok[-1] = int(g["n_tokens"].sum())
         out["n_tokens"] = ntok
-        return out[["term", "est", "n_tokens"]]
+        return out
 
-    pdf = (
+    schema = pa.schema({"term": STR, "est": I64, "n_tokens": I64})
+    pdf = collect(by_key(  # deduped candidate terms + one marker row per partition
         _read_docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(mg_of_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(sum_of_partition, batch_format="pandas")
-        .to_pandas()
-    )  # deduped candidate terms + one marker row per partition
-    if len(pdf) == 0:
-        return pd.DataFrame(columns=["term", "est_tf", "err_ub"])
+        .map_batches(mg_of_batch, batch_format="pyarrow", zero_copy_batch=True),
+        "term", sum_of_partition, schema,
+    ), schema)
     n_total = int(pdf["n_tokens"].sum())
     merged = pdf[pdf["term"] != ""][["term", "est"]].reset_index(drop=True)
     cnt = merged["est"].to_numpy()
@@ -546,13 +519,7 @@ def keywords_tfidf(
         _, terms, _, _ = tokenize_counts_arrow(t["text"])
         tt = pa.table({"term": terms, "one": pa.array(np.ones(len(terms), np.int64))})
         g = tt.group_by("term").aggregate([("one", "sum")])
-        return pa.table(
-            {
-                "term": g["term"],
-                "df_part": g["one_sum"],
-                "part": _term_parts(g["term"]),
-            }
-        )
+        return pa.table({"term": g["term"], "df_part": g["one_sum"]})
 
     def df_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("term", sort=False, as_index=False).agg(
@@ -561,22 +528,14 @@ def keywords_tfidf(
 
     docs = _read_docs(sf_dir, columns=["doc_id", "text"])
     n_docs = docs.count()
-    df_ds = (
-        docs.map_batches(df_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(df_of_partition, batch_format="pandas")
-        .materialize()  # vocab-scale by construction; executed exactly once
-    )
+    schema = pa.schema({"term": STR, "df": I64})
+    df_ds = by_key(  # vocab-scale by construction; executed exactly once
+        docs.map_batches(df_partials, batch_format="pyarrow", zero_copy_batch=True),
+        "term", df_of_partition, schema,
+    ).materialize()
     if df_ds.count() > df_broadcast_budget_rows:
         return _keywords_tfidf_distributed(docs, df_ds, n_docs, top)
-    # Ray emits zero-column placeholder blocks for empty partitions
-    df_tables = [
-        t for t in (ray.get(r) for r in df_ds.to_arrow_refs()) if t.num_columns
-    ]
-    if not df_tables:  # empty corpus: nothing to score
-        df_tables = [pa.table({"term": pa.array([], pa.string()),
-                               "df": pa.array([], pa.int64())})]
-    df_tbl = pa.concat_tables(df_tables)
+    df_tbl = typed(collect(df_ds, schema), schema)
     vocab = df_tbl["term"].combine_chunks()
     dfs = df_tbl["df"].to_numpy(zero_copy_only=False).astype(np.float64)
     bcast = ray.put((vocab, dfs))
@@ -609,43 +568,46 @@ def keywords_tfidf(
     return docs.map_batches(score_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
-_N_DOC_PARTS = 64
+def _tf_rows(t: pa.Table) -> pa.Table:
+    """(term, doc_id, val = tf) rows of a docs batch: the doc side of the
+    distributed paths' term-keyed union."""
+    doc_idx, terms, tfs, _ = tokenize_counts_arrow(t["text"])
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    return pa.table(
+        {
+            "term": terms.cast(pa.string()),
+            "doc_id": pa.array(ids[doc_idx].astype(np.int64), pa.int64()),
+            "val": pa.array(tfs.astype(np.int64), pa.int64()),
+        }
+    )
+
+
+def _stat_rows(col: str):
+    """(term, doc_id = -1, val = col) rows of a vocab table: the statistic
+    side of the distributed paths' term-keyed union."""
+
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "term": t["term"].cast(pa.string()),
+                "doc_id": pa.array(np.full(len(t), -1, np.int64), pa.int64()),
+                "val": t[col].cast(pa.int64()),
+            }
+        )
+
+    return rows
 
 
 def _keywords_tfidf_distributed(docs, df_ds, n_docs: int, top: int):
     """Above-budget tfidf path: nothing vocab-scale on the driver.
 
     (doc,term,tf) rows and (term,df) rows share one union dataset keyed by
-    the SAME coarse term-hash partition; a per-partition pandas merge scores
-    every (doc,term); a second coarse shuffle on hash(doc_id) finishes the
-    per-doc top-k.  df rows are tagged with doc_id = -1 (doc ids in the
-    corpus are non-negative)."""
-
-    def tf_rows(t: pa.Table) -> pa.Table:
-        doc_idx, terms, tfs, _ = tokenize_counts_arrow(t["text"])
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "part": _term_parts(terms),
-                "term": terms.cast(pa.string()),
-                "doc_id": pa.array(ids[doc_idx].astype(np.int64), pa.int64()),
-                "val": pa.array(tfs.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def df_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "part": _term_parts(t["term"]),
-                "term": t["term"].cast(pa.string()),
-                "doc_id": pa.array(np.full(len(t), -1, np.int64), pa.int64()),
-                "val": t["df"].cast(pa.int64()),
-            }
-        )
-
+    term; a per-partition pandas merge scores every (doc,term); a second
+    keyed shuffle on doc_id finishes the per-doc top-k.  df rows are tagged
+    with doc_id = -1 (doc ids in the corpus are non-negative)."""
     union = docs.map_batches(
-        tf_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).union(df_ds.map_batches(df_rows, batch_format="pyarrow"))
+        _tf_rows, batch_format="pyarrow", zero_copy_batch=True
+    ).union(df_ds.map_batches(_stat_rows("df"), batch_format="pyarrow"))
 
     def merge_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         dfm = g[g["doc_id"] < 0][["term", "val"]].rename(columns={"val": "df"})
@@ -656,15 +618,8 @@ def _keywords_tfidf_distributed(docs, df_ds, n_docs: int, top: int):
             * np.log(float(n_docs) / m["df"].to_numpy(np.float64)),
             6,
         )
-        ids = m["doc_id"].to_numpy(np.int64)
-        docpart = (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - 6)
         return pd.DataFrame(
-            {
-                "docpart": docpart.astype(np.int64),
-                "doc_id": ids,
-                "term": m["term"],
-                "tfidf_r6": score,
-            }
+            {"doc_id": m["doc_id"], "term": m["term"], "tfidf_r6": score}
         )
 
     def topk_of_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -674,14 +629,15 @@ def _keywords_tfidf_distributed(docs, df_ds, n_docs: int, top: int):
             kind="mergesort",
         )
         g = g.assign(rank=g.groupby("doc_id", sort=False).cumcount() + 1)
-        g = g[g["rank"] <= top]
-        return g[["doc_id", "rank", "term", "tfidf_r6"]].astype({"rank": np.int64})
+        return g[g["rank"] <= top]
 
-    return (
-        union.groupby("part")
-        .map_groups(merge_of_partition, batch_format="pandas")
-        .groupby("docpart")
-        .map_groups(topk_of_partition, batch_format="pandas")
+    scored = by_key(
+        union, "term", merge_of_partition,
+        pa.schema({"doc_id": I64, "term": STR, "tfidf_r6": F64}),
+    )
+    return by_key(
+        scored, "doc_id", topk_of_partition,
+        pa.schema({"doc_id": I64, "rank": I64, "term": STR, "tfidf_r6": F64}),
     )
 
 
@@ -852,13 +808,7 @@ def docs_unigram_surprisal(
             {"term": terms, "tf": pa.array(tfs.astype(np.int64), pa.int64())}
         )
         g = tt.group_by("term").aggregate([("tf", "sum")])
-        return pa.table(
-            {
-                "term": g["term"],
-                "ctf_part": g["tf_sum"],
-                "part": _term_parts(g["term"]),
-            }
-        )
+        return pa.table({"term": g["term"], "ctf_part": g["tf_sum"]})
 
     def ctf_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("term", sort=False, as_index=False).agg(
@@ -866,22 +816,15 @@ def docs_unigram_surprisal(
         )
 
     docs = _read_docs(sf_dir, columns=["doc_id", "text"])
-    ctf_ds = (
-        docs.map_batches(ctf_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(ctf_of_partition, batch_format="pandas")
-        .materialize()  # vocab-scale by construction; executed exactly once
-    )
+    schema = pa.schema({"term": STR, "ctf": I64})
+    ctf_ds = by_key(  # vocab-scale by construction; executed exactly once
+        docs.map_batches(ctf_partials, batch_format="pyarrow", zero_copy_batch=True),
+        "term", ctf_of_partition, schema,
+    ).materialize()
     n_tokens = float(ctf_ds.sum("ctf") or 0)
     if ctf_ds.count() > ctf_broadcast_budget_rows:
         return _surprisal_distributed(docs, ctf_ds, n_tokens)
-    ctf_tables = [
-        t for t in (ray.get(r) for r in ctf_ds.to_arrow_refs()) if t.num_columns
-    ]
-    if not ctf_tables:  # empty corpus: an empty model scores nothing
-        ctf_tables = [pa.table({"term": pa.array([], pa.string()),
-                                "ctf": pa.array([], pa.int64())})]
-    ctf_tbl = pa.concat_tables(ctf_tables)
+    ctf_tbl = typed(collect(ctf_ds, schema), schema)
     vocab = ctf_tbl["term"].combine_chunks()
     ctfs = ctf_tbl["ctf"].to_numpy(zero_copy_only=False).astype(np.float64)
     bcast = ray.put((vocab, ctfs))
@@ -907,49 +850,14 @@ def docs_unigram_surprisal(
     return docs.map_batches(score_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
-_DOCPART_MULT = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _doc_parts(ids: np.ndarray) -> np.ndarray:
-    """Coarse doc-hash partition key (64 partitions), same mix as
-    keywords_tfidf's distributed top-k shuffle."""
-    return (
-        (ids.astype(np.uint64) * _DOCPART_MULT) >> np.uint64(64 - 6)
-    ).astype(np.int64)
-
-
 def _surprisal_distributed(docs, ctf_ds, n_tokens: float):
     """Above-budget surprisal: keywords_tfidf's union-shuffle shape.  ctf
     rows are tagged doc_id = -1; per term-partition merges emit per-doc
     PARTIAL (sum, token-count) pairs; zero-token marker rows keep empty
-    docs present; a coarse doc-hash shuffle finishes the exact weighted
-    mean."""
-
-    def tf_rows(t: pa.Table) -> pa.Table:
-        doc_idx, terms, tfs, _ = tokenize_counts_arrow(t["text"])
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "part": _term_parts(terms),
-                "term": terms.cast(pa.string()),
-                "doc_id": pa.array(ids[doc_idx].astype(np.int64), pa.int64()),
-                "val": pa.array(tfs.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def ctf_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "part": _term_parts(t["term"]),
-                "term": t["term"].cast(pa.string()),
-                "doc_id": pa.array(np.full(len(t), -1, np.int64), pa.int64()),
-                "val": t["ctf"].cast(pa.int64()),
-            }
-        )
-
+    docs present; a doc-keyed shuffle finishes the exact weighted mean."""
     union = docs.map_batches(
-        tf_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).union(ctf_ds.map_batches(ctf_rows, batch_format="pyarrow"))
+        _tf_rows, batch_format="pyarrow", zero_copy_batch=True
+    ).union(ctf_ds.map_batches(_stat_rows("ctf"), batch_format="pyarrow"))
 
     def merge_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         cm = g[g["doc_id"] < 0][["term", "val"]].rename(columns={"val": "ctf"})
@@ -957,33 +865,21 @@ def _surprisal_distributed(docs, ctf_ds, n_tokens: float):
         m = tfm.merge(cm, on="term", how="inner")
         tfv = m["val"].to_numpy(np.float64)
         s = tfv * np.log(n_tokens / m["ctf"].to_numpy(np.float64))
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"doc_id": m["doc_id"].to_numpy(np.int64), "s_part": s, "tf_part": tfv}
         ).groupby("doc_id", sort=False, as_index=False).agg(
             s_part=("s_part", "sum"), tf_part=("tf_part", "sum")
         )
-        out.insert(0, "docpart", _doc_parts(out["doc_id"].to_numpy(np.int64)))
-        return out
 
-    def marker_rows(b: pd.DataFrame) -> pd.DataFrame:
-        # pandas in/out so the union's block type matches map_groups output
-        ids = b["doc_id"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {
-                "docpart": _doc_parts(ids),
-                "doc_id": ids,
-                "s_part": np.zeros(len(ids)),
-                "tf_part": np.zeros(len(ids)),
-            }
-        )
+    schema = pa.schema({"doc_id": I64, "s_part": F64, "tf_part": F64})
 
-    partials = (
-        union.groupby("part")
-        .map_groups(merge_of_partition, batch_format="pandas")
-        .union(
-            docs.select_columns(["doc_id"]).map_batches(
-                marker_rows, batch_format="pandas"
-            )
+    def marker_rows(t: pa.Table) -> pa.Table:
+        zeros = pa.array(np.zeros(t.num_rows))
+        return pa.table([t["doc_id"], zeros, zeros], schema=schema)
+
+    partials = by_key(union, "term", merge_of_partition, schema).union(
+        docs.select_columns(["doc_id"]).map_batches(
+            marker_rows, batch_format="pyarrow"
         )
     )
 
@@ -1002,8 +898,9 @@ def _surprisal_distributed(docs, ctf_ds, n_tokens: float):
             }
         )
 
-    return partials.groupby("docpart").map_groups(
-        mean_of_partition, batch_format="pandas"
+    return by_key(
+        partials, "doc_id", mean_of_partition,
+        pa.schema({"doc_id": I64, "n_tokens": I64, "surprisal_r6": F64}),
     )
 
 
@@ -1051,17 +948,16 @@ def docs_pmi_bigrams(
     statistics its search config derives (theorem corpus term tables).
 
     Scale shape: ONE tokenize pass emits per-batch partial unigram counts
-    (keyed hash(term)) and partial bigram counts (keyed hash(first token)),
-    plus two count-total marker rows per batch (part -1); shuffle 1
+    (keyed by the term) and partial bigram counts (keyed by the first
+    token), plus two count-total marker rows per batch (keyed ""); shuffle 1
     finalizes both count tables — a bigram's c_a lands in its own partition
     by construction — applies the min_count gate and re-keys surviving
-    bigrams by hash(second token); shuffle 2 attaches c_b and emits a
+    bigrams by their second token; shuffle 2 attaches c_b and emits a
     per-partition LOCAL top-N by the oracle's exact (pmi_r6 DESC, bigram)
     key, so the driver merges only P*N candidate rows.  N and M (token /
     bigram totals) come from the two marker rows of the materialized
     shuffle-1 output — no second corpus pass, nothing vocab-scale on the
     driver."""
-    import ray
 
     # kind: 0 = unigram count, 1 = bigram count, 2 = totals marker
     def partials(t: pa.Table) -> pa.Table:
@@ -1075,7 +971,7 @@ def docs_pmi_bigrams(
         parts = [
             pa.table(
                 {
-                    "part": pa.array([-1, -1], pa.int64()),
+                    "key": pa.array(["", ""], pa.string()),
                     "kind": pa.array([2, 2], pa.int64()),
                     "gram": pa.array(["n", "m"], pa.string()),
                     "b": pa.array(["", ""], pa.string()),
@@ -1091,7 +987,7 @@ def docs_pmi_bigrams(
             parts.append(
                 pa.table(
                     {
-                        "part": _term_parts(ug["term"]),
+                        "key": ug["term"].cast(pa.string()),
                         "kind": pa.array(np.zeros(len(ug), np.int64)),
                         "gram": ug["term"].cast(pa.string()),
                         "b": pa.array([""] * len(ug), pa.string()),
@@ -1106,7 +1002,7 @@ def docs_pmi_bigrams(
             parts.append(
                 pa.table(
                     {
-                        "part": _term_parts(pc.list_element(halves, 0)),
+                        "key": pc.list_element(halves, 0).cast(pa.string()),
                         "kind": pa.array(np.ones(len(vocab), np.int64)),
                         "gram": vocab.cast(pa.string()),
                         "b": pc.list_element(halves, 1).cast(pa.string()),
@@ -1116,33 +1012,14 @@ def docs_pmi_bigrams(
             )
         return pa.concat_tables(parts)
 
-    _EMPTY_STAGE1 = pd.DataFrame(
-        {
-            "part2": pd.Series([], dtype="int64"),
-            "kind": pd.Series([], dtype="int64"),
-            "gram": pd.Series([], dtype="object"),
-            "b": pd.Series([], dtype="object"),
-            "c_ab": pd.Series([], dtype="int64"),
-            "c_a": pd.Series([], dtype="int64"),
-        }
-    )
-
     def finalize_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        mark = g[g["kind"] == 2]
-        if len(mark):  # the part = -1 marker partition (markers only)
-            out = mark.groupby("gram", sort=False, as_index=False).agg(
-                c_ab=("c", "sum")
-            )
-            return pd.DataFrame(
-                {
-                    "part2": np.full(len(out), -1, np.int64),
-                    "kind": np.full(len(out), 2, np.int64),
-                    "gram": out["gram"],
-                    "b": "",
-                    "c_ab": out["c_ab"].astype(np.int64),
-                    "c_a": np.zeros(len(out), np.int64),
-                }
-            )
+        # out rows re-keyed for shuffle 2: markers by "", unigrams by the
+        # term, surviving bigrams by their second token
+        mark = (
+            g[g["kind"] == 2]
+            .groupby("gram", sort=False, as_index=False)
+            .agg(c_ab=("c", "sum"))
+        )
         uc = (
             g[g["kind"] == 0]
             .groupby("gram", sort=False, as_index=False)
@@ -1154,71 +1031,37 @@ def docs_pmi_bigrams(
             .agg(c_ab=("c", "sum"))
         )
         bc = bc[bc["c_ab"] >= min_count]
-        rows = []
-        if len(bc):
-            a = bc["gram"].str.split(" ", n=1).str[0]
-            m = bc.assign(a=a).merge(
-                uc.rename(columns={"gram": "a", "c": "c_a"}), on="a", how="inner"
-            )
-            rows.append(
-                pd.DataFrame(
-                    {
-                        "part2": _term_parts(
-                            pa.array(m["b"], type=pa.string())
-                        ).to_numpy(zero_copy_only=False),
-                        "kind": np.ones(len(m), np.int64),
-                        "gram": m["gram"],
-                        "b": m["b"],
-                        "c_ab": m["c_ab"].astype(np.int64),
-                        "c_a": m["c_a"].astype(np.int64),
-                    }
-                )
-            )
-        if len(uc):
-            rows.append(
-                pd.DataFrame(
-                    {
-                        "part2": _term_parts(
-                            pa.array(uc["gram"], type=pa.string())
-                        ).to_numpy(zero_copy_only=False),
-                        "kind": np.zeros(len(uc), np.int64),
-                        "gram": uc["gram"],
-                        "b": "",
-                        "c_ab": uc["c"].astype(np.int64),
-                        "c_a": np.zeros(len(uc), np.int64),
-                    }
-                )
-            )
-        if not rows:
-            return _EMPTY_STAGE1
-        return pd.concat(rows, ignore_index=True)
+        m = bc.assign(a=bc["gram"].str.split(" ", n=1).str[0]).merge(
+            uc.rename(columns={"gram": "a", "c": "c_a"}), on="a", how="inner"
+        )
+        return pd.concat(
+            [
+                pd.DataFrame({"key": "", "kind": 2, "gram": mark["gram"], "b": "",
+                              "c_ab": mark["c_ab"], "c_a": 0}),
+                pd.DataFrame({"key": m["b"], "kind": 1, "gram": m["gram"],
+                              "b": m["b"], "c_ab": m["c_ab"], "c_a": m["c_a"]}),
+                pd.DataFrame({"key": uc["gram"], "kind": 0, "gram": uc["gram"],
+                              "b": "", "c_ab": uc["c"], "c_a": 0}),
+            ],
+            ignore_index=True,
+        )
 
     docs = _read_docs(sf_dir, columns=["doc_id", "text"])
-    stage1 = (
-        docs.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(finalize_of_partition, batch_format="pandas")
-        .materialize()  # vocab-scale; consumed twice (markers + shuffle 2)
-    )
-    marks = stage1.map_batches(
+    schema = pa.schema({"key": STR, "kind": I64, "gram": STR, "b": STR,
+                        "c_ab": I64, "c_a": I64})
+    stage1 = by_key(  # vocab-scale; consumed twice (markers + shuffle 2)
+        docs.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "key", finalize_of_partition, schema,
+    ).materialize()
+    marks = collect(stage1.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], 2)), batch_format="pyarrow"
-    ).to_pandas()
+    ), schema)
     totals = dict(zip(marks["gram"], marks["c_ab"]))
     n_tokens = float(totals.get("n", 0) or 1)
     m_bigrams = float(totals.get("m", 0) or 1)
 
-    _EMPTY_TOPK = pd.DataFrame(
-        {
-            "bigram": pd.Series([], dtype="object"),
-            "c_ab": pd.Series([], dtype="int64"),
-            "pmi_r6": pd.Series([], dtype="float64"),
-        }
-    )
-
     def topk_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         bc = g[g["kind"] == 1]
-        if not len(bc):
-            return _EMPTY_TOPK
         uc = g[g["kind"] == 0][["gram", "c_ab"]].rename(
             columns={"gram": "b", "c_ab": "c_b"}
         )
@@ -1233,21 +1076,14 @@ def docs_pmi_bigrams(
             ),
             6,
         )
-        out = pd.DataFrame(
-            {
-                "bigram": m["gram"],
-                "c_ab": m["c_ab"].astype(np.int64),
-                "pmi_r6": pmi,
-            }
-        )
+        out = pd.DataFrame({"bigram": m["gram"], "c_ab": m["c_ab"], "pmi_r6": pmi})
         return out.sort_values(
             ["pmi_r6", "bigram"], ascending=[False, True], kind="mergesort"
         ).head(n_out)
 
-    cand = (
-        stage1.groupby("part2")
-        .map_groups(topk_of_partition, batch_format="pandas")
-        .to_pandas()  # <= n_partitions * n_out rows
+    schema = pa.schema({"bigram": STR, "c_ab": I64, "pmi_r6": F64})
+    cand = collect(  # <= N_PARTS * n_out rows
+        by_key(stage1, "key", topk_of_partition, schema), schema
     )
     cand = (
         cand.sort_values(
@@ -1924,16 +1760,12 @@ def docs_length_percentiles(sf_dir: str):
             {"val": pa.array(v, pa.int64()), "c": pa.array(c, pa.int64())}
         )
 
-    cdf = (
+    cdf = collect(  # value-grain: bounded distinct lengths
         ds1.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("val")
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()  # value-grain: bounded distinct lengths
-    )
-    if cdf.empty:  # 0-row corpus: keep the schema, emit no rows
-        cdf = pd.DataFrame({"val": pd.Series([], dtype="int64"),
-                            "c": pd.Series([], dtype="int64")})
-    cdf = cdf.sort_values("val")
+        .aggregate(Sum("c", alias_name="c")),
+        pa.schema({"val": I64, "c": I64}),
+    ).sort_values("val")
     vals = cdf["val"].to_numpy()
     counts = cdf["c"].to_numpy()
     below = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -1999,7 +1831,6 @@ def lang_top_terms(sf_dir: str, n_out: int = _LANG_TOP_N):
                 "term": g["term"],
                 "df_part": g["tf_count"].cast(pa.int64()),
                 "tf_part": g["tf_sum"],
-                "part": _term_parts(g["term"]),
             }
         )
 
@@ -2011,24 +1842,14 @@ def lang_top_terms(sf_dir: str, n_out: int = _LANG_TOP_N):
             ["lang", "df", "term"], ascending=[True, False, True],
             kind="mergesort",
         )
-        return agg.groupby("lang", sort=False).head(n_out)[
-            ["lang", "term", "df", "tf_total"]
-        ]
+        return agg.groupby("lang", sort=False).head(n_out)
 
-    parts = (
+    schema = pa.schema({"lang": STR, "term": STR, "df": I64, "tf_total": I64})
+    out = collect(by_key(  # <= N_PARTS * n_langs * n_out rows
         _read_docs(sf_dir, columns=["doc_id", "lang", "text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(top_of_partition, batch_format="pandas")
-    )
-    out = parts.to_pandas()  # <= _N_TERM_PARTS * n_langs * n_out rows
-    if out.empty:  # 0-row corpus: keep the schema
-        out = pd.DataFrame(
-            {"lang": pd.Series([], dtype="object"),
-             "term": pd.Series([], dtype="object"),
-             "df": pd.Series([], dtype="int64"),
-             "tf_total": pd.Series([], dtype="int64")}
-        )
+        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        "term", top_of_partition, schema,
+    ), schema)
     out = out.sort_values(
         ["lang", "df", "term"], ascending=[True, False, True], kind="mergesort"
     )
@@ -2038,8 +1859,6 @@ def lang_top_terms(sf_dir: str, n_out: int = _LANG_TOP_N):
         "rank",
         out.groupby("lang", sort=False).cumcount().to_numpy(np.int64) + 1,
     )
-    out["df"] = out["df"].astype(np.int64)
-    out["tf_total"] = out["tf_total"].astype(np.int64)
     return out
 
 
@@ -2086,15 +1905,15 @@ def docs_bigram_surprisal(
     concatenated junk the unigram screen cannot.
 
     Adaptive like docs_unigram_surprisal: pass (1) reduces the model
-    (unigram + bigram counts) on coarse gram-hash partitions; under the
+    (unigram + bigram counts) keyed by gram; under the
     row budget it broadcasts once via ray.put and pass (2) is one
     streaming corpus pass scoring each batch's DISTINCT bigrams then
     scattering per-occurrence sums with one np.add.at.  Above budget,
-    per-doc bigram rows and both model tables ride the SAME coarse
-    hash(first-token) partitions (union, one shuffle — a bigram's c_ab
-    AND its c_a land in its partition by construction); per-doc partial
-    sums re-key on a coarse doc-hash shuffle and finish with an exact
-    weighted mean.  Both paths round-6-identical (tests/test_ops.py)."""
+    per-doc bigram rows and both model tables are keyed by the first
+    token (union, one shuffle — a bigram's c_ab AND its c_a land in its
+    partition by construction); per-doc partial sums re-key on doc_id and
+    finish with an exact weighted mean.  Both paths round-6-identical
+    (tests/test_ops.py)."""
     import ray
 
     # kind: 0 = unigram count (gram = a), 1 = bigram count (gram = "a b")
@@ -2109,7 +1928,6 @@ def docs_bigram_surprisal(
             parts.append(
                 pa.table(
                     {
-                        "part": _term_parts(ug["gram"]),
                         "kind": pa.array(np.zeros(len(ug), np.int64)),
                         "gram": ug["gram"].cast(pa.string()),
                         "c": ug["one_sum"].cast(pa.int64()),
@@ -2122,7 +1940,6 @@ def docs_bigram_surprisal(
             parts.append(
                 pa.table(
                     {
-                        "part": _term_parts(vocab),
                         "kind": pa.array(np.ones(len(vocab), np.int64)),
                         "gram": vocab.cast(pa.string()),
                         "c": pa.array(cnt, pa.int64()),
@@ -2130,14 +1947,7 @@ def docs_bigram_surprisal(
                 )
             )
         if not parts:
-            return pa.table(
-                {
-                    "part": pa.array([], pa.int64()),
-                    "kind": pa.array([], pa.int64()),
-                    "gram": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
+            return schema.empty_table()
         return pa.concat_tables(parts)
 
     def model_of_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -2146,14 +1956,13 @@ def docs_bigram_surprisal(
         )
 
     docs = _read_docs(sf_dir, columns=["doc_id", "text"])
-    model = (
+    schema = pa.schema({"kind": I64, "gram": STR, "c": I64})
+    model = by_key(  # vocab-scale by construction; executed exactly once
         docs.map_batches(
             model_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("part")
-        .map_groups(model_of_partition, batch_format="pandas")
-        .materialize()  # vocab-scale by construction; executed exactly once
-    )
+        ),
+        "gram", model_of_partition, schema,
+    ).materialize()
     n_vocab = float(
         model.map_batches(
             lambda t: pa.table(
@@ -2168,18 +1977,7 @@ def docs_bigram_surprisal(
     if model.count() > model_broadcast_budget_rows:
         return _bigram_surprisal_distributed(docs, model, n_vocab)
 
-    mtables = [
-        t for t in (ray.get(r) for r in model.to_arrow_refs()) if t.num_columns
-    ]
-    if not mtables:
-        mtables = [
-            pa.table(
-                {"kind": pa.array([], pa.int64()),
-                 "gram": pa.array([], pa.string()),
-                 "c": pa.array([], pa.int64())}
-            )
-        ]
-    mt = pa.concat_tables([t.select(["kind", "gram", "c"]) for t in mtables])
+    mt = typed(collect(model, schema), schema)
     uni = mt.filter(pc.equal(mt["kind"], 0))
     bi = mt.filter(pc.equal(mt["kind"], 1))
     bcast = ray.put(
@@ -2225,10 +2023,10 @@ def docs_bigram_surprisal(
 
 def _bigram_surprisal_distributed(docs, model, n_vocab: float):
     """Above-budget bigram surprisal: docs_unigram_surprisal's union-shuffle
-    shape with a two-table model.  All three row kinds key on hash(first
-    token) so one partition holds a bigram's tf rows, its c_ab row AND its
-    c_a row; per-doc partials re-key on a coarse doc-hash shuffle with
-    zero-bigram marker rows keeping every doc present."""
+    shape with a two-table model.  All three row kinds key on the first
+    token, so one partition holds a bigram's tf rows, its c_ab row AND its
+    c_a row; per-doc partials re-key on doc_id with zero-bigram marker rows
+    keeping every doc present."""
 
     def first_token(grams: pa.Array) -> pa.Array:
         return pc.list_element(
@@ -2236,19 +2034,14 @@ def _bigram_surprisal_distributed(docs, model, n_vocab: float):
         )
 
     # kind: 0 = c_a model row, 1 = c_ab model row, 2 = per-doc tf row
+    rows_schema = pa.schema({"key": STR, "kind": I64, "gram": STR,
+                             "doc_id": I64, "val": I64})
+
     def tf_rows(t: pa.Table) -> pa.Table:
         flat, parents = token_array_stream(t["text"])
         codes, gparents, vocab = ngram_from_stream(flat, parents, 2)
         if not len(codes):
-            return pa.table(
-                {
-                    "part": pa.array([], pa.int64()),
-                    "kind": pa.array([], pa.int64()),
-                    "gram": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "val": pa.array([], pa.int64()),
-                }
-            )
+            return rows_schema.empty_table()
         nv = len(vocab)
         combo = gparents * nv + codes
         uniq, cnt = np.unique(combo, return_counts=True)
@@ -2257,7 +2050,7 @@ def _bigram_surprisal_distributed(docs, model, n_vocab: float):
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "part": _term_parts(first_token(grams)),
+                "key": first_token(grams).cast(pa.string()),
                 "kind": pa.array(np.full(len(uniq), 2, np.int64)),
                 "gram": grams.cast(pa.string()),
                 "doc_id": pa.array(ids[di].astype(np.int64), pa.int64()),
@@ -2281,7 +2074,7 @@ def _bigram_surprisal_distributed(docs, model, n_vocab: float):
         tt = t.take(pa.array(order))
         return pa.table(
             {
-                "part": _term_parts(keys),
+                "key": keys.cast(pa.string()),
                 "kind": tt["kind"].cast(pa.int64()),
                 "gram": tt["gram"].cast(pa.string()),
                 "doc_id": pa.array(np.full(len(tt), -1, np.int64), pa.int64()),
@@ -2308,7 +2101,7 @@ def _bigram_surprisal_distributed(docs, model, n_vocab: float):
             (m["c_a"].to_numpy(np.float64) + n_vocab)
             / (m["c_ab"].to_numpy(np.float64) + 1.0)
         )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": m["doc_id"].to_numpy(np.int64),
                 "s_part": s,
@@ -2317,27 +2110,16 @@ def _bigram_surprisal_distributed(docs, model, n_vocab: float):
         ).groupby("doc_id", sort=False, as_index=False).agg(
             s_part=("s_part", "sum"), m_part=("m_part", "sum")
         )
-        out.insert(0, "docpart", _doc_parts(out["doc_id"].to_numpy(np.int64)))
-        return out
 
-    def marker_rows(b: pd.DataFrame) -> pd.DataFrame:
-        ids = b["doc_id"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {
-                "docpart": _doc_parts(ids),
-                "doc_id": ids,
-                "s_part": np.zeros(len(ids)),
-                "m_part": np.zeros(len(ids)),
-            }
-        )
+    schema = pa.schema({"doc_id": I64, "s_part": F64, "m_part": F64})
 
-    partials = (
-        union.groupby("part")
-        .map_groups(merge_of_partition, batch_format="pandas")
-        .union(
-            docs.select_columns(["doc_id"]).map_batches(
-                marker_rows, batch_format="pandas"
-            )
+    def marker_rows(t: pa.Table) -> pa.Table:
+        zeros = pa.array(np.zeros(t.num_rows))
+        return pa.table([t["doc_id"], zeros, zeros], schema=schema)
+
+    partials = by_key(union, "key", merge_of_partition, schema).union(
+        docs.select_columns(["doc_id"]).map_batches(
+            marker_rows, batch_format="pyarrow"
         )
     )
 
@@ -2356,8 +2138,9 @@ def _bigram_surprisal_distributed(docs, model, n_vocab: float):
             }
         )
 
-    return partials.groupby("docpart").map_groups(
-        mean_of_partition, batch_format="pandas"
+    return by_key(
+        partials, "doc_id", mean_of_partition,
+        pa.schema({"doc_id": I64, "n_bigrams": I64, "surprisal2_r6": F64}),
     )
 
 
@@ -2406,6 +2189,15 @@ FROM tok t LEFT JOIN per_doc p USING (doc_id)
 _ZIPF_TOP = 1000
 
 
+def _term_tf_partials(t: pa.Table) -> pa.Table:
+    """Batch-local (term, tf_part) collection-frequency partials."""
+    _, terms, tfs, _ = tokenize_counts_arrow(t["text"])
+    tt = pa.table({"term": terms, "tf": pa.array(tfs.astype(np.int64))})
+    return tt.group_by("term").aggregate([("tf", "sum")]).rename_columns(
+        ["term", "tf_part"]
+    )
+
+
 def docs_zipf_slope(sf_dir: str, n_top: int = _ZIPF_TOP):
     """One row (n_terms, slope_r6, intercept_r6): OLS of ln(tf_total) on
     ln(rank) over the top-`n_top` terms by collection frequency (tie: term
@@ -2415,18 +2207,6 @@ def docs_zipf_slope(sf_dir: str, n_top: int = _ZIPF_TOP):
     driver over the RESULT-scale <= n_top rows with the oracle's exact
     covar_pop/var_pop formula."""
 
-    def partials(t: pa.Table) -> pa.Table:
-        _, terms, tfs, _ = tokenize_counts_arrow(t["text"])
-        tt = pa.table({"term": terms, "tf": pa.array(tfs.astype(np.int64))})
-        g = tt.group_by("term").aggregate([("tf", "sum")])
-        return pa.table(
-            {
-                "term": g["term"],
-                "tf_part": g["tf_sum"],
-                "part": _term_parts(g["term"]),
-            }
-        )
-
     def top_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("term", sort=False, as_index=False).agg(
             tf=("tf_part", "sum")
@@ -2435,18 +2215,12 @@ def docs_zipf_slope(sf_dir: str, n_top: int = _ZIPF_TOP):
             ["tf", "term"], ascending=[False, True], kind="mergesort"
         ).head(n_top)
 
-    out = (
+    schema = pa.schema({"term": STR, "tf": I64})
+    out = collect(by_key(  # <= N_PARTS * n_top rows
         _read_docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(top_of_partition, batch_format="pandas")
-        .to_pandas()  # <= _N_TERM_PARTS * n_top rows
-    )
-    if out.empty:  # 0-row corpus: keep the schema
-        out = pd.DataFrame(
-            {"term": pd.Series([], dtype="object"),
-             "tf": pd.Series([], dtype="int64")}
-        )
+        .map_batches(_term_tf_partials, batch_format="pyarrow", zero_copy_batch=True),
+        "term", top_of_partition, schema,
+    ), schema)
     out = out.sort_values(
         ["tf", "term"], ascending=[False, True], kind="mergesort"
     ).head(n_top)
@@ -2503,18 +2277,6 @@ def docs_hapax_ratio(sf_dir: str):
     term-hash shuffle -> each partition reduces its vocabulary slice to
     TWO ints — the driver sums P pairs."""
 
-    def partials(t: pa.Table) -> pa.Table:
-        _, terms, tfs, _ = tokenize_counts_arrow(t["text"])
-        tt = pa.table({"term": terms, "tf": pa.array(tfs.astype(np.int64))})
-        g = tt.group_by("term").aggregate([("tf", "sum")])
-        return pa.table(
-            {
-                "term": g["term"],
-                "tf_part": g["tf_sum"],
-                "part": _term_parts(g["term"]),
-            }
-        )
-
     def counts_of_partition(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("term", sort=False, as_index=False).agg(
             tf=("tf_part", "sum")
@@ -2528,22 +2290,20 @@ def docs_hapax_ratio(sf_dir: str):
             }
         )
 
-    out = (
+    schema = pa.schema({"n_terms": I64, "n_hapax": I64})
+    out = collect(by_key(  # <= N_PARTS rows of two ints
         _read_docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(counts_of_partition, batch_format="pandas")
-        .to_pandas()  # <= _N_TERM_PARTS rows of two ints
-    )
-    n_terms = int(out["n_terms"].sum()) if "n_terms" in out.columns else 0
-    n_hapax = int(out["n_hapax"].sum()) if "n_hapax" in out.columns else 0
+        .map_batches(_term_tf_partials, batch_format="pyarrow", zero_copy_batch=True),
+        "term", counts_of_partition, schema,
+    ), schema)
+    n_terms = int(out["n_terms"].sum())
+    n_hapax = int(out["n_hapax"].sum())
     return pd.DataFrame(
         {
             "n_terms": pd.Series([n_terms], dtype="int64"),
             "n_hapax": pd.Series([n_hapax], dtype="int64"),
-            "hapax_ratio_r6": [
-                round(n_hapax / n_terms, 6) if n_terms else 0.0
-            ],
+            # SQL: a ratio over an empty vocabulary is NULL
+            "hapax_ratio_r6": [round(n_hapax / n_terms, 6) if n_terms else np.nan],
         }
     )
 
@@ -2620,43 +2380,26 @@ def docs_term_length_dist(sf_dir: str):
     coarse term-hash shuffle so each term counts distinct-once in its
     partition, then a length-grain (<= max term length) reduce."""
 
-    def partials(t: pa.Table) -> pa.Table:
-        _, terms, tfs, _ = tokenize_counts_arrow(t["text"])
-        tt = pa.table({"term": terms, "tf": pa.array(tfs.astype(np.int64))})
-        g = tt.group_by("term").aggregate([("tf", "sum")])
-        return pa.table(
-            {
-                "term": g["term"],
-                "tf_part": g["tf_sum"],
-                "part": _term_parts(g["term"]),
-            }
-        )
-
     def lengths_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        empty = {
-            "term_len": pd.Series([], dtype="int64"),
-            "n_terms": pd.Series([], dtype="int64"),
-            "occurrences": pd.Series([], dtype="int64"),
-        }
-        if g.empty:
-            return pd.DataFrame(empty)
         agg = g.groupby("term", sort=False, as_index=False).agg(
             tf=("tf_part", "sum")
         )
         ln = agg["term"].str.len().to_numpy(np.int64)
         out = pd.DataFrame({"term_len": ln, "tf": agg["tf"].to_numpy(np.int64)})
-        out = out.groupby("term_len", as_index=False).agg(
+        return out.groupby("term_len", as_index=False).agg(
             n_terms=("tf", "size"), occurrences=("tf", "sum")
         )
-        return out.astype({"n_terms": "int64", "occurrences": "int64"})
 
     from ray.data.aggregate import Sum
 
     return (
-        _read_docs(sf_dir)
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(lengths_of_partition, batch_format="pandas")
+        by_key(
+            _read_docs(sf_dir).map_batches(
+                _term_tf_partials, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "term", lengths_of_partition,
+            pa.schema({"term_len": I64, "n_terms": I64, "occurrences": I64}),
+        )
         .groupby("term_len")
         .aggregate(Sum("n_terms", alias_name="n_terms"),
                    Sum("occurrences", alias_name="occurrences"))

@@ -1222,9 +1222,12 @@ def test_new_ops_empty_and_tiny_corpora(tmp_path):
         out = _to_pandas(fn(dirs["empty"]))
         assert len(out) == 0, fn.__name__
         if isinstance(fn(dirs["empty"]), pd.DataFrame):
-            # driver-side ops must keep their schema even when empty
-            # (Dataset-returning ops may surface Ray's zero-column
-            # empty-block artifact, which the driver compare tolerates)
+            # driver-side ops must keep their schema even when empty; a
+            # Dataset-returning op may come back with zero columns: Ray
+            # 2.49's Dataset.to_pandas() of a 0-row Dataset has none even
+            # when every block is a typed empty table (built from Arrow,
+            # from pandas or read from an empty Parquet file), which the
+            # driver compare tolerates
             assert len(out.columns) > 0, fn.__name__
         out = _to_pandas(fn(dirs["tiny"]))
         assert len(out) >= 0, fn.__name__  # no crash; shapes op-specific
@@ -1783,3 +1786,67 @@ def test_q16_no_part_survives_the_filter(tmp_path):
     got = _to_pandas(q16_supplier_counts(str(tmp_path)))
     assert got.empty
     assert list(got.columns) == ["p_brand", "p_type", "p_size", "supplier_cnt"]
+
+
+_EMPTY_SF = os.path.join(os.path.dirname(SF), "sf0.01")
+
+
+@pytest.fixture(scope="module")
+def empty_tables(tmp_path_factory):
+    """A zero-row copy of every sf0.01 table (same Arrow schema) and a
+    DuckDB connection over those same files."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("empty_sf")
+    c = duckdb.connect()
+    for t in TABLES:
+        schema = pq.read_schema(f"{_EMPTY_SF}/{t}.parquet")
+        pq.write_table(schema.empty_table(), str(d / f"{t}.parquet"))
+        c.sql(f"CREATE VIEW {t} AS SELECT * FROM '{d}/{t}.parquet'")
+    return str(d), c
+
+
+def _dtype_kind(s: pd.Series) -> str:
+    k = s.dtype.kind
+    return {"u": "i", "U": "O", "S": "O"}.get(k, k)
+
+
+@pytest.mark.parametrize("name", list(entrymod.queries()))
+def test_every_entry_on_empty_tables(name, empty_tables):
+    """Every registry entry on zero-row tables: no exception; an SQL-checked
+    entry returns the oracle's rows and values on the same empty files; a
+    pandas / Arrow result carries the oracle's columns and dtypes.  A 0-row
+    ray Dataset may come back with zero columns: Ray 2.49's
+    ``Dataset.to_pandas()`` of an empty Dataset has no columns even when
+    every block is a typed empty table, so only driver-side results can be
+    typed (``engine.ops.keyed.collect``)."""
+    import pyarrow as pa
+    import ray.data
+
+    d, c = empty_tables
+    res = entrymod.queries()[name](d)
+    got = _to_pandas(res)
+    sql = entrymod.oracle_sql().get(name)
+    if sql is None:
+        return
+    want = c.sql(sql).df()
+    if isinstance(res, ray.data.Dataset) and len(got.columns) == 0:
+        assert len(want) == 0, f"0 rows vs {len(want)}"
+        return
+    assert sorted(got.columns) == sorted(want.columns)
+    assert len(got) == len(want), f"{len(got)} vs {len(want)}"
+    if isinstance(res, (pd.DataFrame, pa.Table)):
+        for col in want.columns:
+            if want[col].notna().any() or len(want) == 0:
+                assert _dtype_kind(got[col]) == _dtype_kind(want[col]), (
+                    col, got[col].dtype, want[col].dtype,
+                )
+    g, w = _canon(got), _canon(want)
+    for col in g.columns:
+        if pd.api.types.is_float_dtype(g[col]) or pd.api.types.is_float_dtype(w[col]):
+            assert np.array_equal(
+                g[col].astype("float64").fillna(-1).to_numpy(),
+                w[col].astype("float64").fillna(-1).to_numpy(),
+            ), col
+        else:
+            assert list(g[col]) == list(w[col]), col

@@ -28,6 +28,7 @@ def _segment_fingerprint(index_dir):
     rows = sorted(
         zip(
             tbl["term"].to_pylist(),
+            tbl["rg"].to_pylist(),
             tbl["doc_ids"].to_pylist(),
             tbl["tfs"].to_pylist(),
         )
