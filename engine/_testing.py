@@ -21,6 +21,7 @@ import pyarrow.parquet as pq
 
 from .extract import extract_text
 from .schema import term_bucket
+from .segments import file_token
 
 POISON = b"<!--graft:poison-->"
 
@@ -43,15 +44,18 @@ def segment_rows(index_dir: str) -> pa.Table:
     (no IndexReader): one row per term with the segment file's columns
     (term, doc_ids, tfs[, positions]) plus ``file``, the segment file's
     path, and ``rg``, the chunk's row group in it.  Rows come in lexicon
-    order, and the layout is checked on the way: every lexicon address must
-    point at a chunk of its own term, and every stored chunk must be
-    addressed exactly once."""
+    order, and the layout is checked on the way: both files carry the same
+    pairing token, every lexicon address must point at a chunk of its own
+    term, and every stored chunk must be addressed exactly once."""
     seg_dir = os.path.join(index_dir, "segments")
     tabs = []
     for f in sorted(os.listdir(seg_dir)):
         path = os.path.join(seg_dir, f)
         pf = pq.ParquetFile(path)
-        lex = pq.read_table(os.path.join(index_dir, "dfs", f))
+        lex_pf = pq.ParquetFile(os.path.join(index_dir, "dfs", f))
+        token = file_token(pf)
+        assert token is not None and token == file_token(lex_pf), path
+        lex = lex_pf.read()
         rg = lex["rg"].to_numpy()
         starts = np.cumsum(
             [0] + [pf.metadata.row_group(i).num_rows for i in range(pf.num_row_groups)]
@@ -72,7 +76,7 @@ def segment_rows(index_dir: str) -> pa.Table:
 
 
 def check_chunk_layout(index_dir: str) -> tuple[int, int]:
-    """Check an index's segment layout (FORMAT_VERSION 12) straight from
+    """Check an index's segment layout (FORMAT_VERSION 13) straight from
     its files: every term has exactly one lexicon address, at its own chunk
     (`segment_rows`); a hot term (df above stats.json's hot_df_threshold)
     is the only chunk of its row group; the cold terms of a bucket share

@@ -726,7 +726,7 @@ def build_index(
                 )
                 merged = work.map_batches(
                     _MergeBucketGroup(
-                        stats["hot_df_threshold"], tmp, dfs_tmp,
+                        stats["hot_df_threshold"], tmp, dfs_tmp, partials_fp,
                         docids_ref, dr_files_ref,
                         tomb_ref=ray.put(tombs) if tombs.size else None,
                         range_bases=np.asarray(
@@ -1264,11 +1264,14 @@ class _MergeBucketGroup:
     """
 
     def __init__(self, hot_threshold: float, out_root: str, dfs_root: str,
-                 docids_ref, dr_files_ref=None, tomb_ref=None,
+                 lineage: str, docids_ref, dr_files_ref=None, tomb_ref=None,
                  range_bases: np.ndarray | None = None):
         self.hot_threshold = hot_threshold
         self.out_root = out_root
         self.dfs_root = dfs_root
+        # the segments phase's lineage fingerprint: each group's segment
+        # file and lexicon carry segments.pairing_token(lineage, bg)
+        self.lineage = lineage
         self.docids_ref = docids_ref
         self.dr_files_ref = dr_files_ref
         self.tomb_ref = tomb_ref  # sorted tombstoned doc_ids (delete_docs)
@@ -1431,6 +1434,7 @@ class _MergeBucketGroup:
                 segments.compress_group(t2.slice(s0, e0 - s0))
                 for s0, e0 in zip(starts, ends)
             ),
+            segments.pairing_token(self.lineage, bg),
         )
         return len(uniq), int(uniq_hot.sum())
 

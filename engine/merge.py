@@ -224,6 +224,65 @@ def _scan_docmeta(sources: list[_Source], candidates: np.ndarray):
     return ids[order], src[order], pid[order], ts[order]
 
 
+def _survivor_plan(
+    exp_ids: np.ndarray, exp_ts: np.ndarray, in_merged: np.ndarray,
+    sc_ids: np.ndarray, sc_ts: np.ndarray, sc_src: np.ndarray,
+    sc_pid: np.ndarray,
+) -> set[tuple[int, str]]:
+    """The survivor guard over every duplicate url at once.  ``exp_ids``
+    (sorted, unique) are the duplicate urls' doc_ids with ``exp_ts`` their
+    expected winning timestamps, ``in_merged`` marks those the merged loser
+    table holds; (sc_ids sorted, sc_ts, sc_src, sc_pid) are the surviving
+    copies the sources' docmeta holds.  Raises ValueError when there are
+    no surviving copies at all, else for the first doc_id (in doc_id
+    order) with no surviving copy, a copy newer than its winner, or no
+    copy at its winning timestamp.  Otherwise returns the (source,
+    partition) pairs that must re-extract: those holding a losing copy of
+    a doc the merged table filters (every copy, when the winning
+    timestamp is tied)."""
+    if not sc_ids.size:
+        raise ValueError(
+            "merge_indexes: loser tables are non-empty but no source docmeta "
+            "rows were found for their doc_ids (merging a subset of a "
+            "sharded build?); merge all shards together"
+        )
+    lo = np.searchsorted(sc_ids, exp_ids, side="left")
+    n = np.searchsorted(sc_ids, exp_ids, side="right") - lo
+    # the surviving copies of every duplicate, grouped by doc in doc order
+    doc = np.repeat(np.arange(exp_ids.size), n)
+    row = lo[doc] + np.arange(doc.size) - (np.cumsum(n) - n)[doc]
+    ts = sc_ts[row]
+    newer = np.bincount(doc[ts > exp_ts[doc]], minlength=exp_ids.size) > 0
+    winners = ts == exp_ts[doc]
+    n_win = np.bincount(doc[winners], minlength=exp_ids.size)
+    bad = (n == 0) | newer | (n_win == 0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if n[j] == 0:
+            raise ValueError(
+                f"merge_indexes: duplicate url doc_id={int(exp_ids[j])} "
+                "has no surviving copy in any source — its winning crawl "
+                "is outside the merged sources (merging a subset of a "
+                "sharded build?); merge all shards together"
+            )
+        if newer[j]:
+            raise ValueError(
+                f"merge_indexes: doc_id={int(exp_ids[j])} survives with a "
+                "newer crawl than any loser table's winner — source and "
+                "loser lineage are inconsistent"
+            )
+        raise ValueError(
+            f"merge_indexes: duplicate url doc_id={int(exp_ids[j])} "
+            "has no surviving copy at its winning timestamp (merging "
+            "a subset of a sharded build?); merge all shards together"
+        )
+    # a doc the merged table filters (a sole copy in the union grafts as
+    # is): its losing copies re-extract, every copy on a tied winner
+    losing = in_merged[doc] & (~winners | (n_win[doc] != 1))
+    return set(zip(sc_src[row[losing]].tolist(),
+                   map(str, sc_pid[row[losing]].tolist())))
+
+
 def _remap_losers(sources: list[_Source], union_rank: dict[str, int]):
     """Derive the merged loser table from the sources' tables by remapping
     each win_rank into the union's file-rank space — exact when sources
@@ -448,48 +507,15 @@ def merge_indexes(
         last = np.ones(exp_ids.size, dtype=bool)
         last[:-1] = exp_ids[1:] != exp_ids[:-1]
         exp_ids, exp_ts = exp_ids[last], exp_ts[last]  # max ts per doc
-    if exp_ids.size and not sc_ids.size:
-        raise ValueError(
-            "merge_indexes: loser tables are non-empty but no source docmeta "
-            "rows were found for their doc_ids (merging a subset of a "
-            "sharded build?); merge all shards together"
-        )
     if exp_ids.size:
         in_merged = np.zeros(exp_ids.size, dtype=bool)
         if l_ids.size:
             lsort = np.sort(l_ids)
             p = np.minimum(np.searchsorted(lsort, exp_ids), lsort.size - 1)
             in_merged = lsort[p] == exp_ids
-        lo = np.searchsorted(sc_ids, exp_ids, side="left")
-        hi = np.searchsorted(sc_ids, exp_ids, side="right")
-        for j in range(exp_ids.size):
-            rows = slice(lo[j], hi[j])
-            if lo[j] == hi[j]:
-                raise ValueError(
-                    f"merge_indexes: duplicate url doc_id={int(exp_ids[j])} "
-                    "has no surviving copy in any source — its winning crawl "
-                    "is outside the merged sources (merging a subset of a "
-                    "sharded build?); merge all shards together"
-                )
-            ts_r = sc_ts[rows]
-            if ts_r.max() > exp_ts[j]:
-                raise ValueError(
-                    f"merge_indexes: doc_id={int(exp_ids[j])} survives with a "
-                    "newer crawl than any loser table's winner — source and "
-                    "loser lineage are inconsistent"
-                )
-            winners = ts_r == exp_ts[j]
-            if winners.sum() == 0:
-                raise ValueError(
-                    f"merge_indexes: duplicate url doc_id={int(exp_ids[j])} "
-                    "has no surviving copy at its winning timestamp (merging "
-                    "a subset of a sharded build?); merge all shards together"
-                )
-            if not in_merged[j]:
-                continue  # sole copy in the union: nothing filters, graft ok
-            losing = ~winners if winners.sum() == 1 else np.ones_like(winners)
-            for k in np.nonzero(losing)[0]:
-                reextract.add((int(sc_src[rows][k]), str(sc_pid[rows][k])))
+        reextract = _survivor_plan(
+            exp_ids, exp_ts, in_merged, sc_ids, sc_ts, sc_src, sc_pid
+        )
 
     # ---- assemble the merged dir ------------------------------------------
     src_list = [s.path for s in sources]

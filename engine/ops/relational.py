@@ -3319,14 +3319,15 @@ def customers_rfm(sf_dir: str):
     customer, days since last order (vs the corpus max date), order count,
     spend in k$ buckets, and the three ascending percent_rank quintiles
     combined into the classic RFM code.  Scale shape: ONE orders pass
-    reduces per-batch customer partials through a coarse custkey-hash
-    shuffle into a customer-grain Dataset (materialized once, never on the
-    driver); all three quintile boundaries come from VALUE-grain count
-    reduces (days span, order counts, k$ buckets — all bounded by data
-    range, not customer count), whose exact CDFs broadcast as a few
-    searchsorted arrays into one streaming label pass.  percent_rank
-    arithmetic ((rank_min-1)/(n-1) then *5, same IEEE op order as the
-    oracle) makes the quintile cuts bitwise."""
+    reduces per-batch customer partials through the coarse custkey-hash
+    shuffle of ``keyed.by_key`` (one pandas reduce per partition, not one
+    Ray group per customer) into a customer-grain Dataset (materialized
+    once, never on the driver); all three quintile boundaries come from
+    VALUE-grain count reduces (days span, order counts, k$ buckets — all
+    bounded by data range, not customer count), whose exact CDFs
+    broadcast as a few searchsorted arrays into one streaming label pass.
+    percent_rank arithmetic ((rank_min-1)/(n-1) then *5, same IEEE op
+    order as the oracle) makes the quintile cuts bitwise."""
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate", "o_totalprice"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -3347,16 +3348,18 @@ def customers_rfm(sf_dir: str):
         )
         return g.rename_columns(["o_custkey", "n", "cents", "last_day"])
 
-    cust = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_custkey")
-        .aggregate(
-            Sum("n", alias_name="n_orders"),
-            Sum("cents", alias_name="cents"),
-            ray.data.aggregate.Max("last_day", alias_name="last_day"),
+    def customers_of_partition(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("o_custkey", as_index=False).agg(
+            n_orders=("n", "sum"), cents=("cents", "sum"),
+            last_day=("last_day", "max"),
         )
-        .materialize()  # customer-grain, distributed; consumed twice
-    )
+
+    cust = by_key(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "o_custkey", customers_of_partition,
+        pa.schema({"o_custkey": I64, "n_orders": I64, "cents": I64,
+                   "last_day": I64}),
+    ).materialize()  # customer-grain, distributed; consumed twice
     n_cust = cust.count()
     if n_cust == 0:
         return pd.DataFrame(

@@ -48,7 +48,7 @@ from .schema import (
     term_bucket,
     ts_to_us,
 )
-from .segments import Lexicon, RowGroup, SortedTermMap
+from .segments import Lexicon, RowGroup, SortedTermMap, file_token
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +291,7 @@ def _check_k(k: int) -> None:
 class IndexReader:
     """Query-side state of one index directory.
 
-    On-disk layout read here (FORMAT_VERSION 12): ``stats.json``;
+    On-disk layout read here (FORMAT_VERSION 13): ``stats.json``;
     ``dfs/bg-XXX.parquet``, the term lexicon of each of the
     NUM_BUCKET_GROUPS bucket groups (term, df and its chunk's (row group,
     row) address); ``segments/bg-XXX.parquet``, that group's posting
@@ -299,8 +299,9 @@ class IndexReader:
     columns); ``docmeta/`` and ``extracted/`` (doc metadata, doclens
     included, and the doc store).  The lexicon loads term-sorted at open; a
     term's postings are then one binary search plus one row-group read, from
-    a ParquetFile whose footer is read once per reader, and are cached as
-    one docno-sorted run per term (`_load_chunks`).
+    a ParquetFile whose footer is read, and whose pairing token is checked
+    against its lexicon's, once per reader, and are cached as one
+    docno-sorted run per term (`_load_chunks`).
     """
 
     def __init__(self, index_dir: str):
@@ -310,7 +311,7 @@ class IndexReader:
         if self.stats.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"{index_dir}: stats.json predates FORMAT_VERSION "
-                f"{FORMAT_VERSION} (one posting chunk per term); "
+                f"{FORMAT_VERSION} (segment files paired with their lexicon); "
                 "rebuild the index"
             )
         self.n_docs = self.stats["n_docs"]
@@ -322,8 +323,7 @@ class IndexReader:
         # same structure the sharded serving pool broadcasts.  _df is what
         # scoring uses (a sharded pool swaps in the corpus-global table);
         # _lex always addresses this index's own segment files.
-        lex_tbl = pads.dataset(os.path.join(index_dir, "dfs")).to_table()
-        self._lex = Lexicon.from_arrow(lex_tbl.sort_by("term"))
+        self._lex = Lexicon.load(os.path.join(index_dir, "dfs"))
         self._df: SortedTermMap = self._lex
         self._seg_files: dict[int, pa.parquet.ParquetFile] = {}
         self._extracted = pads.dataset(os.path.join(index_dir, "extracted"))
@@ -644,19 +644,24 @@ class IndexReader:
     def _segment_file(self, bg: int) -> pa.parquet.ParquetFile:
         """The bucket group's segment file, opened once per reader (its
         footer is parsed once; later row-group reads go straight to the
-        column chunks)."""
+        column chunks).  Its pairing token must be the one the group's
+        lexicon carried when this reader loaded it: a rebuild of the
+        directory since then (or one killed between its renames of dfs/
+        and segments/) moves chunks, and decoding another term's chunk
+        would return wrong answers without an error.  A file opened once
+        keeps its inode, so later reads answer from that same snapshot."""
         pf = self._seg_files.get(bg)
         if pf is None:
-            pf = self._seg_files[bg] = pa.parquet.ParquetFile(
-                os.path.join(self.index_dir, "segments", f"bg-{bg:03d}.parquet")
-            )
+            path = os.path.join(self.index_dir, "segments", f"bg-{bg:03d}.parquet")
+            try:
+                pf = pa.parquet.ParquetFile(path)
+            except FileNotFoundError:
+                self._changed()
+            token = file_token(pf)
+            if token is None or token != self._lex.tokens.get(bg):
+                self._changed()
+            self._seg_files[bg] = pf
         return pf
-
-    def _read_row_group(self, bg: int, rg: int, columns: list[str]) -> pa.Table:
-        pf = self._segment_file(bg)
-        if rg >= pf.num_row_groups:
-            self._changed()
-        return pf.read_row_group(rg, columns=columns, use_threads=False)
 
     def _bucket_rows(self, key: tuple[int, int]) -> RowGroup:
         """The scoring columns of one segment row group, key = (bucket
@@ -664,30 +669,25 @@ class IndexReader:
         of scoring: positions (phrase queries) are never read here."""
         cached = self._bucket_tables.get(key)
         if cached is None:
-            cached = RowGroup(self._read_row_group(*key, RowGroup.COLUMNS))
+            cached = RowGroup(self._segment_file(key[0]), key[1])
             self._bucket_tables[key] = cached
         return cached
 
     def _chunk_row(
-        self, term: str, columns: list[str] | None = None
+        self, term: str, positions: bool = False
     ) -> tuple[RowGroup, int] | None:
         """(row group, row) of the term's chunk, read through this index's
         own lexicon; None if the index lacks the term.  The scoring columns
-        come through the cached `_bucket_rows`; other ``columns`` (phrase
-        positions) are read uncached.  The address is checked against the
-        term stored at it: a rebuild of the directory after this reader
-        loaded its lexicon moves chunks, and decoding another term's chunk
-        would return wrong answers without an error."""
+        come through the cached `_bucket_rows`; with ``positions`` (phrase
+        queries) the row group is read uncached, positions included."""
         addr = self._lex.chunk(term)
         if addr is None:
             return None
-        key = (term_bucket(term) % NUM_BUCKET_GROUPS, addr[0])
+        bg = term_bucket(term) % NUM_BUCKET_GROUPS
         g = (
-            self._bucket_rows(key) if columns is None
-            else RowGroup(self._read_row_group(*key, columns))
+            RowGroup(self._segment_file(bg), addr[0], positions=True)
+            if positions else self._bucket_rows((bg, addr[0]))
         )
-        if g.term(addr[1]) != term:
-            self._changed()
         return g, addr[1]
 
     def _changed(self):
@@ -1164,7 +1164,7 @@ class IndexReader:
         if data is None:
             # a bucket group with no terms has no segment file: open it
             # only for a term the lexicon holds
-            hit = self._chunk_row(term, RowGroup.COLUMNS + ["positions"])
+            hit = self._chunk_row(term, positions=True)
             data = _NO_POSITIONS
             if hit is not None:
                 g, row = hit

@@ -126,12 +126,16 @@ PARTIAL_POSTINGS_POS_SCHEMA = PARTIAL_POSTINGS_SCHEMA.append(
 # v12: one docno-sorted chunk per term (hot terms are no longer split by
 #     doc_id % 8 salts): each hot term is a row group of its own, a bucket's
 #     cold terms share one, and the lexicon holds one address per term
-FORMAT_VERSION = 12
+# v13: segment columns are LZ4 with no column statistics (the lexicon stays
+#     zstd), and a segment file and its lexicon carry the same pairing token
+#     in their footers, checked once per file instead of per chunk
+FORMAT_VERSION = 13
 
 # posting chunks — one row per term.  A bucket group's chunks share one
 # file, one row group per hot term and one per bucket for its cold terms,
-# so a point read of a term reads its own row group.  Only ``term`` carries
-# column statistics.
+# so a point read of a term reads its own row group.  Scoring reads
+# ``doc_ids`` and ``tfs`` only; ``term`` is stored for tools that read the
+# files directly.  No column carries statistics.
 SEGMENT_SCHEMA = pa.schema(
     [
         pa.field("term", pa.string()),

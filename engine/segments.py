@@ -1,4 +1,4 @@
-"""The segment format (FORMAT_VERSION 12): what the build's segments phase
+"""The segment format (FORMAT_VERSION 13): what the build's segments phase
 writes per term-bucket group and what IndexReader reads.
 
 Two files per bucket group:
@@ -7,11 +7,18 @@ Two files per bucket group:
   chunk per term (schema.py SEGMENT_SCHEMA).  Each hot term is a row group
   of its own; the cold terms of a bucket share one.  Docnos, tfs and
   positions are native Parquet list columns whose leaves are
-  DELTA_BINARY_PACKED (zstd on top), so Parquet stores the docno gaps and
-  decodes them in C++ inside ``read_row_group``: a loaded row group is
-  already a set of numpy views.
+  DELTA_BINARY_PACKED (LZ4 on top, no column statistics), so Parquet
+  stores the docno gaps and decodes them in C++ inside the row-group read:
+  a loaded row group is already a set of numpy views.  Scoring reads the
+  ``doc_ids`` and ``tfs`` columns only; ``term`` is there for tools that
+  read the files directly.
 - ``dfs/bg-XXX.parquet``: the group's term lexicon (LEXICON_SCHEMA), each
   term's exact df and the (row group, row) address of its chunk.
+
+Both footers carry the same pairing token (key-value metadata under
+PAIRING_KEY, derived from the build's lineage and the group number), so a
+reader checks once per file, when it opens a segment file, that the
+addresses it loaded belong to that file.
 
 A query term is one binary search in the lexicon plus one row-group read:
 no scan of its hash bucket, no term dictionary built over a bucket's rows.
@@ -21,6 +28,9 @@ chunk (codec.block_metadata).
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -39,6 +49,25 @@ _LIST_COLUMNS = ("doc_ids", "tfs", "positions")
 # a list column's int32 offsets address at most this many postings per row
 # group; a row group past it would need large_list columns
 MAX_ROW_GROUP_POSTINGS = 2**31 - 1
+
+# footer key-value key of the token a segment file and its lexicon share
+PAIRING_KEY = b"pairing"
+
+# Parquet leaf index of each segment column (each has exactly one leaf)
+_LEAF = {name: i for i, name in enumerate(SEGMENT_POS_SCHEMA.names)}
+
+
+def pairing_token(lineage: str, bg: int) -> bytes:
+    """The token bucket group ``bg``'s segment file and lexicon both carry:
+    a hash of the segments phase's lineage fingerprint and the group."""
+    return hashlib.blake2b(
+        f"{lineage}/bg{bg}".encode(), digest_size=16
+    ).hexdigest().encode()
+
+
+def file_token(pf: pq.ParquetFile) -> bytes | None:
+    """The pairing token in a Parquet file's footer; None if it has none."""
+    return (pf.metadata.metadata or {}).get(PAIRING_KEY)
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +126,39 @@ class SortedTermMap:
 class Lexicon(SortedTermMap):
     """The index's own term lexicon: a SortedTermMap (term -> df) that also
     holds, per term, the address of its chunk in its bucket group's segment
-    file — (row group, row).  Loaded once from dfs/bg-XXX.parquet (schema.py
+    file — (row group, row) — and, per bucket group, the pairing token its
+    lexicon file carries.  Loaded once from dfs/bg-XXX.parquet (schema.py
     LEXICON_SCHEMA) as arrays aligned with the terms."""
 
-    __slots__ = ("rgs", "rows")
+    __slots__ = ("rgs", "rows", "tokens")
 
-    def __init__(self, terms, dfs, rgs, rows):
+    def __init__(self, terms, dfs, rgs, rows, tokens=None):
         super().__init__(terms, dfs)
         self.rgs, self.rows = rgs, rows
+        self.tokens: dict[int, bytes | None] = tokens or {}
 
     @classmethod
-    def from_arrow(cls, tbl) -> "Lexicon":
+    def from_arrow(cls, tbl, tokens=None) -> "Lexicon":
         base = SortedTermMap.from_arrow(tbl)
         return cls(
             base.terms, base.dfs,
-            tbl["rg"].to_numpy(), tbl["row"].to_numpy(),
+            tbl["rg"].to_numpy(), tbl["row"].to_numpy(), tokens,
         )
+
+    @classmethod
+    def load(cls, dfs_dir: str) -> "Lexicon":
+        """Every lexicon file of an index, term-sorted.  Each file is read
+        through one ParquetFile, so a group's rows and its token come from
+        the same file."""
+        tbls, tokens = [], {}
+        for name in sorted(os.listdir(dfs_dir)):
+            if not name.endswith(".parquet"):
+                continue
+            pf = pq.ParquetFile(os.path.join(dfs_dir, name))
+            tbls.append(pf.read(use_threads=False))
+            if name.startswith("bg-"):
+                tokens[int(name[3:-8])] = file_token(pf)
+        return cls.from_arrow(pa.concat_tables(tbls).sort_by("term"), tokens)
 
     def chunk(self, term: str) -> tuple[int, int] | None:
         """(row group, row) of the term's chunk; None if absent."""
@@ -138,26 +184,21 @@ def _list_cells(col) -> tuple[np.ndarray, np.ndarray]:
 class RowGroup:
     """One segment row group, read once: one offsets array shared by the
     aligned doc_ids/tfs lists plus a numpy view of each column's values,
-    so a chunk is two slices.  The term column is read too, so a reader
-    can check that a lexicon address still names its term; ``positions``
-    is read only when asked for (phrase queries)."""
+    so a chunk is two slices.  ``positions`` is read only when asked for
+    (phrase queries)."""
 
-    __slots__ = ("terms", "offs", "ids", "tfs", "pos")
+    __slots__ = ("offs", "ids", "tfs", "pos")
 
-    COLUMNS = ["term", "doc_ids", "tfs"]
+    COLUMNS = ["doc_ids", "tfs"]
 
-    def __init__(self, tbl: pa.Table):
-        self.terms = _array(tbl["term"])
-        self.offs, self.ids = _list_cells(tbl["doc_ids"])
-        self.tfs = _list_cells(tbl["tfs"])[1]
-        self.pos = (
-            _list_cells(tbl["positions"])
-            if "positions" in tbl.column_names else None
+    def __init__(self, pf: pq.ParquetFile, rg: int, positions: bool = False):
+        cols = self.COLUMNS + ["positions"] if positions else self.COLUMNS
+        tbl = pf.reader.read_row_group(
+            rg, column_indices=[_LEAF[c] for c in cols], use_threads=False
         )
-
-    def term(self, row: int) -> str | None:
-        """The term of chunk ``row``; None past the row group's end."""
-        return self.terms[row].as_py() if row < len(self.terms) else None
+        self.offs, self.ids = _list_cells(tbl.column(0))
+        self.tfs = _array(tbl.column(1)).values.to_numpy()
+        self.pos = _list_cells(tbl.column(2)) if positions else None
 
     def raw(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """(docnos uint64, tfs uint32) of one chunk (copies, so a cached
@@ -167,7 +208,7 @@ class RowGroup:
 
     def positions(self, row: int) -> np.ndarray:
         """One chunk's flat positions, each posting's back to back (a view;
-        a positional row group only)."""
+        read with ``positions=True`` only)."""
         offs, vals = self.pos
         return vals[offs[row] : offs[row + 1]]
 
@@ -177,26 +218,31 @@ class RowGroup:
 
 
 def write_bucket_group(
-    seg_path: str, lex_path: str, vocab: pa.Array, dfs: np.ndarray, groups
+    seg_path: str, lex_path: str, vocab: pa.Array, dfs: np.ndarray, groups,
+    token: bytes,
 ) -> None:
     """Chunk tables (compress_group), one per row group -> the group's
     segment file, one row group each, then its lexicon over ``vocab``
     (every term of the group, with its exact df and the address of its one
-    chunk)."""
+    chunk).  Both footers carry ``token`` (pairing_token) under
+    PAIRING_KEY."""
+    kv = {PAIRING_KEY: token}
     writer = None
     terms, rgs, rows = [], [], []
     for t in groups:
         if writer is None:
+            # pyarrow 16's writer cannot add footer metadata after the
+            # first row group: the token rides the schema it opens with
             writer = pq.ParquetWriter(
-                seg_path, t.schema, use_dictionary=False,
-                compression="zstd", compression_level=1,
+                seg_path, t.schema.with_metadata(kv), use_dictionary=False,
+                compression="lz4",
                 # keyed by the LEAF path: keyed by "doc_ids", pyarrow
                 # silently writes PLAIN
                 column_encoding={
                     f"{c}.list.element": "DELTA_BINARY_PACKED"
                     for c in t.column_names if c in _LIST_COLUMNS
                 },
-                write_statistics=["term"],
+                write_statistics=False,
             )
         writer.write_table(t, row_group_size=max(t.num_rows, 1))
         rgs.append(np.full(t.num_rows, len(rgs), np.int32))
@@ -216,7 +262,7 @@ def write_bucket_group(
         "row": pa.array(np.concatenate(rows)[by_term], pa.int32()),
     }
     pq.write_table(
-        pa.table(lex, schema=LEXICON_SCHEMA), lex_path,
+        pa.table(lex, schema=LEXICON_SCHEMA.with_metadata(kv)), lex_path,
         compression="zstd", compression_level=1,
     )
 

@@ -182,13 +182,13 @@ def test_segments_store_dense_docnos(built_index):
 
 
 def test_older_format_index_raises_rebuild_error(tmp_path):
-    """A FORMAT_VERSION 11 index (hot terms split into 8 salted chunks,
-    lexicon lists of addresses) cannot be read by the v12 reader: opening
-    it raises the rebuild error before any segment file is touched."""
+    """A FORMAT_VERSION 12 index (zstd segment files whose footers carry
+    no pairing token) cannot be read by the v13 reader: opening it raises
+    the rebuild error before any segment file is touched."""
     import json
 
     with open(tmp_path / "stats.json", "w") as f:
-        json.dump({"format_version": 11, "n_docs": 1, "avgdl": 1.0}, f)
+        json.dump({"format_version": 12, "n_docs": 1, "avgdl": 1.0}, f)
     with pytest.raises(ValueError, match="rebuild the index"):
         IndexReader(str(tmp_path))
 
@@ -275,10 +275,21 @@ def test_lexicon_point_reads(built_index, monkeypatch):
     row group its one lexicon address names, in its bucket group's segment
     file; a hot term's row group holds that term alone, a cold term's holds
     its bucket's other cold terms too; a second load reads nothing."""
+    import engine.query
     from engine.schema import NUM_BUCKET_GROUPS, term_bucket
+    from engine.segments import RowGroup
 
     _, index_dir, _ = built_index
-    calls = _count_row_group_reads(monkeypatch)
+    calls = []
+
+    class CountedRowGroup(RowGroup):
+        __slots__ = ()
+
+        def __init__(self, pf, rg, positions=False):
+            calls.append((pf, rg))
+            super().__init__(pf, rg, positions)
+
+    monkeypatch.setattr(engine.query, "RowGroup", CountedRowGroup)
     thr = IndexReader(index_dir).stats["hot_df_threshold"]
     cold = _cold_terms(index_dir, 1)[0]
     for term, hot in ((cold, False), (synth.HEAD_TERMS[0], True)):
@@ -290,7 +301,9 @@ def test_lexicon_point_reads(built_index, monkeypatch):
         assert run.docnos.size == r.df(term)
         bg = term_bucket(term) % NUM_BUCKET_GROUPS
         assert calls == [(r._seg_files[bg], rg)]
-        terms = r._bucket_tables[(bg, rg)].terms.to_pylist()
+        assert (bg, rg) in r._bucket_tables
+        terms = r._seg_files[bg].read_row_group(rg, columns=["term"])
+        terms = terms["term"].to_pylist()
         assert terms[row] == term
         assert (terms == [term]) == hot
         calls.clear()

@@ -85,14 +85,15 @@ def test_delete_then_compact(tmp_path):
 
     # the compaction moved chunks within their segment files (the deleted
     # docs' terms are gone); a reader opened before it refuses to decode
-    # the chunk its old lexicon points at instead of answering from
-    # another term's postings
+    # any chunk its old lexicon points at, moved or not, instead of
+    # answering from another term's postings: every segment file it opens
+    # now carries a pairing token its lexicon does not
     moved = [
         t for t in stale._lex.terms.tolist()
         if stale._lex.chunk(t) != r3._lex.chunk(t)
     ]
-    assert moved
-    for t in moved:
+    assert moved and len(moved) < len(stale._lex)
+    for t in stale._lex.terms.tolist():
         with pytest.raises(RuntimeError, match="reopen"):
             stale._load_chunks(t)
     with pytest.raises(RuntimeError, match="reopen"):

@@ -287,3 +287,99 @@ def test_merge_unions_tombstones(corpus, tmp_path):
     did = doc_id_of_url(victim)
     assert all(d != did for d, _ in r.search(head, k=50)), \
         "tombstoned doc must stay deleted across the merge"
+
+
+def _survivor_plan_reference(exp_ids, exp_ts, in_merged, sc_ids, sc_ts,
+                             sc_src, sc_pid):
+    """The survivor guard one duplicate at a time: the definition
+    `merge._survivor_plan` computes over all of them at once."""
+    if not sc_ids.size:
+        raise ValueError("no source docmeta rows were found")
+    reextract = set()
+    lo = np.searchsorted(sc_ids, exp_ids, side="left")
+    hi = np.searchsorted(sc_ids, exp_ids, side="right")
+    for j in range(exp_ids.size):
+        ts_r = sc_ts[lo[j]:hi[j]]
+        if lo[j] == hi[j]:
+            raise ValueError("has no surviving copy in any source")
+        if ts_r.max() > exp_ts[j]:
+            raise ValueError("newer crawl than any loser table's winner")
+        winners = ts_r == exp_ts[j]
+        if winners.sum() == 0:
+            raise ValueError("no surviving copy at its winning timestamp")
+        if not in_merged[j]:
+            continue
+        losing = ~winners if winners.sum() == 1 else np.ones_like(winners)
+        for k in np.nonzero(losing)[0]:
+            reextract.add((int(sc_src[lo[j] + k]), str(sc_pid[lo[j] + k])))
+    return reextract
+
+
+def _survivors(n_docs: int, recrawl: float, seed: int):
+    """Array-level survivor-guard inputs over ``n_docs`` doc_ids, a
+    ``recrawl`` share of them duplicated: each duplicate has 1-3 surviving
+    copies across 4 sources x 8 partitions, one or two of them (a tie) at
+    the winning timestamp and the rest older."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(2**62, n_docs, replace=False).astype(np.uint64))
+    exp_ids = np.sort(rng.choice(ids, int(n_docs * recrawl), replace=False))
+    exp_ts = rng.integers(10**6, 10**9, exp_ids.size)
+    n = rng.integers(1, 4, exp_ids.size)
+    sc_ids = np.repeat(exp_ids, n)
+    sc_ts = np.repeat(exp_ts, n) - rng.integers(1, 1000, sc_ids.size)
+    first = np.cumsum(n) - n
+    sc_ts[first] = exp_ts  # the winner
+    tie = first[(n > 1) & (rng.random(exp_ids.size) < 0.1)]
+    sc_ts[tie + 1] = sc_ts[tie]
+    sc_src = rng.integers(0, 4, sc_ids.size).astype(np.int32)
+    sc_pid = np.array([f"{p:05d}" for p in rng.integers(0, 8, sc_ids.size)],
+                      dtype=object)
+    in_merged = rng.random(exp_ids.size) < 0.7
+    return [exp_ids, exp_ts, in_merged, sc_ids, sc_ts, sc_src, sc_pid]
+
+
+def test_survivor_plan_matches_the_per_duplicate_guard():
+    """100k doc_ids, 30% of them recrawled: the vectorized guard returns
+    exactly the per-duplicate loop's re-extraction set."""
+    from engine.merge import _survivor_plan
+
+    args = _survivors(100_000, 0.3, seed=1)
+    got = _survivor_plan(*args)
+    assert got and got == _survivor_plan_reference(*args)
+    assert all(isinstance(s, int) and isinstance(p, str) for s, p in got)
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("no_rows", "no source docmeta rows were found"),
+    ("no_copy", "has no surviving copy in any source"),
+    ("newer", "newer crawl than any loser table's winner"),
+    ("no_winner", "no surviving copy at its winning timestamp"),
+])
+def test_survivor_plan_errors(fault, match):
+    """Each of the guard's four refusals, raised by the vectorized guard
+    as by the per-duplicate loop; with two faulty doc_ids, the first in
+    doc_id order names the error."""
+    from engine.merge import _survivor_plan
+
+    exp_ids, exp_ts, in_merged, sc_ids, sc_ts, sc_src, sc_pid = _survivors(
+        2_000, 0.3, seed=2
+    )
+    first = np.searchsorted(sc_ids, exp_ids)
+    j, later = 100, 400
+    if fault == "no_rows":
+        keep = np.zeros(sc_ids.size, bool)
+    elif fault == "no_copy":
+        keep = sc_ids != exp_ids[j]
+        sc_ts[first[later]] += 1  # a later, different fault
+    else:
+        keep = np.ones(sc_ids.size, bool)
+        sc_ts[first[later]] = exp_ts[later] + 5  # a later "newer" fault
+        sc_ts[first[j]] = exp_ts[j] + (1 if fault == "newer" else -1)
+        sc_ts[first[j] + 1 : first[j + 1]] = exp_ts[j] - 7
+    args = [exp_ids, exp_ts, in_merged, sc_ids[keep], sc_ts[keep],
+            sc_src[keep], sc_pid[keep]]
+    for guard in (_survivor_plan, _survivor_plan_reference):
+        with pytest.raises(ValueError, match=match) as err:
+            guard(*args)
+        if fault != "no_rows" and guard is _survivor_plan:
+            assert f"doc_id={int(exp_ids[j])}" in str(err.value)

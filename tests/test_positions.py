@@ -3,6 +3,8 @@ per-posting token positions in the segment chunks; phrase queries resolve
 adjacency from the index (no doc-store read) and must be rank- and
 score-identical to both the oracle and the verify-based (text-fetch) path."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,33 @@ def test_positional_verify_does_not_touch_doc_store(pos_index, monkeypatch):
 
     monkeypatch.setattr(pos_reader, "fetch_docs", _boom)
     assert pos_reader.search_boolean(q, k=5)
+
+
+def test_mismatched_lexicon_and_segments_raise(pos_index, tmp_path):
+    """A lexicon file from another build next to this build's segment file
+    of the same bucket group (what a build killed between its renames of
+    dfs/ and segments/ leaves): the pairing tokens differ, so opening that
+    segment file for a term of the group raises, for scoring reads and
+    position reads alike, while the other groups still answer."""
+    import shutil
+
+    from engine.schema import NUM_BUCKET_GROUPS, term_bucket
+
+    pos_reader, plain_reader, _ = pos_index
+    d = str(tmp_path / "index")
+    shutil.copytree(pos_reader.index_dir, d)
+    hot, other = synth.HEAD_TERMS[0], synth.HEAD_TERMS[1]
+    bg = term_bucket(hot) % NUM_BUCKET_GROUPS
+    assert term_bucket(other) % NUM_BUCKET_GROUPS != bg
+    name = f"bg-{bg:03d}.parquet"
+    shutil.copy(os.path.join(plain_reader.index_dir, "dfs", name),
+                os.path.join(d, "dfs", name))
+    r = IndexReader(d)
+    with pytest.raises(RuntimeError, match="reopen"):
+        r._load_chunks(hot)
+    with pytest.raises(RuntimeError, match="reopen"):
+        r._token_positions(hot)
+    assert r._load_chunks(other).docnos.size == pos_reader.df(other)
 
 
 def test_positions_resume_toggle(tmp_path):

@@ -2,8 +2,8 @@
 write_bucket_group are found again through the lexicon, one address per
 term, and read back as the postings that went in, one row group per chunk
 table; the file's footer carries the native list layout (delta-encoded list
-leaves, statistics on ``term`` only); and a row group past the int32
-list-offset cap is refused."""
+leaves under LZ4, no statistics) and the pairing token its lexicon
+carries; and a row group past the int32 list-offset cap is refused."""
 
 import numpy as np
 import pyarrow as pa
@@ -11,7 +11,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from engine import codec, segments
-from engine.segments import Lexicon, RowGroup, compress_group
+from engine.segments import Lexicon, RowGroup, compress_group, file_token
+
+TOKEN = segments.pairing_token("test-lineage", 0)
 
 
 def _postings(postings: dict[str, np.ndarray]) -> pa.Table:
@@ -56,23 +58,26 @@ def test_bucket_group_roundtrip(tmp_path):
     truth = {t: ids for postings in groups for t, ids in postings.items()}
     vocab = pa.array(sorted(truth), pa.string())
     dfs = np.array([truth[t].size for t in vocab.to_pylist()])
-    seg, lex = str(tmp_path / "bg-000.parquet"), str(tmp_path / "lex.parquet")
-    segments.write_bucket_group(seg, lex, vocab, dfs, (_group(p) for p in groups))
+    (tmp_path / "dfs").mkdir()
+    seg = str(tmp_path / "bg-000.parquet")
+    lex = str(tmp_path / "dfs" / "bg-000.parquet")
+    segments.write_bucket_group(
+        seg, lex, vocab, dfs, (_group(p) for p in groups), TOKEN
+    )
 
     pf = pq.ParquetFile(seg)
     assert pf.num_row_groups == len(groups)
     for rg, postings in enumerate(groups):
         assert pf.read_row_group(rg)["term"].to_pylist() == list(postings)
 
-    lexicon = Lexicon.from_arrow(pq.read_table(lex).sort_by("term"))
+    lexicon = Lexicon.load(str(tmp_path / "dfs"))
+    assert lexicon.tokens == {0: TOKEN}
     for term, want in truth.items():
         rg, row = lexicon.chunk(term)
         assert term in groups[rg]
         assert lexicon[term] == want.size
-        g = RowGroup(pf.read_row_group(
-            rg, columns=RowGroup.COLUMNS + ["positions"]
-        ))
-        assert g.term(row) == term
+        assert pf.read_row_group(rg, columns=["term"])["term"][row].as_py() == term
+        g = RowGroup(pf, rg, positions=True)
         ids, tfs = g.raw(row)
         assert ids.dtype == np.uint64 and tfs.dtype == np.uint32
         assert np.array_equal(ids, want)
@@ -89,7 +94,7 @@ def test_bucket_group_refuses_a_split_term(tmp_path):
     with pytest.raises(ValueError, match="one chunk per vocab term"):
         segments.write_bucket_group(
             str(tmp_path / "bg-000.parquet"), str(tmp_path / "lex.parquet"),
-            vocab, np.array([6, 2]), (_group(p) for p in groups),
+            vocab, np.array([6, 2]), (_group(p) for p in groups), TOKEN,
         )
 
 
@@ -107,15 +112,18 @@ def test_row_group_posting_cap(monkeypatch):
 def test_segment_footer_layout(tmp_path):
     """Every list leaf is written DELTA_BINARY_PACKED (pyarrow applies a
     column_encoding only when keyed by the leaf path; keyed by the column
-    name it silently writes PLAIN), only ``term`` carries statistics, and
-    none of the columns the reader now derives at load is stored."""
+    name it silently writes PLAIN) under LZ4, no column carries
+    statistics, none of the columns the reader now derives at load is
+    stored, and the segment and lexicon footers carry the same token."""
     groups = [{"a": np.arange(0, 600, 3)}, {"b": np.array([4, 9])}]
     vocab = pa.array(["a", "b"], pa.string())
-    seg = str(tmp_path / "bg-000.parquet")
+    seg, lex = str(tmp_path / "bg-000.parquet"), str(tmp_path / "lex.parquet")
     segments.write_bucket_group(
-        seg, str(tmp_path / "lex.parquet"), vocab, np.array([200, 2]),
-        (_group(p) for p in groups),
+        seg, lex, vocab, np.array([200, 2]), (_group(p) for p in groups), TOKEN,
     )
+    assert file_token(pq.ParquetFile(seg)) == TOKEN
+    assert file_token(pq.ParquetFile(lex)) == TOKEN
+    assert pq.ParquetFile(lex).metadata.row_group(0).column(0).compression == "ZSTD"
     md = pq.ParquetFile(seg).metadata
     assert md.schema.to_arrow_schema().names == [
         "term", "doc_ids", "tfs", "positions",
@@ -125,8 +133,8 @@ def test_segment_footer_layout(tmp_path):
         for j in range(md.num_columns):
             c = md.row_group(i).column(j)
             leaves[c.path_in_schema] = c
-            assert c.compression == "ZSTD"
-            assert c.is_stats_set == (c.path_in_schema == "term")
+            assert c.compression == "LZ4"
+            assert not c.is_stats_set
         lists = [p for p in leaves if p.endswith(".list.element")]
         assert sorted(lists) == [
             "doc_ids.list.element", "positions.list.element",
