@@ -1449,65 +1449,68 @@ _EMPTY_LOSERS = pa.table(
 )
 
 
-def _reduce_loser_partials(
-    ids: np.ndarray, cnt: np.ndarray, ts: np.ndarray, rank: np.ndarray
-) -> pa.Table:
-    """(doc_id, cnt, ts, rank) partial rows -> one winner row per dup url.
+def _partial_arrays(t: pa.Table):
+    """The (doc_id, cnt, max_ts, rank) columns of a loser-partials table."""
+    return (
+        t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
+        t["cnt"].to_numpy(zero_copy_only=False).astype(np.int64),
+        t["max_ts"].to_numpy(zero_copy_only=False).astype(np.int64),
+        t["rank"].to_numpy(zero_copy_only=False).astype(np.int32),
+    )
+
+
+def _partials_table(ids, cnt, ts, rank) -> pa.Table:
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, pa.uint64()),
+            "cnt": pa.array(cnt, pa.int64()),
+            "max_ts": pa.array(ts, pa.int64()),
+            "rank": pa.array(rank, pa.int32()),
+        }
+    )
+
+
+def _winner_per_doc(ids, cnt, ts, rank):
+    """Group (doc_id, cnt, ts, rank) rows by doc_id -> (doc_id, cnt sum,
+    winning ts, winning rank), one entry per distinct doc_id, ascending.
 
     Winner = max (ts, rank) pair; lexsort keeps the pair intact (a plain
     per-column max would combine one row's ts with another's rank)."""
     order = np.lexsort((rank, ts, ids))
-    sids, scnt = ids[order], cnt[order]
-    sts, srank = ts[order], rank[order]
-    boundary = np.ones(len(sids), dtype=bool)
-    if len(sids) > 1:
-        boundary[1:] = sids[1:] != sids[:-1]
-    group_id = np.cumsum(boundary) - 1
-    cnt_sum = np.bincount(group_id, weights=scnt).astype(np.int64)
-    last = np.nonzero(np.concatenate((boundary[1:], [True])))[0]  # winner row
-    dup = cnt_sum > 1
+    sids = ids[order]
+    first = np.ones(len(sids), dtype=bool)
+    first[1:] = sids[1:] != sids[:-1]
+    last = np.append(first[1:], len(sids) > 0)  # each doc's winning row
+    cnt_sum = np.bincount(np.cumsum(first) - 1, weights=cnt[order])
+    return sids[first], cnt_sum.astype(np.int64), ts[order][last], rank[order][last]
+
+
+def _reduce_loser_partials(t: pa.Table) -> pa.Table:
+    """Loser partial rows -> one winner row per dup url."""
+    ids, cnt, ts, rank = _winner_per_doc(*_partial_arrays(t))
+    dup = cnt > 1
     return pa.table(
         {
-            "doc_id": pa.array(sids[boundary][dup], pa.uint64()),
-            "max_ts": pa.array(sts[last][dup], pa.int64()),
-            "win_rank": pa.array(srank[last][dup], pa.int32()),
-            "extra": pa.array(cnt_sum[dup] - 1, pa.int64()),
+            "doc_id": pa.array(ids[dup], pa.uint64()),
+            "max_ts": pa.array(ts[dup], pa.int64()),
+            "win_rank": pa.array(rank[dup], pa.int32()),
+            "extra": pa.array(cnt[dup] - 1, pa.int64()),
         }
     )
 
 
 def _combine_loser_block(t: pa.Table) -> pa.Table:
     """Distributed combine over a SORTED block of loser partials: merge
-    per-doc partials (cnt sums; winner = max (ts, rank) pair), then drop
-    cnt==1 docs EXCEPT the block's first and last doc_id — after a range
-    sort a url can only straddle ADJACENT blocks, so every potentially
-    cross-block doc survives to the tiny driver-side finalize while the
-    unique-url bulk (the overwhelming majority at web scale) is filtered
-    on the cluster."""
+    per-doc partials, then drop cnt==1 docs EXCEPT the block's first and
+    last doc_id — after a range sort a url can only straddle ADJACENT
+    blocks, so every potentially cross-block doc survives to the tiny
+    driver-side finalize while the unique-url bulk (the overwhelming
+    majority at web scale) is filtered on the cluster."""
     if t.num_rows == 0:
         return t
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    cnt = t["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ts = t["max_ts"].to_numpy(zero_copy_only=False).astype(np.int64)
-    rank = t["rank"].to_numpy(zero_copy_only=False).astype(np.int32)
-    order = np.lexsort((rank, ts, ids))
-    sids, scnt, sts, srank = ids[order], cnt[order], ts[order], rank[order]
-    boundary = np.ones(len(sids), dtype=bool)
-    if len(sids) > 1:
-        boundary[1:] = sids[1:] != sids[:-1]
-    group_id = np.cumsum(boundary) - 1
-    cnt_sum = np.bincount(group_id, weights=scnt).astype(np.int64)
-    last = np.nonzero(np.concatenate((boundary[1:], [True])))[0]
-    uids = sids[boundary]
-    keep = (cnt_sum > 1) | (uids == uids[0]) | (uids == uids[-1])
-    return pa.table(
-        {
-            "doc_id": pa.array(uids[keep], pa.uint64()),
-            "cnt": pa.array(cnt_sum[keep], pa.int64()),
-            "max_ts": pa.array(sts[last][keep], pa.int64()),
-            "rank": pa.array(srank[last][keep], pa.int32()),
-        }
-    )
+    ids, cnt, ts, rank = _winner_per_doc(*_partial_arrays(t))
+    keep = (cnt > 1) | (ids == ids[0]) | (ids == ids[-1])
+    return _partials_table(ids[keep], cnt[keep], ts[keep], rank[keep])
 
 
 # inputs above this size reduce the loser partials on the cluster (range
@@ -1516,8 +1519,7 @@ _LOSERS_DISTRIBUTED_BYTES = 4 * 1024**3
 
 
 def _compute_losers_from_input(
-    files: list[str], rank_of_path: dict[str, int],
-    force_distributed: bool = False, input_filter=None,
+    files: list[str], rank_of_path: dict[str, int], input_filter=None
 ) -> pa.Table:
     """Find urls crawled more than once; return (doc_id, max_ts, win_rank,
     extra) where (max_ts, win_rank) identifies the unique winning row.
@@ -1543,21 +1545,8 @@ def _compute_losers_from_input(
             [rank_of_path[p] for p in de.dictionary.to_pylist()], dtype=np.int32
         )
         ranks = rank_of[de.indices.to_numpy(zero_copy_only=False)]
-        order = np.lexsort((ranks, ts, ids))
-        sids, sts, srank = ids[order], ts[order], ranks[order]
-        boundary = np.ones(len(sids), dtype=bool)
-        if len(sids) > 1:
-            boundary[1:] = sids[1:] != sids[:-1]
-        group_id = np.cumsum(boundary) - 1
-        cnt = np.bincount(group_id)
-        last = np.nonzero(np.concatenate((boundary[1:], [True])))[0]
-        return pa.table(
-            {
-                "doc_id": pa.array(sids[boundary], pa.uint64()),
-                "cnt": pa.array(cnt, pa.int64()),
-                "max_ts": pa.array(sts[last], pa.int64()),
-                "rank": pa.array(srank[last], pa.int32()),
-            }
+        return _partials_table(
+            *_winner_per_doc(ids, np.ones(len(ids), np.int64), ts, ranks)
         )
 
     ds = rd.read_parquet(
@@ -1567,7 +1556,7 @@ def _compute_losers_from_input(
         batch_agg, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
     est_bytes = sum(os.path.getsize(f) for f in files)
-    if force_distributed or est_bytes > _LOSERS_DISTRIBUTED_BYTES:
+    if est_bytes > _LOSERS_DISTRIBUTED_BYTES:
         parts = parts.sort("doc_id").map_batches(
             _combine_loser_block, batch_format="pyarrow", batch_size=None
         )
@@ -1578,10 +1567,4 @@ def _compute_losers_from_input(
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return _EMPTY_LOSERS
-    allp = pa.concat_tables(tables)
-    return _reduce_loser_partials(
-        allp["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
-        allp["cnt"].to_numpy(zero_copy_only=False).astype(np.int64),
-        allp["max_ts"].to_numpy(zero_copy_only=False).astype(np.int64),
-        allp["rank"].to_numpy(zero_copy_only=False).astype(np.int32),
-    )
+    return _reduce_loser_partials(pa.concat_tables(tables))

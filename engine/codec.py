@@ -196,15 +196,6 @@ def delta_encode(sorted_values: np.ndarray) -> bytes:
     return ints_encode(deltas)
 
 
-def floats_encode(values: np.ndarray) -> bytes:
-    """float64 little-endian raw bytes (impacts are not integer-compressible)."""
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
-
-
-def floats_decode(buf: bytes) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<f8")
-
-
 def block_metadata(
     doc_ids: np.ndarray, impacts: np.ndarray, block_size: int = BLOCK_SIZE
 ) -> np.ndarray:

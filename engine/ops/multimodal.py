@@ -1,15 +1,10 @@
-"""Multimodal columns: opaque binary payloads + typed metadata.
+"""Media rows: magic-byte content-type sniffing over opaque binary payloads.
 
-A large-scale training-data pipeline treats image/audio/video as `binary`
-columns with decode / feature-extract stages on actor pools.  PNG / BMP /
-PPM / baseline-DCT JPEG images and 16-bit PCM WAV audio all decode for
-REAL here (pure stdlib zlib/wave + numpy — `engine/ops/mediacodec.py`;
-JPEG is implemented from the public ITU T.81 spec, no libjpeg).  The
-Ray-side plumbing — schema, magic-byte sniffing (the reference's archive
-sniffer, SURVEY.md §2.1 S3:
-/root/reference/ec2/parse_arxiv_papers/download_and_extract_paper.py:48-95),
-batch sizing for large payloads, actor signatures, output layout — is real
-and tested.
+The sniffer is the reference's archive sniffer (SURVEY.md §2.1 S3,
+download_and_extract_paper.py:48-95): classify a payload by its leading
+bytes and dispatch on the result.  Pixels and samples are never decoded;
+``media_features`` reports what the bytes are, how many there are, and a
+deterministic stand-in embedding.
 """
 
 from __future__ import annotations
@@ -18,16 +13,6 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
-
-from . import mediacodec
-
-MEDIA_SCHEMA = pa.schema(
-    [
-        pa.field("media_id", pa.uint64()),
-        pa.field("payload", pa.binary()),
-        pa.field("content_type", pa.string()),
-    ]
-)
 
 _MAGIC = [
     (b"PK\x03\x04", "application/zip"),
@@ -39,6 +24,8 @@ _MAGIC = [
     (b"<html", "text/html"),
     (b"<!doc", "text/html"),
 ]
+
+EMBED_DIM = 16
 
 
 def sniff_content_type(payload: bytes) -> str:
@@ -56,27 +43,7 @@ def sniff_content_type(payload: bytes) -> str:
     return "application/octet-stream"
 
 
-_IMAGE_DECODERS = {
-    "image/png": mediacodec.decode_png,
-    "image/bmp": mediacodec.decode_bmp,
-    "image/x-portable-pixmap": mediacodec.decode_ppm,
-    "image/jpeg": mediacodec.decode_jpeg,
-}
-
-
-def decode_image(payload: bytes, content_type: str | None = None) -> np.ndarray:
-    """bytes -> (h, w, c) uint8.  PNG/BMP/PPM/baseline-JPEG decode for real
-    (mediacodec.py, pure stdlib+numpy); progressive JPEG raises
-    NotImplementedError from the codec (a real deployment drops a
-    PIL/torchvision decode into _IMAGE_DECODERS)."""
-    ct = content_type or sniff_content_type(payload)
-    dec = _IMAGE_DECODERS.get(ct)
-    if dec is None:
-        raise NotImplementedError(f"no in-container decoder for {ct}")
-    return dec(payload)
-
-
-def fake_embedding(payload: bytes, dim: int = 16) -> np.ndarray:
+def fake_embedding(payload: bytes, dim: int = EMBED_DIM) -> np.ndarray:
     """Deterministic payload 'feature vector' (stands in for a real encoder):
     blake2b-seeded pseudo-random unit vector, stable across processes."""
     seed = int.from_bytes(
@@ -87,110 +54,49 @@ def fake_embedding(payload: bytes, dim: int = 16) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-class MediaFeaturizer:
-    """Actor-pool stage over binary payloads.
-
-    Use small batch sizes for large payloads (batch_size * concurrency *
-    payload_size must fit the worker heap — SURVEY.md 'Memory-aware').
-    Output: metadata + per-modality real features (image dims + mean
-    luminance / thumbnail, audio duration + RMS) + a fixed-width embedding;
-    the payload column is dropped so downstream stages never re-ship the
-    heavy bytes.
-    """
-
-    THUMB = 8  # thumbnail side: 8x8 grayscale = a 64-dim visual sketch
-
-    def __init__(self, dim: int = 16):
-        self.dim = dim
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        n = len(payloads)
-        ctypes = [sniff_content_type(p or b"") for p in payloads]
-        sizes = [len(p or b"") for p in payloads]
-        embs = [fake_embedding(p or b"", self.dim).astype(np.float32) for p in payloads]
-        decoded = [False] * n
-        width = np.zeros(n, np.int64)
-        height = np.zeros(n, np.int64)
-        channels = np.zeros(n, np.int64)
-        mean_lum = np.full(n, np.nan)
-        duration_s = np.full(n, np.nan)
-        rms = np.full(n, np.nan)
-        zero_thumb = [0.0] * (self.THUMB * self.THUMB)
-        thumbs: list[list[float]] = [zero_thumb] * n
-        for i, (p, ct) in enumerate(zip(payloads, ctypes)):
-            try:
-                if ct in _IMAGE_DECODERS:
-                    img = decode_image(p, ct)
-                    height[i], width[i] = img.shape[:2]
-                    channels[i] = img.shape[2]
-                    gray = img.astype(np.float32).mean(axis=2)
-                    mean_lum[i] = float(gray.mean())
-                    th = mediacodec.resize_nearest(gray, self.THUMB, self.THUMB)
-                    thumbs[i] = (th / 255.0).reshape(-1).tolist()
-                    decoded[i] = True
-                elif ct == "audio/wav":
-                    samples, rate = mediacodec.decode_wav(p)
-                    duration_s[i] = len(samples) / rate
-                    channels[i] = samples.shape[1]
-                    x = samples.astype(np.float64) / 32768.0
-                    rms[i] = float(np.sqrt(np.mean(x * x))) if len(x) else 0.0
-                    decoded[i] = True
-            except (NotImplementedError, ValueError, EOFError):
-                decoded[i] = False  # malformed or stub format (e.g. JPEG)
-        return pa.table(
-            {
-                "media_id": batch.column("media_id"),
-                "content_type": pa.array(ctypes, pa.string()),
-                "n_bytes": pa.array(sizes, pa.int64()),
-                "decoded": pa.array(decoded, pa.bool_()),
-                "width": pa.array(width, pa.int64()),
-                "height": pa.array(height, pa.int64()),
-                "channels": pa.array(channels, pa.int64()),
-                "mean_lum": pa.array(mean_lum, pa.float64()),
-                "duration_s": pa.array(duration_s, pa.float64()),
-                "rms": pa.array(rms, pa.float64()),
-                # zero-filled for non-images: nulls (fixed- OR var-length)
-                # trip Ray's TensorArray pandas cast
-                "thumb": pa.array(
-                    thumbs, pa.list_(pa.float32(), self.THUMB * self.THUMB)
-                ),
-                "embedding": pa.array(
-                    [e.tolist() for e in embs],
-                    pa.list_(pa.float32(), self.dim),
-                ),
-            }
-        )
+def _featurize(batch: pa.Table) -> pa.Table:
+    """(media_id, payload) rows -> (media_id, content_type, n_bytes,
+    embedding); the payload column is dropped so downstream stages never
+    re-ship the bytes."""
+    payloads = batch.column("payload").to_pylist()
+    return pa.table(
+        {
+            "media_id": batch.column("media_id"),
+            "content_type": pa.array(
+                [sniff_content_type(p) for p in payloads], pa.string()
+            ),
+            "n_bytes": pa.array([len(p) for p in payloads], pa.int64()),
+            "embedding": pa.array(
+                [fake_embedding(p).astype(np.float32).tolist() for p in payloads],
+                pa.list_(pa.float32(), EMBED_DIM),
+            ),
+        }
+    )
 
 
 def _fixture_payloads() -> list[bytes]:
-    """Deterministic media payloads: the synthetic corpus's html bytes plus
-    REAL encoded PNG / BMP / PPM / JPEG / WAV payloads (all five decoders
-    are real, mediacodec.py)."""
+    """Deterministic media payloads: the synthetic corpus's html bytes, with
+    rows 0-7 replaced by magic-byte headers (PNG, BMP, PPM, WAV, JPEG, zip,
+    gzip) and one empty payload."""
     from .. import synth
 
-    pages = synth.gen_pages_table(200)
-    payloads = pages["html"].to_pylist()
-    rng = np.random.default_rng(5)
-    img = rng.integers(0, 256, size=(24, 32, 3), dtype=np.uint8)
-    tone = (
-        10_000 * np.sin(2 * np.pi * 440.0 * np.arange(16000) / 16000.0)
-    ).astype(np.int16)
-    payloads[0] = mediacodec.encode_png(img)
-    payloads[1] = mediacodec.encode_bmp(img)
-    payloads[2] = mediacodec.encode_ppm(img)
-    payloads[3] = mediacodec.encode_wav(tone, rate=16000)
-    payloads[4] = mediacodec.encode_jpeg(img, quality=95)
-    payloads[5] = b"PK\x03\x04" + b"\x00" * 64
-    payloads[6] = b"\x1f\x8b\x08" + b"\x00" * 64
+    payloads = synth.gen_pages_table(200)["html"].to_pylist()
+    pad = b"\x00" * 64
+    payloads[0] = b"\x89PNG\r\n\x1a\n" + pad
+    payloads[1] = b"BM" + pad
+    payloads[2] = b"P6\n32 24\n255\n" + pad
+    payloads[3] = b"RIFF" + (72).to_bytes(4, "little") + b"WAVEfmt " + pad
+    payloads[4] = b"\xff\xd8\xff\xe0" + pad
+    payloads[5] = b"PK\x03\x04" + pad
+    payloads[6] = b"\x1f\x8b\x08" + pad
     payloads[7] = b""
     return payloads
 
 
 def media_features(sf_dir: str):
-    """Featurize a deterministic synthetic media table (the testdata has no
-    binary column).  Rows-only check; tests assert the PNG/BMP/PPM/WAV rows
-    actually decode and their features match the source arrays."""
+    """Sniff and embed a deterministic synthetic media table (the testdata
+    has no binary column).  Rows-only: 200 rows of media_id, content_type,
+    n_bytes, embedding."""
     import ray.data as rd
 
     payloads = _fixture_payloads()
@@ -200,11 +106,6 @@ def media_features(sf_dir: str):
             "payload": pa.array(payloads, pa.binary()),
         }
     )
-    ds = rd.from_arrow(tbl)
-    return ds.map_batches(
-        MediaFeaturizer,
-        batch_format="pyarrow",
-        batch_size=32,  # payload-sized batches, not row-count-sized
-        concurrency=(1, 4),
-        zero_copy_batch=True,
+    return rd.from_arrow(tbl).map_batches(
+        _featurize, batch_format="pyarrow", zero_copy_batch=True
     )

@@ -2030,9 +2030,10 @@ def q15_top_suppliers(sf_dir: str, k: int = 10):
     reads column-pruned with the date filter pushed into the scan and
     pre-aggregates revenue per supplier INSIDE each batch (suppliers are
     1/10000th of lineitem by TPC-H construction, so partials collapse
-    hard); the global supplier-grain reduce is one coarse shuffle; the
-    supplier name side ships once as a broadcast dict probed on the
-    RESULT-scale top-k rows only."""
+    hard); the global supplier-grain reduce is one coarse shuffle
+    (``keyed.by_key``: one pandas reduce per partition, not one Ray group
+    per supplier); the supplier name side ships once as a broadcast dict
+    probed on the RESULT-scale top-k rows only."""
     import pyarrow.parquet as pq
 
     sup = pq.read_table(
@@ -2057,11 +2058,18 @@ def q15_top_suppliers(sf_dir: str, k: int = 10):
             .aggregate([("rev", "sum")])
         )
 
+    def suppliers_of_partition(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("l_suppkey", as_index=False).agg(
+            revenue=("rev_sum", "sum")
+        )
+
+    schema = pa.schema({"l_suppkey": I64, "revenue": F64})
     agg = collect(  # supplier-grain: 1/10000th of lineitem by construction
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_suppkey")
-        .aggregate(Sum("rev_sum", alias_name="revenue")),
-        pa.schema({"l_suppkey": I64, "revenue": F64}),
+        by_key(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "l_suppkey", suppliers_of_partition, schema,
+        ),
+        schema,
     )
     agg["revenue"] = agg["revenue"].round(2)
     top = (

@@ -46,6 +46,18 @@ def _write(path: str, rows: list[dict]) -> None:
 
 
 def test_equal_ts_cross_file_tie_is_deterministic(tmp_path):
+    _check_equal_ts_cross_file_tie(tmp_path)
+
+
+def test_equal_ts_cross_file_tie_distributed_losers(tmp_path, monkeypatch):
+    """The same tie through the range-sorted cluster-side loser combine."""
+    from engine import build as buildmod
+
+    monkeypatch.setattr(buildmod, "_LOSERS_DISTRIBUTED_BYTES", 0)
+    _check_equal_ts_cross_file_tie(tmp_path)
+
+
+def _check_equal_ts_cross_file_tie(tmp_path):
     pages_dir = tmp_path / "pages"
     pages_dir.mkdir()
     url = "https://tie.example/page"
@@ -198,12 +210,12 @@ def test_doclen_range_exchange_matches_broadcast(tmp_path, monkeypatch):
         assert r_b.search(q, k=10) == r_r.search(q, k=10), q
 
 
-def test_distributed_loser_reduce_matches_driver_path(tmp_path):
+def test_distributed_loser_reduce_matches_driver_path(tmp_path, monkeypatch):
     """The cluster-side loser reduce (range sort + boundary-safe combine)
     yields the identical loser table to the small-input driver path."""
     import pyarrow.parquet as pq
 
-    from engine import synth
+    from engine import build as buildmod
     from engine.build import _compute_losers_from_input
 
     pages_dir = str(tmp_path / "pages")
@@ -216,7 +228,8 @@ def test_distributed_loser_reduce_matches_driver_path(tmp_path):
     )
     rank = {f: i for i, f in enumerate(files)}
     a = _compute_losers_from_input(files, rank)
-    b = _compute_losers_from_input(files, rank, force_distributed=True)
+    monkeypatch.setattr(buildmod, "_LOSERS_DISTRIBUTED_BYTES", 0)
+    b = _compute_losers_from_input(files, rank)
     assert a.sort_by("doc_id").equals(b.sort_by("doc_id"))
     assert a.num_rows >= 1  # synth plants at least one recrawled url
 

@@ -49,12 +49,6 @@ def test_varint_known_bytes():
     assert codec.varint_encode(np.array([0, 1, 127, 128], np.uint64)) == b"\x00\x01\x7f\x80\x01"
 
 
-def test_floats_roundtrip():
-    rng = np.random.default_rng(0)
-    arr = rng.random(1000)
-    assert np.array_equal(codec.floats_decode(codec.floats_encode(arr)), arr)
-
-
 def test_block_metadata():
     ids = np.arange(0, 300, dtype=np.uint64)
     impacts = np.linspace(1.0, 4.0, 300)
