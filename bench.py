@@ -261,9 +261,10 @@ def run_bench() -> dict:
 
             # ---- doc-sharded layout: concurrent 8-shard build + serve QPS --
             # the corpus-scaling path: S independent shard builds run
-            # concurrently (pass A, avgdl barrier, pass B) + the distributed
-            # global-df reduce; serving is batched scatter-gather where
-            # every query hits all 8 shards (vs pool_qps's 1 actor/query)
+            # concurrently (one build_index each, no barrier) + the
+            # distributed global-df reduce; serving is batched scatter-gather
+            # where every query hits all 8 shards (vs pool_qps's 1
+            # actor/query)
             from engine.serve import ShardedQueryPool, build_sharded
 
             shards_root = tempfile.mkdtemp(prefix="rayft_bench_shards_")

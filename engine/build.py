@@ -72,12 +72,6 @@ from .schema import (
 )
 
 
-# merge-phase docno exchange: broadcast the sorted doc_id table while it fits
-# this budget; above it, reduce tasks read doc_id-range row groups from the
-# docmeta files instead (see the segments phase).  1 GiB ~= 134M docs.
-_DOCNO_BCAST_BUDGET_BYTES = 1 << 30
-
-
 def _ensure_nonempty(out_dir: str, schema: pa.Schema) -> None:
     """Zero-row stages must still leave a schema-bearing parquet file so
     downstream column-pruned reads work (empty-corpus / empty-partition)."""
@@ -232,8 +226,10 @@ def delete_docs(
 
     Serving note: QueryPool / ShardedQueryPool actors construct their
     readers at pool creation and cache the mask — create pools AFTER
-    deleting (for sharded layouts, apply the delete to each shard dir; the
-    doc_id-keyed shard routing makes per-shard tombstones independent).
+    deleting.  For a build_sharded layout, tombstone the docs in the shard
+    dir that holds them and re-run build_sharded: only that shard compacts,
+    and global scoring still holds, because ShardedQueryPool sums every
+    shard's stats.json (n_docs, total_tokens) and df table at open.
     """
     ids: set[int] = set()
     if doc_ids is not None:
@@ -296,8 +292,6 @@ def build_index(
     extract_chain: tuple[str, ...] | None = None,
     extract_timeout_s: float | None = None,
     loser_files: list[str] | None = None,
-    avgdl_override: float | None = None,
-    stop_after_postings: bool = False,
     input_filter=None,
     store_positions: bool = False,
     precomputed_losers: pa.Table | None = None,
@@ -311,15 +305,10 @@ def build_index(
     page cannot stall a partition.  Both are part of the extract lineage
     fingerprint.
 
-    The last three parameters support DOC-SHARDED multi-index builds
-    (engine/serve.py build_sharded): ``loser_files`` computes the
-    keep-latest-by-url loser set over the WHOLE corpus (a url re-crawled
-    into a different shard must still lose globally), ``avgdl_override``
-    writes the corpus-global avgdl into this shard's stats.json (its
-    reader computes impacts from it) so shard-local top-k merge is
-    rank-identical to one big index, and
-    ``stop_after_postings`` ends the build after the ingest phases so the
-    orchestrator can derive the global stats between passes, and
+    ``loser_files`` and ``precomputed_losers`` support DOC-SHARDED
+    multi-index builds (engine/serve.py build_sharded): ``loser_files``
+    computes the keep-latest-by-url loser set over the WHOLE corpus (a url
+    re-crawled into a different shard must still lose globally), and
     ``precomputed_losers`` injects a loser table the orchestrator computed
     ONCE over the whole corpus (build_sharded runs S shard builds — without
     it each would redundantly re-scan every input file for the identical
@@ -594,32 +583,17 @@ def build_index(
     # build_index after a delete re-runs ONLY stats+segments (= compaction)
     tombs, tomb_tag = _load_tombstones(index_dir)
 
-    if stop_after_postings:
-        n_docs, dl_sum, _ = _distinct_doc_stats(docmeta_root, parts, tombstones=tombs)
-        metrics["n_docs"] = n_docs
-        metrics["total_tokens"] = dl_sum
-        metrics["phase_seconds"] = _phase_t
-        return metrics
-
     stats_path = os.path.join(index_dir, "stats.json")
     dfs_root = os.path.join(index_dir, "dfs")
     # the format version is part of the stats+segments lineage: partitions
     # grafted into a dir (merge_indexes) keep valid checkpoints across a
     # format bump, but the layout these phases write does not
     partials_fp = man.partials_fingerprint() + tomb_tag + f"+F{FORMAT_VERSION}"
-    if avgdl_override is not None:
-        # a different global avgdl changes stats.json, which the reader's
-        # impacts use: stats must re-run even over identical partials
-        partials_fp += f"+avgdl{avgdl_override!r}"
     if not man.phase_done("stats", partials_fp, stats_path):
         n_docs, total_tokens, range_counts = _distinct_doc_stats(
             docmeta_root, parts, tombstones=tombs
         )
-        avgdl = (
-            float(avgdl_override)
-            if avgdl_override is not None
-            else (float(total_tokens) / n_docs if n_docs else 0.0)
-        )
+        avgdl = float(total_tokens) / n_docs if n_docs else 0.0
         hot_threshold = max(2.0, HOT_TERM_DF_FRACTION * n_docs)
         # dense-docno range bases: prefix sums of per-interval-range distinct
         # doc counts (tombstoned docs INCLUDED — the docno space is the
@@ -672,41 +646,18 @@ def build_index(
                 kv = pa.parquet.read_metadata(path).metadata or {}
                 for rg, bg in enumerate(json.loads(kv.get(b"bgs", b"[]"))):
                     bg_files.setdefault(bg, {}).setdefault(path, []).append(rg)
-        # docno exchange, adaptive (the q3 broadcast-vs-distributed
-        # pattern): while the corpus's sorted doc_id table fits the budget
-        # it is ray.put ONCE (8 bytes/doc, fetched zero-copy by every reduce
-        # task — fastest when it fits); above the budget every reduce task
-        # instead reads only the doc_id-RANGE row groups its postings touch
-        # from the docmeta files (the wave wrote one row group per range,
-        # indexed in each footer's "drs" KV) — per-task memory is bounded by
-        # its touched ranges, and nothing corpus-scale is ever broadcast (at
-        # 10^10 docs the broadcast would be 80 GB).
-        docids_ref = None
-        dr_files_ref = None
-        if stats["n_docs"] * 8 <= _DOCNO_BCAST_BUDGET_BYTES:
-            import pyarrow.dataset as _pads
+        # docno exchange: the corpus's sorted doc_id table (8 bytes/doc) is
+        # ray.put ONCE and fetched zero-copy by every reduce task; each doc's
+        # docno is its rank in the deduped sorted order (the reader's
+        # docmeta dedup, exactly).  A corpus too large for one broadcast is
+        # built as doc shards (engine/serve.py build_sharded).
+        import pyarrow.dataset as _pads
 
-            dm = _pads.dataset(docmeta_root).to_table(columns=["doc_id"])
-            # each doc's docno is its rank in the deduped sorted order (the
-            # reader's docmeta dedup, exactly)
-            dm_ids = np.unique(
-                dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            )
-            docids_ref = ray.put(dm_ids)
-            metrics["docno_exchange"] = "broadcast"
-        else:
-            dr_files: dict[int, dict[str, list[int]]] = {}
-            for pid in parts:
-                pdir = os.path.join(docmeta_root, f"pid={pid}")
-                for f in sorted(os.listdir(pdir)):
-                    if not f.endswith(".parquet"):
-                        continue
-                    path = os.path.join(pdir, f)
-                    kv = pa.parquet.read_metadata(path).metadata or {}
-                    for rg, dr in enumerate(json.loads(kv.get(b"drs", b"[]"))):
-                        dr_files.setdefault(dr, {}).setdefault(path, []).append(rg)
-            dr_files_ref = ray.put(dr_files)
-            metrics["docno_exchange"] = "range"
+        dm = _pads.dataset(docmeta_root).to_table(columns=["doc_id"])
+        dm_ids = np.unique(
+            dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        )
+        docids_ref = ray.put(dm_ids)
         with atomic_dir(segments_root) as tmp:
             dfs_tmp = os.path.join(tmp, "_dfs")
             os.makedirs(dfs_tmp, exist_ok=True)
@@ -727,11 +678,8 @@ def build_index(
                 merged = work.map_batches(
                     _MergeBucketGroup(
                         stats["hot_df_threshold"], tmp, dfs_tmp, partials_fp,
-                        docids_ref, dr_files_ref,
+                        docids_ref,
                         tomb_ref=ray.put(tombs) if tombs.size else None,
-                        range_bases=np.asarray(
-                            stats["doc_range_bases"], dtype=np.int64
-                        ),
                     ),
                     batch_format="pyarrow", batch_size=None,
                 )
@@ -1049,8 +997,7 @@ class _TokenizeAndShard(_PidTokenizer):
             d = os.path.join(self.docmeta_tmp, f"pid={pid}")
             os.makedirs(d, exist_ok=True)
             # one row group per doc_id range (footer KV "drs" = the range of
-            # each row group): the map side of the doclen exchange — merge
-            # tasks above the broadcast budget read only touched ranges
+            # each row group): merge_indexes scans survivors per range
             ids_np = sub.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
             drs_np = (ids_np >> np.uint64(DOC_RANGE_SHIFT)).astype(np.int64)
             dorder = np.argsort(drs_np, kind="stable")
@@ -1264,8 +1211,7 @@ class _MergeBucketGroup:
     """
 
     def __init__(self, hot_threshold: float, out_root: str, dfs_root: str,
-                 lineage: str, docids_ref, dr_files_ref=None, tomb_ref=None,
-                 range_bases: np.ndarray | None = None):
+                 lineage: str, docids_ref, tomb_ref=None):
         self.hot_threshold = hot_threshold
         self.out_root = out_root
         self.dfs_root = dfs_root
@@ -1273,59 +1219,10 @@ class _MergeBucketGroup:
         # file and lexicon carry segments.pairing_token(lineage, bg)
         self.lineage = lineage
         self.docids_ref = docids_ref
-        self.dr_files_ref = dr_files_ref
         self.tomb_ref = tomb_ref  # sorted tombstoned doc_ids (delete_docs)
-        # prefix sums of per-range distinct doc counts (stats phase): docno
-        # of a doc in range r = range_bases[r] + its rank within the range
-        self.range_bases = range_bases
-
-    def _load_docno_ranges(
-        self, doc_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Above-budget docno lookup: read ONLY the doc_id-range row groups
-        this group's postings touch (footer-KV-indexed, like the partials
-        exchange).  Memory is bounded by the touched ranges' docmeta rows,
-        not the corpus.  Ranges are doc_id INTERVALS, so each loaded range's
-        deduped sorted docs carry global docnos range_bases[r] +
-        0..count-1 without any cross-range view."""
-        dr_files = ray.get(self.dr_files_ref)
-        touched = np.unique(
-            doc_ids.astype(np.uint64) >> np.uint64(DOC_RANGE_SHIFT)
-        )
-        per_path: dict[str, set[int]] = {}
-        for dr in touched.tolist():
-            for path, rgs in dr_files.get(int(dr), {}).items():
-                per_path.setdefault(path, set()).update(rgs)
-        tabs = []
-        for path in sorted(per_path):
-            pf = pa.parquet.ParquetFile(path)
-            tabs.append(
-                pf.read_row_groups(sorted(per_path[path]), columns=["doc_id"])
-            )
-        if not tabs:
-            return np.empty(0, np.uint64), np.empty(0, np.int64)
-        dm = pa.concat_tables(tabs)
-        # sorted, keep-first per doc_id (the reader's docmeta dedup, exactly)
-        ids = np.unique(
-            dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        )
-        # global docnos: interval ranges are contiguous in the sorted order,
-        # so each range's elements are base[r] + 0..len-1
-        rng = (ids >> np.uint64(DOC_RANGE_SHIFT)).astype(np.int64)
-        seg_change = np.nonzero(np.diff(rng))[0] + 1
-        seg_starts = np.concatenate(([0], seg_change))
-        seg_lens = np.diff(np.concatenate((seg_starts, [ids.size])))
-        local = np.arange(ids.size, dtype=np.int64) - np.repeat(
-            seg_starts, seg_lens
-        )
-        nos = self.range_bases[rng] + local
-        return ids, nos
 
     def __call__(self, work: pa.Table) -> pa.Table:
-        dm_ids = None
-        dm_nos = None  # None => broadcast path: docno == searchsorted pos
-        if self.docids_ref is not None:
-            dm_ids = ray.get(self.docids_ref)
+        dm_ids = ray.get(self.docids_ref)
         tomb = ray.get(self.tomb_ref) if self.tomb_ref is not None else None
         out_bg, out_terms, out_hot = [], [], []
         for item in work.to_pylist():
@@ -1344,13 +1241,7 @@ class _MergeBucketGroup:
                 dead = tomb[pos] == docs
                 if dead.any():
                     t = t.filter(pa.array(~dead))
-            if self.docids_ref is None:
-                dm_ids, dm_nos = self._load_docno_ranges(
-                    t.column("doc_id").to_numpy(zero_copy_only=False)
-                    if t.num_rows
-                    else np.empty(0, np.uint64)
-                )
-            nt, nh = self._merge_one(t, int(item["bg"]), dm_ids, dm_nos)
+            nt, nh = self._merge_one(t, int(item["bg"]), dm_ids)
             out_terms.append(nt)
             out_hot.append(nh)
             out_bg.append(int(item["bg"]))
@@ -1363,8 +1254,7 @@ class _MergeBucketGroup:
         )
 
     def _merge_one(
-        self, t: pa.Table, bg: int, dm_ids: np.ndarray,
-        dm_nos: np.ndarray | None = None,
+        self, t: pa.Table, bg: int, dm_ids: np.ndarray
     ) -> tuple[int, int]:
         if t.num_rows == 0:
             return 0, 0
@@ -1404,13 +1294,12 @@ class _MergeBucketGroup:
         uniq_hot = dfs > self.hot_threshold
         uniq_bucket = np.array([term_bucket(tm) for tm in uniq], dtype=np.int64)
         # dense-docno substitution (FORMAT_VERSION 9): postings leave this
-        # point keyed by each doc's rank in the doc_id-sorted docmeta order —
-        # broadcast path: the deduped broadcast IS that order, docno = pos;
-        # range path: the per-range global docnos loaded alongside.
+        # point keyed by each doc's rank in the doc_id-sorted docmeta order,
+        # which the deduped broadcast IS: docno = its searchsorted position.
         # Monotone in doc_id, so every downstream sort/tie-break is unchanged.
         pos = np.searchsorted(dm_ids, doc_ids.astype(np.uint64))
         pos = np.minimum(pos, max(len(dm_ids) - 1, 0))
-        docnos = (pos if dm_nos is None else dm_nos[pos]).astype(np.uint64)
+        docnos = pos.astype(np.uint64)
         t = t.set_column(
             t.schema.get_field_index("doc_id"), "doc_id",
             pa.array(docnos, pa.uint64()),

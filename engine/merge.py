@@ -380,8 +380,7 @@ def merge_indexes(
     """
     if len(source_dirs) < 1:
         raise ValueError("merge_indexes: need at least one source")
-    for bad in ("num_partitions", "loser_files", "precomputed_losers",
-                "avgdl_override"):
+    for bad in ("num_partitions", "loser_files", "precomputed_losers"):
         if bad in build_kwargs:
             raise ValueError(
                 f"merge_indexes: {bad} is owned by the merge (the merged "

@@ -43,17 +43,14 @@ NUM_BUCKET_GROUPS = 64
 
 # doc_id-range partitions of the docmeta table: each docmeta file carries one
 # row group per range (dr = doc_id >> DOC_RANGE_SHIFT, recorded in the footer
-# KV), so a merge task above the doclen-broadcast budget reads ONLY the ranges
-# its postings touch instead of fetching a corpus-wide (doc_id, doclen)
-# broadcast (16 B/doc -> 160 GB at 10^10 docs).  Ranges are INTERVALS of the
-# (uniform url-hash) doc_id space, not hash-modulo classes: interval ranges
-# make the dense-docno assignment decomposable — a doc's global docno is
-# range_base[its range] + its rank within the range, so no task ever needs a
-# cross-range view.  Fixed for layout/lineage stability.  Scale note: an
-# above-budget merge task's memory is bounded by (touched ranges) x (N /
-# NUM_DOC_RANGES) docmeta rows; head-term bucket groups touch every range, so
-# past ~10^10 docs this constant scales up with the corpus (a format bump —
-# it is baked into the tokenize wave's footer-KV range layout).
+# KV "drs"), so merge_indexes' survivor scan (engine/merge.py _scan_docmeta)
+# fans out one task per range, and the stats phase records per-range distinct
+# doc counts (stats.json "doc_range_bases", whose last entry sizes the
+# reader's dense-docno space).  Ranges are INTERVALS of the (uniform
+# url-hash) doc_id space, not hash-modulo classes, so the doc_id-sorted docno
+# order visits them in turn: a doc's docno is range_base[its range] + its
+# rank within the range.  Fixed for layout/lineage stability (a change is a
+# format bump: it is baked into the tokenize wave's footer-KV range layout).
 NUM_DOC_RANGES = 32
 DOC_RANGE_SHIFT = 64 - (NUM_DOC_RANGES.bit_length() - 1)
 

@@ -9,6 +9,13 @@ caches, doc metadata, df table) for its whole lifetime — the SURVEY.md §7.3
 answers independently, so QPS scales with the pool while every answer stays
 rank-identical to a local reader.
 
+Doc-sharded serving (ShardedQueryPool over build_sharded's shard dirs) uses
+the same actor: each one holds one shard's reader and scores with
+corpus-global statistics that the pool computes at open from every shard's
+stats.json (n_docs, total_tokens -> avgdl) and df table (global_dfs/).  No
+global statistic is written at build time, so each shard builds, resumes
+and compacts on its own.
+
 This is the one place the engine uses raw @ray.remote actors instead of a
 Dataset: a serving pool is persistent mutable state + request/response, which
 the Dataset API intentionally does not model.
@@ -25,8 +32,23 @@ from .query import IndexReader
 
 @ray.remote
 class QueryActor:
-    def __init__(self, index_dir: str):
-        self.reader = IndexReader(index_dir)
+    """Holds one warm reader.  Given ``global_dfs_path`` (with the corpus's
+    ``n_docs`` and ``avgdl``) the index is one doc shard and its reader
+    scores with those global statistics (shard_reader)."""
+
+    def __init__(
+        self,
+        index_dir: str,
+        global_dfs_path: str | None = None,
+        n_docs: int = 0,
+        avgdl: float = 0.0,
+    ):
+        if global_dfs_path is None:
+            self.reader = IndexReader(index_dir)
+        else:
+            self.reader = shard_reader(
+                index_dir, global_dfs_path, n_docs, avgdl
+            )
         # warm the hot caches so first queries don't pay cold reads
         self.reader._load_docmeta()
 
@@ -174,9 +196,12 @@ def _assemble_global_dfs(shard_dirs: list[str], out_root: str) -> str:
 
 
 def shard_reader(
-    index_dir: str, global_dfs_path: str, global_n_docs: int
+    index_dir: str, global_dfs_path: str, global_n_docs: int,
+    global_avgdl: float,
 ) -> IndexReader:
-    """A reader over ONE doc shard that scores with corpus-global stats.
+    """A reader over ONE doc shard that scores with corpus-global stats:
+    df, n_docs and avgdl.  The avgdl is set before anything loads docmeta,
+    so the per-doc length norms (and every impact) use the global value.
 
     global_dfs_path points at the DISTRIBUTED reduce's output
     (_assemble_global_dfs): per-bucket-group term-sorted parquet.  It is
@@ -198,45 +223,8 @@ def shard_reader(
     reader = IndexReader(index_dir)
     reader._df = SortedTermMap.from_arrow(tbl)
     reader.n_docs = global_n_docs
+    reader.avgdl = global_avgdl
     return reader
-
-
-@ray.remote
-class ShardQueryActor:
-    """Owns ONE doc-shard index; scores with corpus-GLOBAL statistics.
-
-    Per-actor state is O(corpus/S): its shard's docmeta, doclens and segment
-    caches.  Only the df map is vocab-sized (at 10^12 docs the global_dfs
-    layout is already term-sharded by bucket group; a df-sharded serving
-    tier would give each actor its slice — here each actor loads the whole
-    table from the shared store).
-    """
-
-    def __init__(self, index_dir: str, global_dfs_path: str, global_n_docs: int):
-        self.reader = shard_reader(index_dir, global_dfs_path, global_n_docs)
-        self.reader._load_docmeta()
-
-    def search(self, query_text: str, **kw) -> list[tuple[int, float]]:
-        return self.reader.search(query_text, **kw)
-
-    def search_batch(self, queries: list[dict]) -> list[list[tuple[int, float]]]:
-        # one RPC per (actor, query LIST): the sharded scatter-gather ships
-        # each query to every shard, so batching amortizes the per-message
-        # overhead S-fold
-        return [self.reader.search(q.pop("query_text"), **q) for q in queries]
-
-    def search_boolean(self, query_text: str, **kw) -> list[tuple[int, float]]:
-        # boolean eligibility is doc-local (must/not masks, phrase
-        # adjacency all resolve within the doc's own shard) and scores use
-        # the injected GLOBAL df, so shard-local boolean top-k merges
-        # exactly like plain search.  A required term missing from THIS
-        # shard empties the local presence mask, not the global result.
-        return self.reader.search_boolean(query_text, **kw)
-
-    def suggest(self, term: str):
-        # the injected GLOBAL df map means the delete index spans the whole
-        # corpus vocabulary: any single shard actor answers exactly
-        return self.reader.suggest(term)
 
 
 def build_sharded(
@@ -249,26 +237,23 @@ def build_sharded(
     Input FILES round-robin across shards (a doc lives in one file, so file
     granularity shards docs); the keep-latest loser set is computed ONCE
     over the WHOLE corpus (injected into every shard build — S redundant
-    full-corpus scans otherwise) so cross-shard re-crawls dedup correctly;
-    pass A stops after ingest, the corpus-global avgdl is derived from the
-    shard manifests, and pass B (which skips the checkpointed ingest)
-    writes segments and a stats.json carrying that global avgdl, from
-    which every shard reader computes its impacts.
-    Finally the corpus-global df table is reduced DISTRIBUTED into
-    root/global_dfs (see _assemble_global_dfs) so pool creation never
-    touches vocab-scale data.
+    full-corpus scans otherwise) so cross-shard re-crawls dedup correctly.
+    Each shard is then one ordinary build_index: its stats.json holds its
+    own n_docs and total_tokens, and ShardedQueryPool derives the global
+    n_docs and avgdl from them at open.  Finally the corpus-global df table
+    is reduced DISTRIBUTED into root/global_dfs (see _assemble_global_dfs)
+    so pool creation never touches vocab-scale data.
 
-    The S shard builds are INDEPENDENT lineages (separate dirs), so each
-    pass runs them CONCURRENTLY (round-4 verdict: the serial driver loop
-    was the wall-clock at S=64): a thread pool submits `build_parallelism`
-    builds at a time (default: enough that per-build actor pools tile the
+    The S shard builds are INDEPENDENT lineages (separate dirs), so they
+    run CONCURRENTLY (round-4 verdict: the serial driver loop was the
+    wall-clock at S=64): a thread pool submits `build_parallelism` builds
+    at a time (default: enough that per-build actor pools tile the
     cluster's CPUs, >= 2 cpus per build), each sized so the in-flight
-    builds' tokenizer pools sum to ~the cluster.  The only barrier between
-    passes is the global avgdl, exactly as before.  Per-shard resume
-    semantics are unchanged — a killed orchestrator re-runs and every
-    shard's manifest skips its finished phases.  This is the 10^12-doc
-    layout: each shard is an independent, resumable build over its slice of
-    the corpus.
+    builds' tokenizer pools sum to ~the cluster.  There is no barrier
+    between shards.  A killed orchestrator re-runs and every shard's
+    manifest skips its finished phases; after delete_docs in one shard, a
+    re-run compacts that shard alone.  This is the 10^12-doc layout: each
+    shard is an independent, resumable build over its slice of the corpus.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -320,26 +305,14 @@ def build_sharded(
                     )
                 return memo["t"]
 
-    def pass_a(args):
+    def build_one(args):
         sf, sd = args
         return build_index(
-            sf, sd, loser_files=files, stop_after_postings=True,
-            precomputed_losers=losers, **build_kw,
-        )
-
-    def pass_b(args):
-        sf, sd, avgdl = args
-        return build_index(
-            sf, sd, loser_files=files, avgdl_override=avgdl,
-            precomputed_losers=losers, **build_kw,
+            sf, sd, loser_files=files, precomputed_losers=losers, **build_kw
         )
 
     with ThreadPoolExecutor(max_workers=build_parallelism) as ex:
-        metrics = list(ex.map(pass_a, zip(shard_files, shard_dirs)))
-        n_docs = sum(m["n_docs"] for m in metrics)
-        total_tokens = sum(m["total_tokens"] for m in metrics)
-        avgdl = float(total_tokens) / n_docs if n_docs else 0.0
-        list(ex.map(pass_b, [(sf, sd, avgdl) for sf, sd in zip(shard_files, shard_dirs)]))
+        list(ex.map(build_one, zip(shard_files, shard_dirs)))
     _assemble_global_dfs(shard_dirs, os.path.join(root, "global_dfs"))
     return shard_dirs
 
@@ -350,7 +323,11 @@ class ShardedQueryPool:
     Every shard scores its own docs COMPLETELY (per-doc BM25 needs all of a
     doc's term postings, which doc-sharding keeps co-located — the reason
     web-search engines shard by document, not term), so merging the shards'
-    local top-k by (score DESC, doc_id ASC) is exact."""
+    local top-k by (score DESC, doc_id ASC) is exact.
+
+    Per-actor state is O(corpus/S): its shard's docmeta and segment caches.
+    Only the df map is vocab-sized (each actor loads the whole global_dfs
+    table; a df-sharded serving tier would give each actor its slice)."""
 
     def __init__(
         self,
@@ -372,11 +349,17 @@ class ShardedQueryPool:
             root = os.path.commonpath([os.path.abspath(d) for d in shard_dirs])
             global_dfs_path = os.path.join(root, "global_dfs")
         _assemble_global_dfs(shard_dirs, global_dfs_path)  # cached: free rerun
-        n_docs = 0
+        # global n_docs and avgdl: the shards' own (tombstone-aware) counts
+        # summed, avgdl in the build's own expression, so every shard scores
+        # bitwise like one big index over the same docs
+        n_docs = total_tokens = 0
         for d in shard_dirs:
             with open(f"{d}/stats.json") as f:
-                n_docs += _json.load(f)["n_docs"]
+                st = _json.load(f)
+            n_docs += st["n_docs"]
+            total_tokens += st["total_tokens"]
         self.n_docs = n_docs
+        self.avgdl = float(total_tokens) / n_docs if n_docs else 0.0
         # a pool that overcommits the cluster leaves pending actors forever
         # and every scatter-gather ray.get blocks on them — shrink per-actor
         # cpus so all shards schedule (serving actors are latency-bound)
@@ -384,8 +367,8 @@ class ShardedQueryPool:
         if avail and len(shard_dirs) * num_cpus > avail:
             num_cpus = max(avail / (2 * len(shard_dirs)), 0.05)
         self.actors = [
-            ShardQueryActor.options(num_cpus=num_cpus).remote(
-                d, global_dfs_path, n_docs
+            QueryActor.options(num_cpus=num_cpus).remote(
+                d, global_dfs_path, n_docs, self.avgdl
             )
             for d in shard_dirs
         ]
@@ -397,6 +380,9 @@ class ShardedQueryPool:
         return merged[:k]
 
     def search_boolean(self, query_text: str, k: int = 10, **kw):
+        # eligibility is doc-local (must/not masks and phrase adjacency
+        # resolve within the doc's own shard) and scores use the global
+        # stats, so shard-local boolean top-k merges exactly like search
         futs = [
             a.search_boolean.remote(query_text, k=k, **kw) for a in self.actors
         ]
@@ -423,8 +409,9 @@ class ShardedQueryPool:
         return out
 
     def suggest(self, term: str):
-        a = self.actors[0]
-        return ray.get(a.suggest.remote(term))
+        # the global df map spans the whole corpus vocabulary, so any one
+        # shard actor answers exactly
+        return ray.get(self.actors[0].suggest.remote(term))
 
     def shutdown(self) -> None:
         for a in self.actors:

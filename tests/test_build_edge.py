@@ -176,40 +176,6 @@ def test_repartition_rebuild_prunes_stale_pids(tmp_path):
     assert seg_rows(idx) == seg_rows(idx_fresh)
 
 
-def test_doclen_range_exchange_matches_broadcast(tmp_path, monkeypatch):
-    """Force the above-budget docno exchange (merge tasks read only the
-    doc_id-range row groups their postings touch; NO corpus-wide ray.put of
-    the docmeta table): identical segment chunks and identical query
-    results to the broadcast fast path."""
-    from engine import build as buildmod
-    from engine.query import IndexReader
-
-    pages_dir = str(tmp_path / "pages")
-    synth.write_pages(pages_dir, 300, num_files=3)
-    idx_b = str(tmp_path / "idx_bcast")
-    m1 = build_index(pages_dir, idx_b, num_partitions=2)
-    assert m1["docno_exchange"] == "broadcast"
-
-    monkeypatch.setattr(buildmod, "_DOCNO_BCAST_BUDGET_BYTES", 0)
-    idx_r = str(tmp_path / "idx_range")
-    m2 = build_index(pages_dir, idx_r, num_partitions=2)
-    assert m2["docno_exchange"] == "range"
-
-    def seg_rows(d):
-        t = segment_rows(d)
-        return sorted(
-            zip(
-                t["term"].to_pylist(),
-                t["doc_ids"].to_pylist(), t["tfs"].to_pylist(),
-            )
-        )
-
-    assert seg_rows(idx_b) == seg_rows(idx_r)
-    r_b, r_r = IndexReader(idx_b), IndexReader(idx_r)
-    for q in ("filler doc", "the", "words body"):
-        assert r_b.search(q, k=10) == r_r.search(q, k=10), q
-
-
 def test_distributed_loser_reduce_matches_driver_path(tmp_path, monkeypatch):
     """The cluster-side loser reduce (range sort + boundary-safe combine)
     yields the identical loser table to the small-input driver path."""

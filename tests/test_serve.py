@@ -71,9 +71,10 @@ def test_pool_matches_local_reader(served_index):
 
 
 def test_sharded_pool_rank_identical_to_one_big_index(served_index, tmp_path):
-    """8 doc-shard indexes (global loser set + global avgdl baked into the
-    impacts, global df Arrow-reduced at serve time) answer every query
-    rank-identical — including float64 scores — to the single big index.
+    """8 doc-shard indexes (global loser set at build; global n_docs and
+    avgdl summed from the shards' stats.json and global df reduced when the
+    pool opens) answer every query rank-identical — including float64
+    scores — to the single big index.
     The synth corpus's duplicate url lands its re-crawl in a different file
     than the original, so the cross-shard dedup path is genuinely hit."""
     import os
@@ -182,12 +183,16 @@ def test_shard_reader_addresses_its_own_lexicon(served_index, tmp_path):
     root = str(tmp_path / "shards")
     shard_dirs = build_sharded(pages_dir, root, 2, num_partitions=2)
     gdir = _assemble_global_dfs(shard_dirs, os.path.join(root, "global_dfs"))
-    n_docs = 0
+    n_docs = total_tokens = 0
     for d in shard_dirs:
         with open(os.path.join(d, "stats.json")) as f:
-            n_docs += json.load(f)["n_docs"]
+            st = json.load(f)
+        n_docs += st["n_docs"]
+        total_tokens += st["total_tokens"]
+    avgdl = float(total_tokens) / n_docs
     for d in shard_dirs:
-        r = shard_reader(d, gdir, n_docs)
+        r = shard_reader(d, gdir, n_docs, avgdl)
+        assert r.avgdl == avgdl
         assert type(r._df) is SortedTermMap and isinstance(r._lex, Lexicon)
         segs = segment_rows(d)
         stored = set(segs["term"].to_pylist())
@@ -205,7 +210,70 @@ def test_shard_reader_addresses_its_own_lexicon(served_index, tmp_path):
     for q in synth.gen_queries_table(10).to_pylist():
         merged = [
             hit for d in shard_dirs
-            for hit in shard_reader(d, gdir, n_docs).search(q["query_text"], k=q["k"])
+            for hit in shard_reader(d, gdir, n_docs, avgdl).search(
+                q["query_text"], k=q["k"]
+            )
         ]
         merged.sort(key=lambda t: (-t[1], t[0]))
         assert merged[: q["k"]] == local.search(q["query_text"], k=q["k"]), q
+
+
+def test_one_shard_delete_compacts_that_shard_alone(served_index, tmp_path):
+    """No corpus-global statistic is written into a shard at build time, so
+    after delete_docs in shard 0 a build_sharded re-run compacts shard 0
+    alone: shards 1-3 keep their segment files (same inodes).  The pool
+    reads every shard's stats at open, so its answers stay float64-identical
+    to one index over the same pages with the same deletes, compacted."""
+    import os
+
+    import pyarrow.dataset as pads
+
+    from engine.build import delete_docs
+
+    pages_dir = os.path.join(os.path.dirname(served_index), "pages")
+    root = str(tmp_path / "shards")
+    shard_dirs = build_sharded(pages_dir, root, 4, num_partitions=2)
+
+    def seg_inodes(d):
+        sd = os.path.join(d, "segments")
+        return {f: os.stat(os.path.join(sd, f)).st_ino for f in os.listdir(sd)}
+
+    before = [seg_inodes(d) for d in shard_dirs]
+    urls = pads.dataset(os.path.join(shard_dirs[0], "docmeta")).to_table(
+        columns=["url"]
+    )["url"].to_pylist()
+    gone = sorted(set(urls))[:20]
+    delete_docs(shard_dirs[0], urls=gone)
+    assert build_sharded(pages_dir, root, 4, num_partitions=2) == shard_dirs
+    after = [seg_inodes(d) for d in shard_dirs]
+    assert after[1:] == before[1:]
+    assert set(after[0].values()).isdisjoint(before[0].values())
+
+    big = str(tmp_path / "big")
+    build_index(pages_dir, big, num_partitions=2)
+    delete_docs(big, urls=gone)
+    build_index(pages_dir, big, num_partitions=2)  # compaction
+    local = IndexReader(big)
+    pool = ShardedQueryPool(shard_dirs, num_cpus=0.25)
+    try:
+        assert (pool.n_docs, pool.avgdl) == (local.n_docs, local.avgdl)
+        qs = [
+            {"query_text": q["query_text"], "k": q["k"]}
+            for q in synth.gen_queries_table(20).to_pylist()
+        ]
+        for q in qs:
+            want = local.search(q["query_text"], k=q["k"])
+            assert pool.search(q["query_text"], k=q["k"]) == want, q
+        many = pool.search_many([dict(q) for q in qs])
+        for q, res in zip(qs, many):
+            assert res == local.search(q["query_text"], k=q["k"]), q
+        h = synth.HEAD_TERMS
+        for bq in (
+            f"{h[0]} +{h[1]}",
+            f"{h[0]} -{h[1]}",
+            f'{h[2]} "{h[0]} {h[1]}"',
+        ):
+            want = local.search_boolean(bq, k=10)
+            assert pool.search_boolean(bq, k=10) == want, bq
+    finally:
+        pool.shutdown()
