@@ -106,14 +106,15 @@ def check_chunk_layout(index_dir: str) -> tuple[int, int]:
 
 def force_scorer(reader, path: str) -> None:
     """Send every scoring call of `reader` to one internal path ("maxscore"
-    -> `reader._maxscore`, "vectorized" -> `reader._vectorized`) instead of
-    the one `_dispatch` picks, so a test can hold that path to the oracle
-    on every query shape; "auto" leaves the dispatch as it is."""
+    -> `reader._maxscore`, "vectorized" -> `reader._vectorized`, "sparse"
+    -> `reader._sparse`) instead of the one `_dispatch` picks, so a test
+    can hold that path to the oracle on every query shape; "auto" leaves
+    the dispatch as it is."""
     if path == "auto":
         return
     scorer = getattr(reader, "_" + path)
 
-    def dispatch(runs, pool, mask, _total_postings):
+    def dispatch(runs, pool, mask):
         return scorer(runs, pool, mask) if runs and pool else []
 
     reader._dispatch = dispatch

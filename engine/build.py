@@ -45,6 +45,7 @@ import shutil
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet  # noqa: F401  (enables pa.parquet.*)
 import ray
 import ray.data as rd
@@ -569,7 +570,8 @@ def build_index(
 
     # ---- phase stats -----------------------------------------------------
     # N and total_tokens are DISTINCT-doc counts off the compact docmeta
-    # table (one narrow two-column read per pid, in parallel): the wave's
+    # table (one driver read of its two narrow columns, shared with the
+    # segments phase's docno broadcast): the wave's
     # per-shard row counts would double-count an exact-duplicate row split
     # across Ray blocks of one input file (ADVICE round 2) — the postings
     # side dedups such rows in the merge, so stats must agree.  Per-term df
@@ -589,10 +591,10 @@ def build_index(
     # grafted into a dir (merge_indexes) keep valid checkpoints across a
     # format bump, but the layout these phases write does not
     partials_fp = man.partials_fingerprint() + tomb_tag + f"+F{FORMAT_VERSION}"
+    docs = None  # (sorted distinct doc_ids, their doclens), read once
     if not man.phase_done("stats", partials_fp, stats_path):
-        n_docs, total_tokens, range_counts = _distinct_doc_stats(
-            docmeta_root, parts, tombstones=tombs
-        )
+        docs = _docmeta_docs(docmeta_root)
+        n_docs, total_tokens, range_counts = _distinct_doc_stats(*docs, tombs)
         avgdl = float(total_tokens) / n_docs if n_docs else 0.0
         hot_threshold = max(2.0, HOT_TERM_DF_FRACTION * n_docs)
         # dense-docno range bases: prefix sums of per-interval-range distinct
@@ -651,13 +653,9 @@ def build_index(
         # docno is its rank in the deduped sorted order (the reader's
         # docmeta dedup, exactly).  A corpus too large for one broadcast is
         # built as doc shards (engine/serve.py build_sharded).
-        import pyarrow.dataset as _pads
-
-        dm = _pads.dataset(docmeta_root).to_table(columns=["doc_id"])
-        dm_ids = np.unique(
-            dm["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        )
-        docids_ref = ray.put(dm_ids)
+        if docs is None:
+            docs = _docmeta_docs(docmeta_root)
+        docids_ref = ray.put(docs[0])
         with atomic_dir(segments_root) as tmp:
             dfs_tmp = os.path.join(tmp, "_dfs")
             os.makedirs(dfs_tmp, exist_ok=True)
@@ -673,7 +671,10 @@ def build_index(
                         }
                         for bg, fmap in sorted(bg_files.items())
                     ],
-                    override_num_blocks=len(bg_files),
+                    # a few bucket groups per reduce task, which opens each
+                    # partials file once for all of them; two tasks per cpu
+                    # keep the cores busy when one task runs long
+                    override_num_blocks=min(len(bg_files), 2 * concurrency),
                 )
                 merged = work.map_batches(
                     _MergeBucketGroup(
@@ -717,63 +718,39 @@ def build_index(
     return metrics
 
 
+def _docmeta_docs(docmeta_root: str) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus's distinct doc_ids, sorted, and each one's doclen, from one
+    driver read of docmeta's two narrow columns (8 + 8 bytes per doc).  The
+    first row wins per doc_id, as in the reader's docmeta load: an
+    exact-duplicate input row split across Ray blocks of one file leaves
+    two identical docmeta rows."""
+    t = pads.dataset(docmeta_root).to_table(columns=["doc_id", "doclen"])
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    dls = t["doclen"].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.argsort(ids, kind="stable")
+    ids, dls = ids[order], dls[order]
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    return ids[keep], dls[keep]
+
+
 def _distinct_doc_stats(
-    docmeta_root: str, pids, tombstones: np.ndarray | None = None
+    ids: np.ndarray, dls: np.ndarray, tombstones: np.ndarray | None = None
 ) -> tuple[int, int, np.ndarray]:
     """Exact (distinct doc count, total doclen over distinct docs, per-range
-    distinct counts) from the compact docmeta table.  Count and doclen sum
+    distinct counts) of `_docmeta_docs`' output.  Count and doclen sum
     exclude tombstoned docs (BM25 stats must not score deleted docs); the
     per-range counts include them — they define the dense-docno space, which
     must stay aligned with the reader's docmeta table (tombstoned rows are
-    masked at query time, not removed from docmeta).
-
-    A duplicate doc_id can only occur WITHIN a pid (an exact-duplicate row
-    split across Ray blocks of one input file; cross-file recrawls are
-    resolved by the loser filter), so per-pid distinct counts sum exactly.
-    One zero-cpu task per pid reads only the two narrow columns — work and
-    memory per task are bounded by that pid's doc count.
-    """
-    tomb_ref = (
-        ray.put(tombstones)
-        if tombstones is not None and tombstones.size
-        else None
-    )
-
-    @ray.remote(num_cpus=0)
-    def one(pdir: str, tref) -> tuple[int, int, np.ndarray]:
-        import pyarrow.dataset as pads
-
-        zero = np.zeros(NUM_DOC_RANGES, dtype=np.int64)
-        t = pads.dataset(pdir).to_table(columns=["doc_id", "doclen"])
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        if ids.size == 0:
-            return 0, 0, zero
-        dls = t["doclen"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids, kind="stable")
-        ids, dls = ids[order], dls[order]
-        keep = np.ones(ids.size, dtype=bool)
-        keep[1:] = ids[1:] != ids[:-1]
-        ids, dls = ids[keep], dls[keep]
-        ranges = np.bincount(
-            (ids >> np.uint64(DOC_RANGE_SHIFT)).astype(np.int64),
-            minlength=NUM_DOC_RANGES,
-        ).astype(np.int64)
-        if tref is not None:
-            tomb = tref  # ObjectRef args arrive resolved
-            pos = np.minimum(np.searchsorted(tomb, ids), tomb.size - 1)
-            alive = tomb[pos] != ids
-            ids, dls = ids[alive], dls[alive]
-        return int(ids.size), int(dls.sum()), ranges
-
-    futs = [
-        one.remote(os.path.join(docmeta_root, f"pid={pid}"), tomb_ref)
-        for pid in pids
-    ]
-    res = ray.get(futs)
-    range_counts = np.zeros(NUM_DOC_RANGES, dtype=np.int64)
-    for r in res:
-        range_counts += r[2]
-    return sum(r[0] for r in res), sum(r[1] for r in res), range_counts
+    masked at query time, not removed from docmeta)."""
+    ranges = np.bincount(
+        (ids >> np.uint64(DOC_RANGE_SHIFT)).astype(np.int64),
+        minlength=NUM_DOC_RANGES,
+    ).astype(np.int64)
+    if tombstones is not None and tombstones.size and ids.size:
+        pos = np.minimum(np.searchsorted(tombstones, ids), tombstones.size - 1)
+        dls = dls[tombstones[pos] != ids]
+    return int(dls.size), int(dls.sum()), ranges
 
 
 def _prune_stale_partitions(
@@ -1225,10 +1202,13 @@ class _MergeBucketGroup:
         dm_ids = ray.get(self.docids_ref)
         tomb = ray.get(self.tomb_ref) if self.tomb_ref is not None else None
         out_bg, out_terms, out_hot = [], [], []
+        files: dict[str, pa.parquet.ParquetFile] = {}  # each opened once
         for item in work.to_pylist():
             tabs = []
             for path, rgs in zip(item["paths"], item["rgs"]):
-                pf = pa.parquet.ParquetFile(path)
+                pf = files.get(path)
+                if pf is None:
+                    pf = files[path] = pa.parquet.ParquetFile(path)
                 tabs.append(pf.read_row_groups(list(rgs)))
             t = (
                 pa.concat_tables(tabs).combine_chunks()

@@ -11,12 +11,16 @@ Determinism contract (must match engine/oracle.py exactly):
   order, of idf * impact (impacts precomputed float64 at build)
 - tie-break (score DESC, doc_id ASC)
 
-Scoring paths (`IndexReader._dispatch`): `_single_term` for one term,
-stopping early on per-block impact maxima; `_sparse` for selective
-multi-term queries; otherwise vectorized MaxScore (`_maxscore`, Turtle &
-Flood 1995), with a dense fallback (`_vectorized`) when nothing prunes.  The
-build stores each term as one docno-sorted chunk, so every scorer walks one
-posting list per term.
+Scoring paths: `IndexReader._dispatch` estimates the cost of each exact
+path from the query's shape (`_plan`: the dense docno-space size, each
+run's posting count, the term count and the pool size) and takes the
+cheapest.  One term: `_single_term`, stopping early on per-block impact
+maxima, or its flat exit, one masked top-k over the whole run.  Several
+terms: dense accumulation (`_vectorized`), sparse accumulation over the
+postings alone (`_sparse`), or vectorized MaxScore (`_maxscore`, Turtle &
+Flood 1995), which falls back to `_vectorized` when the terms it must
+enumerate cost more than the dense scan.  The build stores each term as
+one docno-sorted chunk, so every scorer walks one posting list per term.
 
 `IndexReader` is the stateful query-side cache (SURVEY.md §2.3 T6): stats,
 df table and doc metadata load once and are reused across queries — in a
@@ -26,6 +30,7 @@ serving deployment this class is the per-actor state of a query actor pool.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -286,6 +291,62 @@ def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float
 def _check_k(k: int) -> None:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+
+
+def _lg(x: float) -> float:
+    return math.log2(max(x, 2.0))
+
+
+# Cost model of the exact scoring paths: each path's estimated time (µs) is
+# its coefficients times its features, from what is known before scoring:
+# d, the dense docno-space size (`_docno_count`); t, the number of runs; p,
+# their summed posting count; k, the pool size; e, the postings MaxScore
+# enumerates as candidates.  A posting scattered into or probed in a
+# d-sized array costs more as the array outgrows the cpu caches, hence
+# p * lg(d).  Non-negative least squares on relative error over per-path
+# timings of a 3k-doc and a 200k-doc index on 1 cpu (`scripts/
+# profile_query.py --paths --save`, refit with `--fit`); only the order of
+# the estimates matters.
+_COST_FEATURES = {
+    "single_term": lambda d, t, p, k, e: (1.0, p, min(p, k)),
+    "flat": lambda d, t, p, k, e: (1.0, p),
+    "vectorized": lambda d, t, p, k, e: (1.0, t, d, p * _lg(d)),
+    "sparse": lambda d, t, p, k, e: (1.0, t, p * _lg(p)),
+    "maxscore": lambda d, t, p, k, e: (1.0, t, p * _lg(d), e * _lg(e)),
+}
+_COST_COEFS = {
+    "single_term": (21.0, 0.000425, 2.81),
+    "flat": (2.0, 0.00675),
+    "vectorized": (11.9, 1.72, 0.000466, 0.0011),
+    "sparse": (21.5, 1.95, 0.00232),
+    "maxscore": (39.0, 7.19, 6.2e-05, 0.0019),
+}
+
+
+def _cost(path: str, d: int, t: int, p: int, k: int, e: int) -> float:
+    feats = _COST_FEATURES[path](d, t, p, k, e)
+    return sum(c * f for c, f in zip(_COST_COEFS[path], feats))
+
+
+def _plan_shape(sizes: list[int], k: int) -> tuple[int, int, int]:
+    """(t, p, e) of a query whose runs hold `sizes` postings.  MaxScore's
+    candidates are estimated as every run but the longest (the lowest
+    idf, so the first left out of the essential set), unless no other run
+    holds k postings to bound the k-th score with."""
+    t, p = len(sizes), sum(sizes)
+    if t < 2:
+        return t, p, p
+    rest = sorted(sizes)
+    return t, p, (p - rest[-1] if rest[-2] >= k else p)
+
+
+def _plan(d: int, sizes: list[int], k: int) -> str:
+    """The exact path with the lowest estimated cost for a query with runs
+    of `sizes` postings over a docno space of `d`: "single_term" (block-max)
+    or "flat" for one run, else "vectorized", "sparse" or "maxscore"."""
+    t, p, e = _plan_shape(sizes, k)
+    paths = ("single_term", "flat") if t == 1 else ("vectorized", "sparse", "maxscore")
+    return min(paths, key=lambda path: _cost(path, d, t, p, k, e))
 
 
 class IndexReader:
@@ -883,12 +944,12 @@ class IndexReader:
         """
         _check_k(k)
         terms = sorted(set(tokenize(query_text, self.analyzer)))
-        runs, total_postings = self._gather_chunks(terms)
+        runs = self._gather_chunks(terms)
         pool = max(50, 10 * k) if prior_weight > 0.0 else k
         mask = self._filter_mask(
             lang_filter, ts_min, ts_max, url_contains, doc_ids_filter
         )
-        top = self._dispatch(runs, pool, mask, total_postings)
+        top = self._dispatch(runs, pool, mask)
         if prior_weight > 0.0:
             top = self._rerank(top, prior_weight)
         return self._docnos_to_ids(top[:k])
@@ -908,11 +969,10 @@ class IndexReader:
         ids = self._docmeta[0]
         return [(int(ids[d]), s) for d, s in pool]
 
-    def _gather_chunks(self, terms) -> tuple[list[tuple[str, float, _Run]], int]:
+    def _gather_chunks(self, terms) -> list[tuple[str, float, _Run]]:
         """(term, idf, cached run) for each term of a sorted unique term
-        list that has postings here, and their summed posting count."""
+        list that has postings here."""
         runs: list[tuple[str, float, _Run]] = []
-        total_postings = 0
         for t in terms:
             df = self._df.get(t, 0)
             if df <= 0:
@@ -920,34 +980,29 @@ class IndexReader:
             run = self._load_chunks(t)
             if run.docnos.size:
                 runs.append((t, self._idf(df), run))
-                total_postings += run.docnos.size
-        return runs, total_postings
+        return runs
 
-    def _dispatch(
-        self, runs, pool: int, mask, total_postings: int
-    ) -> list[tuple[int, float]]:
-        """Route to the cheapest exact scoring path (shared by search and
-        search_boolean — every path returns the same ranked list of
-        (docno, score); callers map docnos to doc_ids at the API boundary).
-        The (score DESC, docno ASC) tie-break equals the oracle's
-        (score DESC, doc_id ASC): docnos are doc_id ranks, hence monotone."""
+    def _plan(self, runs, pool: int) -> str:
+        """The path `_dispatch` takes for these runs (module `_plan`)."""
+        return _plan(self._docno_count, [r.docnos.size for _t, _w, r in runs], pool)
+
+    def _dispatch(self, runs, pool: int, mask) -> list[tuple[int, float]]:
+        """Score on the exact path the cost model (`_plan`) estimates
+        cheapest; shared by search, search_boolean and the serving pools.
+        Every path returns the same ranked list of (docno, score); callers
+        map docnos to doc_ids at the API boundary.  The (score DESC, docno
+        ASC) tie-break equals the oracle's (score DESC, doc_id ASC): docnos
+        are doc_id ranks, hence monotone.
+
+        The estimate reads the dense docno-space size (`_docno_count`), not
+        `n_docs`: that is what the dense arrays span, and a doc shard's
+        `n_docs` is the corpus-global count."""
         if not runs or pool == 0:
             return []
-        if len(runs) == 1:
-            # single-term query: exact top-k straight off the term's own
-            # impacts — O(df) work and memory, no dense n_docs array
-            return self._single_term(runs[0], pool, mask)
-        if total_postings * 4 <= self.n_docs:
-            # selective multi-term query: sparse accumulation over the
-            # candidate postings only (sort + reduceat) — O(p log p) for p
-            # postings instead of allocating and scanning O(n_docs) dense
-            # arrays; float64-identical to the dense path (same per-doc
-            # term-order summation)
-            return self._sparse(runs, pool, mask)
-        # multi-term with a head term: MaxScore pruning keeps the work
-        # proportional to the SELECTIVE terms' postings, where the dense
-        # scan is O(n_docs + total_postings) however selective the query
-        return self._maxscore(runs, pool, mask)
+        path = self._plan(runs, pool)
+        if path in ("single_term", "flat"):
+            return self._single_term(runs[0], pool, mask, prune=path == "single_term")
+        return getattr(self, "_" + path)(runs, pool, mask)
 
     def search_boolean(
         self,
@@ -1029,12 +1084,12 @@ class IndexReader:
                 mask[self._load_chunks(t).docnos] = False
             if not mask.any():
                 return []
-        runs, total_postings = self._gather_chunks(scoring)
+        runs = self._gather_chunks(scoring)
         if not runs:
             return []
         if not bq.phrases and not bq.not_phrases:
             return self._docnos_to_ids(
-                self._dispatch(runs, k, mask, total_postings)[:k]
+                self._dispatch(runs, k, mask)[:k]
             )
         verified: dict[int, bool] = {}  # keyed by docno
 
@@ -1075,7 +1130,7 @@ class IndexReader:
         bound = int(mask.sum()) if (required or must_groups) else None
         pool = max(50, 4 * k)
         while True:
-            top = self._dispatch(runs, pool, mask, total_postings)
+            top = self._dispatch(runs, pool, mask)
             out: list[tuple[int, float]] = []
             if self.has_positions:
                 # batched-vectorized, GEOMETRIC steps: each _verify_batch
@@ -1258,9 +1313,11 @@ class IndexReader:
         return ok
 
     def _single_term(
-        self, tr, k: int, mask: np.ndarray | None
+        self, tr, k: int, mask: np.ndarray | None, prune: bool = True
     ) -> list[tuple[int, float]]:
-        """Exact top-k for a one-term query via block-max pruning.
+        """Exact top-k for a one-term query via block-max pruning, or, with
+        ``prune=False``, one masked top-k over the whole run (cheaper on a
+        run too short for its blocks to be worth ordering).
 
         Blocks (the per-128-posting impact maxima, idf excluded) are visited in
         descending max-impact order; the scan stops once k mask-surviving
@@ -1273,6 +1330,12 @@ class IndexReader:
         paths."""
         _t, w, run = tr
         ids, impacts, bms = run.docnos, run.impacts, run.block_max
+        if not prune:
+            sc = w * impacts
+            if mask is not None:
+                keep = mask[ids]
+                ids, sc = ids[keep], sc[keep]
+            return _top_k(ids, sc, k) if ids.size else []
         order = np.argsort(-bms, kind="stable")
         lanes = np.arange(BLOCK_SIZE, dtype=np.int64)
         g_ids: list[np.ndarray] = []
@@ -1337,11 +1400,6 @@ class IndexReader:
             off += sc_part.size
         return _top_k(upos, scores, k)
 
-    # when the essential-term candidate union approaches the corpus size the
-    # dense scatter (O(n_docs + postings), sequential writes) beats the
-    # candidate union's sort and random probes; fall back past this fraction
-    _MAXSCORE_DENSE_FRACTION = 4
-
     def _maxscore(
         self, runs, k: int, mask: np.ndarray | None
     ) -> list[tuple[int, float]]:
@@ -1359,7 +1417,9 @@ class IndexReader:
            a doc matching ONLY those terms scores < theta0.  On web corpora
            the Zipf-head terms (df ~ n_docs, tiny idf) land in that prefix,
            so candidate generation skips their million-entry posting lists.
-        3. Candidates: union of the essential terms' postings (masked).
+        3. Candidates: union of the essential terms' postings (masked) —
+           or, when the cost model (`_cost`) puts that union above the
+           dense scan, `_vectorized` instead.
         4. Exact scoring: every term's contributions are gathered onto the
            candidate array, accumulating in ascending lexicographic term
            order starting from +0.0 — the identical FP addition sequence as
@@ -1383,15 +1443,18 @@ class IndexReader:
         csum = np.cumsum(ubs[asc])
         n_noness = int(np.searchsorted(csum, theta, side="left"))
         essential = asc[n_noness:]
-        if (
-            int(sizes[essential].sum()) * self._MAXSCORE_DENSE_FRACTION
-            > self.n_docs
-        ):
+        # the dense scan beats the candidate union's sort and random probes
+        # once the essential postings approach the docno space
+        nd = self._docno_count
+        t, p, e = len(runs), int(sizes.sum()), int(sizes[essential].sum())
+        if _cost("maxscore", nd, t, p, k, e) > _cost("vectorized", nd, t, p, k, e):
             return self._vectorized(runs, k, mask)
-        # --- candidate union (essential postings only, masked)
-        cand = np.unique(np.concatenate([runs[i][2].docnos for i in essential]))
+        # --- candidate union (essential postings only, masked before the
+        # sort, so a selective filter shrinks it)
+        ess = [runs[i][2].docnos for i in essential]
         if mask is not None:
-            cand = cand[mask[cand]]
+            ess = [d[mask[d]] for d in ess]
+        cand = np.unique(np.concatenate(ess))
         if cand.size == 0:
             return []
         # --- exact scores over candidates, oracle FP order.  Candidate
@@ -1399,7 +1462,6 @@ class IndexReader:
         # buffers (1 byte + 4 bytes per doc, cache-resident at serving
         # scale, wiped in O(|candidates|) after the query) — measurably
         # ~4x faster than per-chunk binary search at 1.5M docs.
-        nd = self._docno_count
         if self._cand_mask_buf is None or self._cand_mask_buf.size != nd:
             self._cand_mask_buf = np.zeros(nd, dtype=bool)
             self._cand_rank_buf = np.empty(nd, dtype=np.int32)

@@ -488,11 +488,16 @@ def test_each_scoring_path_oracle_identical(built_index, tmp_path):
     """Each internal scorer, called directly on `_gather_chunks` runs under
     `_filter_mask` masks (lang and crawl-time filters composed with
     tombstones), returns the oracle's top-k, float64-bitwise:
-    `_single_term` on one-term queries, `_sparse`, `_maxscore` and
-    `_vectorized` on every query.  `_maxscore` takes both of its branches
-    here: pruned candidate scoring, and the dense fallback, seen as a call
-    of `_vectorized`."""
+    `_single_term` (block-max and its flat exit) on one-term queries,
+    `_sparse`, `_maxscore` and `_vectorized` on every query.  `_maxscore`
+    takes both of its branches here, as the cost model picks them and each
+    forced: pruned candidate scoring, and the dense fallback, seen as a
+    call of `_vectorized`."""
+    import math
     import shutil
+    from unittest import mock
+
+    from engine import query
 
     from engine.build import delete_docs
 
@@ -526,11 +531,14 @@ def test_each_scoring_path_oracle_identical(built_index, tmp_path):
         return vectorized(*args)
 
     r._vectorized = counted  # what _maxscore's dense fallback calls
+    inf = {p: (math.inf,) * len(c) for p, c in query._COST_COEFS.items()}
+    forced = {"cost": {}, "pruned": {"vectorized": inf["vectorized"]},
+              "dense": {"maxscore": inf["maxscore"]}}
     branches = set()
     for q in queries:
         terms = sorted(set(q.split()))
         for lang, lo, hi in filters:
-            runs, _total = r._gather_chunks(terms)
+            runs = r._gather_chunks(terms)
             mask = r._filter_mask(lang, lo, hi)
             assert mask is not None  # tombstones at least
             want = [
@@ -545,12 +553,59 @@ def test_each_scoring_path_oracle_identical(built_index, tmp_path):
             }
             if len(runs) == 1:
                 got["single_term"] = r._single_term(runs[0], 10, mask)
-            n = len(dense_calls)
-            got["maxscore"] = r._maxscore(runs, 10, mask)
-            branches.add("dense" if len(dense_calls) > n else "pruned")
+                got["flat"] = r._single_term(runs[0], 10, mask, prune=False)
+            for name, coefs in forced.items():
+                n = len(dense_calls)
+                with mock.patch.dict(query._COST_COEFS, coefs):
+                    got["maxscore_" + name] = r._maxscore(runs, 10, mask)
+                branch = "dense" if len(dense_calls) > n else "pruned"
+                assert name == "cost" or branch == name, (q, name)
+                branches.add(branch)
             for path, top in got.items():
                 assert r._docnos_to_ids(top) == want, (q, lang, lo, path)
     assert branches == {"dense", "pruned"}
+
+
+def test_dispatch_routes_by_cost_model(built_index):
+    """`_dispatch` takes the path the cost model (`_plan`) estimates
+    cheapest.  Over the 1k-doc index's small docno space that is the dense
+    scan for every multi-term conformance query and `_single_term`'s flat
+    exit for every single-term one; runs sized like a 200k-doc index's
+    route to block-max, MaxScore and sparse accumulation.  `force_scorer`
+    still overrides the pick."""
+    from engine.analyze import tokenize
+    from engine.query import _Run
+
+    _, index_dir, _ = built_index
+    r = IndexReader(index_dir)
+    seen = set()
+    for q in synth.gen_queries_table(73).to_pylist():
+        runs = r._gather_chunks(sorted(set(tokenize(q["query_text"], r.analyzer))))
+        if runs:
+            want = "flat" if len(runs) == 1 else "vectorized"
+            assert r._plan(runs, q["k"]) == want, q["query_text"]
+            seen.add(want)
+    assert seen == {"flat", "vectorized"}
+
+    def run(n):
+        blocks = np.ones(-(-n // 128))
+        return ("t", 1.0, _Run(np.arange(n, dtype=np.int64), np.ones(n), blocks, 1.0))
+
+    big = IndexReader.__new__(IndexReader)  # only the docno-space size is read
+    big._docno_count = 200_000
+    assert big._plan([run(139_012)], 10) == "single_term"
+    assert big._plan([run(251), run(2_703), run(117_996)], 5) == "maxscore"
+    assert big._plan([run(502), run(951), run(37_517)], 10) == "maxscore"
+    assert big._plan([run(217), run(220)], 10) == "sparse"
+
+    q = f"{synth.HEAD_TERMS[0]} {synth.VOCAB[300]}"
+    forced = IndexReader(index_dir)
+    calls = []
+    sparse = forced._sparse
+    forced._sparse = lambda *a: calls.append(a) or sparse(*a)
+    force_scorer(forced, "sparse")
+    assert forced.search(q, k=5) == r.search(q, k=5)
+    assert len(calls) == 1
 
 
 def test_negative_k_is_rejected(built_index):
